@@ -10,6 +10,11 @@ The Clifford product of Grassmann blades goes in three steps: expand
 the left blade into Clifford generator chains
 (the alternating-sign index-pair contraction), then fold each generator
 into the right factor, one wedge-plus-contraction step at a time.
+
+This chain kernel is the product path of the symbolic layer (fields of
+expression pairs) and the reference the tests check the numeric
+structure tensor against.  The numeric layer takes only the generator
+step `gen_mul` and the basis conversions from here.
 """
 
 from __future__ import annotations
@@ -164,16 +169,10 @@ def _q_step(chains: dict, g) -> dict:
     return out
 
 
-def blade_clifford_mul(mask: int, v: dict, g, chains_cache=None) -> dict:
+def blade_clifford_mul(mask: int, v: dict, g) -> dict:
     """Clifford product (Grassmann blade `mask`) * V."""
-    if chains_cache is not None and mask in chains_cache:
-        chains = chains_cache[mask]
-    else:
-        chains = grassmann_to_chains(mask, g)
-        if chains_cache is not None:
-            chains_cache[mask] = chains
     out: dict = {}
-    for chain_mask, coeff in chains.items():
+    for chain_mask, coeff in grassmann_to_chains(mask, g).items():
         w = v
         for i in reversed(blade_indices(chain_mask)):
             w = gen_mul(i, w, g)
@@ -183,12 +182,12 @@ def blade_clifford_mul(mask: int, v: dict, g, chains_cache=None) -> dict:
     return out
 
 
-def clifford_mul_dicts(u: dict, v: dict, g, chains_cache=None) -> dict:
+def clifford_mul_dicts(u: dict, v: dict, g) -> dict:
     out: dict = {}
     for a, ca in u.items():
         if is_zero(ca):
             continue
-        part = blade_clifford_mul(a, v, g, chains_cache)
+        part = blade_clifford_mul(a, v, g)
         for b, cb in part.items():
             if not is_zero(cb):
                 add_term(out, b, ca * cb)

@@ -12,10 +12,12 @@ import numpy as np
 
 from . import blades
 from .expr import CExpr, ZERO, call as expr_call, parse as expr_parse
-from .metric import Metric, is_isometry, metric_from_json, new_metric
+from .metric import (Metric, MetricError, is_isometry, metric_from_json,
+                     new_metric)
 from .multivector import (
     CLIFFORD,
     GRASSMANN,
+    MAX_TABLE_DIM,
     Multivector,
     basis_convert,
     build_product_table,
@@ -29,12 +31,10 @@ from .multivector import (
     hodge_star_components,
     scalar_product,
     star_inverse,
-    wedge,
 )
 from .spin import (
     adjoint_action,
     factor_isometry,
-    is_spin_member,
     isometry_of,
     random_spin_element,
 )
@@ -379,35 +379,36 @@ def _emit(payload, args, csv_rows=None):
 
 def cmd_mul_table(args) -> int:
     with open(args.metric) as fh:
-        metric = metric_from_json(fh.read())
-    if metric.dim > 8:
+        try:
+            metric = metric_from_json(fh.read())
+        except MetricError as exc:
+            raise _UsageError(f"bad metric: {exc}") from exc
+    if metric.dim > MAX_TABLE_DIM:
         raise _UsageError(f"dimension {metric.dim} exceeds the table "
-                          f"limit of 8")
+                          f"limit of {MAX_TABLE_DIM}")
     basis = args.basis
     if basis not in (GRASSMANN, CLIFFORD):
         raise _UsageError(f"unknown basis {basis!r}")
     table = build_product_table(metric)
     size = 1 << metric.dim
+    names = [blades.blade_indices(mask) for mask in range(size)]
+    if basis == CLIFFORD:
+        c2g = table.clifford_to_grassmann_matrix()
+        g2c = table.grassmann_to_clifford_matrix()
     entries = []
     for a in range(size):
-        ua = Multivector.from_dict(metric.dim, {a: 1.0})
         if basis == CLIFFORD:
-            ua = basis_convert(ua, CLIFFORD, GRASSMANN, metric)
-        for b in range(size):
-            ub = Multivector.from_dict(metric.dim, {b: 1.0})
-            if basis == CLIFFORD:
-                ub = basis_convert(ub, CLIFFORD, GRASSMANN, metric)
-            prod = table.mul(ua, ub)
-            if basis == CLIFFORD:
-                prod = basis_convert(prod, GRASSMANN, CLIFFORD, metric)
-            for mask in np.nonzero(np.abs(prod.coeffs) > 1e-14)[0]:
-                c = prod.coeffs[mask]
-                entries.append({
-                    "alpha": blades.blade_indices(a),
-                    "beta": blades.blade_indices(b),
-                    "gamma": blades.blade_indices(int(mask)),
-                    "re": _fmt(c.real), "im": _fmt(c.imag),
-                })
+            # e_a e_b for Clifford monomials: the Grassmann-basis product
+            # conjugated by the two basis-change matrices
+            prod = g2c @ np.tensordot(c2g[:, a], table.left, 1) @ c2g
+        else:
+            prod = table.left[a]
+        # prod[c, b] is the coefficient of c in e_a e_b, real for a real
+        # metric; walk b, then c
+        for b, c in zip(*np.nonzero(np.abs(prod.T) > 1e-14)):
+            entries.append({"alpha": names[a], "beta": names[b],
+                            "gamma": names[c], "re": _fmt(prod[c, b]),
+                            "im": 0.0})
     payload = {"dim": metric.dim, "basis": basis, "entries": entries}
     csv_rows = [("alpha", "beta", "gamma", "re", "im")] + [
         ("|".join(map(str, e["alpha"])), "|".join(map(str, e["beta"])),

@@ -139,9 +139,3 @@ def plane_wave_spinor(k_vec, m: float, rep: GammaRep = None) -> np.ndarray:
     if s[-1] > 1e-9 * s[0]:
         raise ArgumentError("no nontrivial spinor for this momentum")
     return vt[-1].conj()
-
-
-def plane_wave_field(k_vec, m: float, rep: GammaRep = None):
-    """Spinor column and phase for theta(x) = u exp(-i k_j x^j)."""
-    u = plane_wave_spinor(k_vec, m, rep)
-    return u, np.asarray(k_vec, dtype=float)

@@ -15,8 +15,8 @@ import json
 
 import numpy as np
 
-from .expr import CExpr, CZERO, diff, evaluate, parse, to_str
-from .metric import ArgumentError
+from .blades import popcount
+from .expr import CExpr, CZERO, diff, evaluate
 from .manifold import (
     Chart,
     CoordinateChange,
@@ -28,12 +28,12 @@ from .manifold import (
     dx,
     field_from_json,
     field_to_json,
-    grade_project_field,
     scalar_field,
     trace_field,
     upsilon_k,
 )
-from .multivector import Multivector
+from .multivector import Multivector, build_product_table
+from .spin import is_spin_member
 
 CHECK_TOL = 1e-8
 
@@ -46,7 +46,6 @@ def _check_shape(name: str, f: FormField, grades, real: bool,
                  imaginary: bool, p) -> None:
     memo = {}
     for mask, c in f.coeffs.items():
-        from .blades import popcount
         if popcount(mask) not in grades:
             raise FieldConfigError(f"{name} has a grade-{popcount(mask)} "
                                    f"component, expected grades {grades}")
@@ -207,13 +206,7 @@ def conservation_defect(cfg: FieldConfig, p) -> float:
 # ---------------------------------------------------------------------------
 # Gauge transformation.
 
-def _spin_inverse(u: FormField) -> FormField:
-    # for a spin-valued field U the conjugate U* is the inverse
-    return conjugate_field(u)
-
-
 def _check_gauge_pair(cfg: FieldConfig, u: FormField, v: CExpr):
-    from .spin import is_spin_member
     p = cfg.chart.midpoint()
     memo = {}
     vv = v.evaluate(p, memo)
@@ -230,7 +223,7 @@ def gauge_transform(cfg: FieldConfig, u: FormField, v: CExpr) -> FieldConfig:
     B_k -> U^-1 B_k U + U^-1 Y_k U, H -> U^-1 H U."""
     _check_gauge_pair(cfg, u, v)
     chart = cfg.chart
-    u_inv = _spin_inverse(u)
+    u_inv = conjugate_field(u)  # U is spin-valued, so U* is its inverse
     psi2 = clifford_mul_fields(cfg.psi, u).scale(v)
     a2, b2 = [], []
     v_conj = v.conj()
@@ -310,13 +303,14 @@ def lagrangian_l0(cfg: FieldConfig, p, c1: float = 1.0,
     f_exprs = f_strength_exprs(cfg)
     f_low = np.array([[f_exprs[i][j].evaluate(p, memo) for j in range(n)]
                       for i in range(n)])
-    gu = cfg.chart.metric_at(p).g_upper
+    metric = cfg.chart.metric_at(p)
+    gu = metric.g_upper
     f_up = gu @ f_low @ gu.T
     total = c1 * sqrtg * np.sum(f_low * f_up)
     g_fields = g_strength_fields(cfg)
     g_low = [[g_fields[i][j].eval_at(p, memo) for j in range(n)]
              for i in range(n)]
-    table = _table_at(cfg, p)
+    table = build_product_table(metric)
     for i in range(n):
         for j in range(n):
             g_up = Multivector(n)
@@ -330,11 +324,6 @@ def lagrangian_l0(cfg: FieldConfig, p, c1: float = 1.0,
 def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,
                      c2: float = 1.0) -> complex:
     return lagrangian_l0(cfg, p, c1, c2) + lagrangian_l1(cfg, p)
-
-
-def _table_at(cfg: FieldConfig, p):
-    from .multivector import build_product_table
-    return build_product_table(cfg.chart.metric_at(p))
 
 
 # ---------------------------------------------------------------------------

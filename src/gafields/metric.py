@@ -50,17 +50,22 @@ def _validated_symmetric(g: np.ndarray, name: str) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise MetricError(f"{name} must be a square matrix, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise MetricError(f"{name} has a non-finite entry")
     scale = np.abs(g).max()
     if scale == 0.0:
         raise MetricError(f"{name} is the zero matrix")
     if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
         raise MetricError(f"{name} is asymmetric beyond tolerance")
-    g = (g + g.T) / 2.0
-    n = g.shape[0]
-    det = np.linalg.det(g)
-    if abs(det) / scale ** n <= DEGENERACY_GATE:
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (g + g.T) / 2.0
+        det = np.linalg.det(g)
+        ratio = abs(det) / scale ** g.shape[0]
+    if not (np.isfinite(g).all() and np.isfinite(det)):
+        raise MetricError(f"{name} overflows double precision")
+    if not ratio > DEGENERACY_GATE:  # `not >` also rejects a NaN ratio
         raise MetricError(f"{name} is singular (|det|/scale^n = "
-                          f"{abs(det) / scale ** n:.3e})")
+                          f"{ratio:.3e})")
     return g
 
 
@@ -70,11 +75,13 @@ def new_metric(g: np.ndarray, convention: str = "upper") -> Metric:
     if convention not in ("upper", "lower"):
         raise ArgumentError(f"convention must be 'upper' or 'lower', got {convention!r}")
     g = _validated_symmetric(g, f"g_{convention}")
-    inv = np.linalg.inv(g)
-    inv = (inv + inv.T) / 2.0
-    if convention == "upper":
-        return Metric(g, inv)
-    return Metric(inv, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.linalg.inv(g)
+        inv = (inv + inv.T) / 2.0
+        m = Metric(g, inv) if convention == "upper" else Metric(inv, g)
+    if not (np.isfinite(inv).all() and np.isfinite(m.det_lower)):
+        raise MetricError(f"the inverse of g_{convention} overflows")
+    return m
 
 
 def minor(m: Metric, rows, cols) -> float:
@@ -113,15 +120,25 @@ def metric_to_json(m: Metric) -> str:
 
 
 def metric_from_json(text: str) -> Metric:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MetricError(f"metric is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MetricError("metric JSON must be an object")
     if "g_upper" in data:
         g, conv = data["g_upper"], "upper"
     elif "g_lower" in data:
         g, conv = data["g_lower"], "lower"
     else:
         raise MetricError("metric JSON needs a 'g_upper' or 'g_lower' key")
-    g = np.asarray(g, dtype=float)
-    if "dim" in data and data["dim"] != g.shape[0]:
+    try:
+        g = np.asarray(g, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MetricError(f"metric components must be a rectangular array "
+                          f"of numbers: {exc}") from exc
+    m = new_metric(g, conv)
+    if "dim" in data and data["dim"] != m.dim:
         raise MetricError(f"declared dim {data['dim']} does not match matrix "
                           f"shape {g.shape}")
-    return new_metric(g, conv)
+    return m

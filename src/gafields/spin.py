@@ -14,7 +14,6 @@ from .metric import ArgumentError, Metric, is_isometry
 from . import blades
 from .multivector import (
     Multivector,
-    ProductTable,
     build_product_table,
     clifford_mul,
     conjugate_star,
@@ -72,17 +71,6 @@ def isometry_of(f: Multivector, m: Metric) -> np.ndarray:
     return p
 
 
-def _right_matrix(table: ProductTable, mask: int) -> np.ndarray:
-    """Matrix of x -> x * blade(mask) from the cached left matrices."""
-    size = 1 << table.dim
-    mat = np.zeros((size, size))
-    for b in range(size):
-        mat[:, b] = table.mul(Multivector.from_dict(table.dim, {b: 1.0}),
-                              Multivector.from_dict(table.dim, {mask: 1.0})
-                              ).coeffs.real
-    return mat
-
-
 def factor_isometry(p: np.ndarray, m: Metric, tol: float = 1e-8) -> Multivector:
     """Find a spin element F with F* e^i F = p[i][j] e^j.
 
@@ -100,19 +88,18 @@ def factor_isometry(p: np.ndarray, m: Metric, tol: float = 1e-8) -> Multivector:
         raise ArgumentError("matrix is not an isometry of the metric")
     table = build_product_table(m)
     even = [mask for mask in range(1 << n) if blades.popcount(mask) % 2 == 0]
-    col = {mask: t for t, mask in enumerate(even)}
-    size, full = 1 << n, len(even)
+    odd = [mask for mask in range(1 << n) if blades.popcount(mask) % 2]
+    full = len(even)
+    gens = [1 << j for j in range(n)]
+    # right_gens[a, c, j]: coefficient of c in e_a e^j, so x -> x e^j is
+    # right_gens[:, :, j].T
+    right_gens = table.left[:, :, gens]
 
     rows = []
-    for i in range(1, n + 1):
-        li = table.left_matrix(1 << (i - 1))
-        ri = np.zeros((size, size))
-        for j in range(1, n + 1):
-            ri += p[i - 1, j - 1] * _right_matrix(table, 1 << (j - 1))
-        diff = li - ri
+    for i in range(n):
+        diff = table.left[gens[i]] - (right_gens @ p[i]).T
         # odd-grade output components of (e^i F - F p e) on even input
-        odd_rows = [mask for mask in range(size) if blades.popcount(mask) % 2]
-        rows.append(diff[np.ix_(odd_rows, even)])
+        rows.append(diff[np.ix_(odd, even)])
     system = np.vstack(rows)
 
     _, s, vt = np.linalg.svd(system)

@@ -7,11 +7,15 @@ import sys
 import numpy as np
 import pytest
 
+from gafields.blades import mask_of
 from gafields.expr import CExpr, parse
 from gafields.fields import FieldConfig, config_to_json
 from gafields.manifold import Chart, FormField
-from gafields.metric import metric_to_json, new_metric
+from gafields.metric import metric_from_json, metric_to_json, new_metric
+from gafields.multivector import (CLIFFORD, GRASSMANN, Multivector,
+                                  basis_convert, build_product_table)
 from gafields.cli import main
+from conftest import random_metric
 
 
 def run_cli(args, capsys):
@@ -82,6 +86,67 @@ def test_mul_table_csv(metric_file, tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "alpha,beta,gamma,re,im"
     assert len(lines) == 5  # header plus four products
+
+
+@pytest.mark.parametrize("basis", [GRASSMANN, CLIFFORD])
+def test_mul_table_matches_products(basis, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(metric_to_json(random_metric(3, np.random.default_rng(5))))
+    code, out, _ = run_cli(["mul-table", "--metric", str(path),
+                            "--basis", basis], capsys)
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    emitted = {}
+    for e in entries:
+        key = (mask_of(e["alpha"]), mask_of(e["beta"]), mask_of(e["gamma"]))
+        emitted[key] = complex(e["re"], e["im"])
+    keys = list(emitted)
+    assert keys == sorted(keys) and len(keys) == len(entries)
+
+    # oracle: one product of two basis elements at a time
+    m = metric_from_json(path.read_text())
+    t = build_product_table(m)
+
+    def element(mask):
+        u = Multivector.from_dict(3, {mask: 1.0})
+        return basis_convert(u, basis, GRASSMANN, m)
+
+    for a in range(8):
+        for b in range(8):
+            prod = basis_convert(t.mul(element(a), element(b)),
+                                 GRASSMANN, basis, m)
+            for c in range(8):
+                want = prod.coeffs[c]
+                if (a, b, c) in emitted:
+                    got = emitted.pop((a, b, c))
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+                else:
+                    assert abs(want) < 2e-14  # under the 1e-14 cut
+    assert not emitted
+
+
+BAD_METRICS = {
+    "nan": '{"g_upper": [[NaN]]}',
+    "overflow": '{"g_upper": [[1e308, 0], [0, 1e308]]}',
+    "ragged": '{"g_upper": [[1, 0], [0]]}',
+    "singular": '{"g_upper": [[1, 1], [1, 1]]}',
+    "non_numeric": '{"g_upper": [["a", 0], [0, 1]]}',
+    "not_json": '{"g_upper": [[1, 0], [0, 1]]',
+    "inverse_overflow": '{"g_upper": [[1e-155, 0], [0, 1e-155]]}',
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_METRICS))
+def test_mul_table_bad_metric_is_usage_error(name, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(BAD_METRICS[name])
+    proc = subprocess.run([sys.executable, "-m", "gafields.cli",
+                           "mul-table", "--metric", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert any(line.startswith("error:")
+               for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("suite", ["algebra", "hodge", "spin", "manifold",

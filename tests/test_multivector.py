@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gafields import blades
 from gafields.metric import ArgumentError, new_metric
 from gafields.multivector import (
     CLIFFORD,
@@ -96,6 +97,29 @@ def test_clifford_associativity(rng):
         lhs = t.mul(t.mul(u, v), w)
         rhs = t.mul(u, t.mul(v, w))
         assert (lhs - rhs).norm() < 1e-10 * max(1.0, lhs.norm())
+
+
+def test_structure_tensor_matches_chain_kernel(rng):
+    # the blade-chain kernel of the symbolic layer is the reference
+    for n in range(1, 7):
+        for sign in (1, -1):
+            m = random_metric_signed(n, rng, sign)
+            left = build_product_table(m).left
+            g = lambda i, j: float(m.g_upper[i - 1, j - 1])
+            for a in range(1 << n):
+                for b in range(1 << n):
+                    want = np.zeros(1 << n)
+                    for c, val in blades.clifford_mul_dicts(
+                            {a: 1.0}, {b: 1.0}, g).items():
+                        want[c] += val
+                    got = left[a][:, b]  # left[a] @ e_b
+                    scale = max(1.0, np.abs(want).max())
+                    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_table_dimension_guard():
+    with pytest.raises(ArgumentError):
+        build_product_table(new_metric(np.eye(9)))
 
 
 def test_unit_is_identity(rng):

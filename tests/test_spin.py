@@ -86,14 +86,16 @@ def test_isometry_of_rejects_grade_breaking(rng):
 
 
 def test_factor_round_trip(rng):
-    for n in (2, 3, 4):
-        for m in all_signatures(n):
-            for _ in range(3):
-                f = random_spin_element(m, rng, 0.5)
-                p = isometry_of(f, m)
-                g = factor_isometry(p, m)
-                assert min((g - f).norm(), (g + f).norm()) < 1e-8
-                assert is_spin_member(g, m)
+    metrics = [m for n in (2, 3, 4) for m in all_signatures(n)]
+    metrics += [new_metric(np.eye(5)),
+                new_metric(np.diag([1.0, -1.0, 1.0, -1.0, -1.0]))]
+    for m in metrics:
+        for _ in range(3):
+            f = random_spin_element(m, rng, 0.5)
+            p = isometry_of(f, m)
+            g = factor_isometry(p, m)
+            assert min((g - f).norm(), (g + f).norm()) < 1e-8
+            assert is_spin_member(g, m)
 
 
 def test_factor_rejects_reflection():
