@@ -5,11 +5,19 @@ the operators + - * / unary-minus, integer powers and the functions
 sin, cos, exp, log, sqrt.  Differentiation is exact and symbolic;
 evaluation is plain IEEE double arithmetic.  Nodes compare by identity,
 which lets evaluation memoize shared subtrees.
+
+A point is either a sequence of floats (x1 = point[0]), evaluated with
+Python floats and the `math` functions, or a batch: one 1-D float array
+per coordinate, evaluated with one numpy operation per node for all the
+points at once.  Both raise `EvalDomainError` naming a point where a
+value leaves the domain or stops being finite.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 class ExprError(ValueError):
@@ -161,6 +169,14 @@ _FUNCS = {
     "sqrt": math.sqrt,
 }
 
+_UFUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+}
+
 
 def lift(x) -> Expr:
     if isinstance(x, Expr):
@@ -239,7 +255,10 @@ def powi(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if isinstance(a, Const):
-        return Const(a.val ** k)
+        try:
+            return Const(a.val ** k)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ExprError(f"({a.val})^{k}: {exc}") from exc
     return Pow(a, k)
 
 
@@ -249,21 +268,58 @@ def call(fn: str, a: Expr) -> Expr:
     if isinstance(a, Const):
         try:
             return Const(_FUNCS[fn](a.val))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ExprError(f"{fn}({a.val}): {exc}") from exc
     return Call(fn, a)
 
 
-def evaluate(e: Expr, point, memo=None) -> float:
-    """Evaluate at a coordinate point (sequence, x1 = point[0])."""
+def _is_batch(point) -> bool:
+    """True for a batch of points given as coordinate arrays."""
+    return len(point) > 0 and isinstance(point[0], np.ndarray)
+
+
+def _point_at(point, i: int = 0) -> tuple:
+    """Point i of a batch as a tuple of floats; a float point is itself."""
+    return tuple(float(x[i]) for x in point) if _is_batch(point) \
+        else tuple(point)
+
+
+def _domain_check(bad: np.ndarray, message: str, point) -> None:
+    """Raise `EvalDomainError` naming the first batch point where `bad`
+    holds."""
+    if bad.any():
+        raise EvalDomainError(message, _point_at(point, int(np.argmax(bad))))
+
+
+def check_finite(v, point, what: str = "value") -> None:
+    """Raise `EvalDomainError` at a point where a value is inf or NaN."""
+    if isinstance(v, np.ndarray):
+        _domain_check(~np.isfinite(v), f"non-finite {what}", point)
+    elif not math.isfinite(v):
+        raise EvalDomainError(f"non-finite {what}", point)
+
+
+def evaluate(e: Expr, point, memo=None):
+    """Evaluate at a point of floats (a float) or at a batch of coordinate
+    arrays (an array of values, or a float where `e` is constant)."""
     if memo is None:
         memo = {}
-    return _eval(e, point, memo)
+    if _is_batch(point):
+        # every value that leaves the domain raises EvalDomainError, so
+        # numpy's warnings say nothing more
+        with np.errstate(all="ignore"):
+            v = _eval(e, point, memo)
+    else:
+        v = _eval(e, point, memo)
+    check_finite(v, point)
+    return v
 
 
-def _eval(e: Expr, point, memo) -> float:
+def _eval(e: Expr, point, memo):
     # the memo entry pins the node: id() keys are only unique while the
-    # object is alive, and shared memos outlive temporary subtrees
+    # object is alive, and shared memos outlive temporary subtrees.  A
+    # float takes Python arithmetic and `math` (which raise on overflow),
+    # an array of batch values numpy (which returns inf or NaN instead).
     key = id(e)
     hit = memo.get(key)
     if hit is not None:
@@ -272,8 +328,12 @@ def _eval(e: Expr, point, memo) -> float:
         v = e.val
     elif isinstance(e, Var):
         if e.index > len(point):
-            raise EvalDomainError(f"variable x{e.index} beyond point dimension", point)
-        v = float(point[e.index - 1])
+            raise EvalDomainError(f"variable x{e.index} beyond point "
+                                  "dimension", _point_at(point))
+        x = point[e.index - 1]
+        v = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) \
+            else float(x)
+        check_finite(v, point, "coordinate")
     elif isinstance(e, Add):
         v = _eval(e.a, point, memo) + _eval(e.b, point, memo)
     elif isinstance(e, Sub):
@@ -282,20 +342,46 @@ def _eval(e: Expr, point, memo) -> float:
         v = _eval(e.a, point, memo) * _eval(e.b, point, memo)
     elif isinstance(e, Div):
         den = _eval(e.b, point, memo)
-        if den == 0.0:
+        if isinstance(den, np.ndarray):
+            _domain_check(den == 0.0, "division by zero", point)
+        elif den == 0.0:
             raise EvalDomainError("division by zero", point)
         v = _eval(e.a, point, memo) / den
     elif isinstance(e, Neg):
         v = -_eval(e.a, point, memo)
     elif isinstance(e, Pow):
-        v = _eval(e.base, point, memo) ** e.exponent
+        x = _eval(e.base, point, memo)
+        if isinstance(x, np.ndarray):
+            if e.exponent < 0:
+                _domain_check(x == 0.0, "division by zero", point)
+            v = x ** e.exponent
+            check_finite(v, point, "power")
+        else:
+            if e.exponent < 0 and x == 0.0:
+                raise EvalDomainError("division by zero", point)
+            try:
+                v = x ** e.exponent
+            except OverflowError as exc:
+                raise EvalDomainError("non-finite power", point) from exc
     elif isinstance(e, Call):
         x = _eval(e.arg, point, memo)
-        if e.fn == "log" and x <= 0.0:
-            raise EvalDomainError("log of non-positive value", point)
-        if e.fn == "sqrt" and x < 0.0:
-            raise EvalDomainError("sqrt of negative value", point)
-        v = _FUNCS[e.fn](x)
+        if isinstance(x, np.ndarray):
+            if e.fn == "log":
+                _domain_check(x <= 0.0, "log of non-positive value", point)
+            elif e.fn == "sqrt":
+                _domain_check(x < 0.0, "sqrt of negative value", point)
+            v = _UFUNCS[e.fn](x)
+            check_finite(v, point, e.fn)
+        else:
+            if e.fn == "log" and x <= 0.0:
+                raise EvalDomainError("log of non-positive value", point)
+            if e.fn == "sqrt" and x < 0.0:
+                raise EvalDomainError("sqrt of negative value", point)
+            # math raises on exp overflow and on sin or cos of inf
+            try:
+                v = _FUNCS[e.fn](x)
+            except (OverflowError, ValueError) as exc:
+                raise EvalDomainError(f"non-finite {e.fn}", point) from exc
     else:  # pragma: no cover
         raise TypeError(f"unknown node {type(e).__name__}")
     memo[key] = (e, v)
@@ -614,10 +700,23 @@ class CExpr:
     def diff(self, var: int) -> "CExpr":
         return CExpr(diff(self.re, var), diff(self.im, var))
 
-    def evaluate(self, point, memo=None) -> complex:
+    def evaluate(self, point, memo=None):
+        """A complex number at a point of floats; at a batch, a complex
+        array (or a complex number where both parts are constant)."""
         if memo is None:
             memo = {}
-        return complex(_eval(self.re, point, memo), _eval(self.im, point, memo))
+        if not _is_batch(point):
+            z = complex(_eval(self.re, point, memo),
+                        _eval(self.im, point, memo))
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise EvalDomainError("non-finite value", point)
+            return z
+        with np.errstate(all="ignore"):
+            re = _eval(self.re, point, memo)
+            im = _eval(self.im, point, memo)
+        check_finite(re, point)
+        check_finite(im, point)
+        return re + 1j * im
 
     def __repr__(self):
         return f"CExpr({to_str(self.re)}, {to_str(self.im)})"

@@ -7,6 +7,15 @@ the main equation residual, the H-equation defects, the conserved
 current, gauge transformations, field strengths, Lagrangians, the
 Euler-Lagrange system residuals, the curvature link and covariance under
 coordinate changes.
+
+The residuals of the coupled system are split into a build step and an
+evaluate step.  `ResidualSystem(cfg)` builds each residual family (main,
+maxwell, yang_mills, h, curvature_link, conservation) once: symbolic
+forms plus a numeric reduction of their values to defects.  Its
+`evaluate(points)` then evaluates every form over all points in one
+vectorised pass, and `at(p)` evaluates them at one point with plain
+floats.  `system_residuals`, `h_residual`, `conservation_defect` and
+`curvature_link_check` are one-point calls of the same two steps.
 """
 
 from __future__ import annotations
@@ -16,15 +25,17 @@ import json
 import numpy as np
 
 from .blades import popcount
-from .expr import CExpr, CZERO, diff, evaluate
+from .expr import CExpr, CZERO, ExprError, check_finite, diff, evaluate
 from .manifold import (
     Chart,
+    ChartError,
     CoordinateChange,
     FormField,
     chart_from_json,
     chart_to_json,
     clifford_mul_fields,
     conjugate_field,
+    curvature_forms,
     dx,
     field_from_json,
     field_to_json,
@@ -32,10 +43,12 @@ from .manifold import (
     trace_field,
     upsilon_k,
 )
+from .metric import ArgumentError, MetricError
 from .multivector import Multivector, build_product_table
 from .spin import is_spin_member
 
 CHECK_TOL = 1e-8
+H_TOL = 1e-6  # H counts as solving its equations up to this defect
 
 
 class FieldConfigError(ValueError):
@@ -80,16 +93,21 @@ class FieldConfig:
 
 
 def config_from_json(text: str) -> FieldConfig:
-    data = json.loads(text)
     try:
+        data = json.loads(text)
         chart = chart_from_json(json.dumps(data["chart"]))
         psi = field_from_json(json.dumps(data["psi"]), chart)
         a = [field_from_json(json.dumps(blk), chart) for blk in data["a"]]
         b = [field_from_json(json.dumps(blk), chart) for blk in data["b"]]
         h = field_from_json(json.dumps(data["h"]), chart)
         m = float(data["m"])
+    except (ArgumentError, ChartError, ExprError, MetricError):
+        raise
     except KeyError as exc:
         raise FieldConfigError(f"missing config key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        # wrong JSON types: a number where a list or object belongs, ...
+        raise FieldConfigError(f"malformed config: {exc}") from exc
     return FieldConfig(chart, psi, a, b, h, m)
 
 
@@ -129,20 +147,20 @@ def c_form(cfg: FieldConfig) -> FormField:
     return clifford_mul_fields(conjugate_field(cfg.psi), main_form(cfg))
 
 
-def h_residual(cfg: FieldConfig, p):
-    """Defects of the H system: the scalar H*H - e and the n forms
+def h_forms(cfg: FieldConfig):
+    """The H system as symbolic fields: the scalar H*H - e and the n forms
     Y_k H - (H B_k - B_k H)."""
-    chart = cfg.chart
-    memo = {}
-    unit = scalar_field(chart, 1.0)
-    sq = (clifford_mul_fields(cfg.h, cfg.h) - unit).eval_at(p, memo)
-    forms = []
-    for k in range(1, chart.dim + 1):
-        bk = cfg.b[k - 1]
-        f = upsilon_k(cfg.h, k) - clifford_mul_fields(cfg.h, bk) \
-            + clifford_mul_fields(bk, cfg.h)
-        forms.append(f.eval_at(p, memo))
+    sq = clifford_mul_fields(cfg.h, cfg.h) - scalar_field(cfg.chart, 1.0)
+    forms = [upsilon_k(cfg.h, k) - clifford_mul_fields(cfg.h, bk)
+             + clifford_mul_fields(bk, cfg.h)
+             for k, bk in enumerate(cfg.b, start=1)]
     return sq, forms
+
+
+def h_residual(cfg: FieldConfig, p):
+    """Defects of the H system at a point, as multivectors."""
+    sq, forms = h_forms(cfg)
+    return sq.eval_at(p), [f.eval_at(p) for f in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +186,7 @@ def current_exprs(cfg: FieldConfig):
 
 
 def current(cfg: FieldConfig, p) -> np.ndarray:
-    _require_h(cfg, p)
+    _require_h(ResidualSystem(cfg, ("h",)).at(p), p)
     memo = {}
     vals = [c.evaluate(p, memo) for c in current_exprs(cfg)]
     worst = max(abs(z.imag) for z in vals)
@@ -177,10 +195,10 @@ def current(cfg: FieldConfig, p) -> np.ndarray:
     return np.array([z.real for z in vals])
 
 
-def _require_h(cfg: FieldConfig, p, tol: float = 1e-6):
-    sq, forms = h_residual(cfg, p)
-    worst = max([sq.norm()] + [f.norm() for f in forms])
-    if worst > tol:
+def _require_h(res: dict, p):
+    """Raise unless the H defects evaluated at p pass."""
+    worst = max(res["h_scalar"], res["h_forms"])
+    if not worst <= H_TOL:
         raise FieldConfigError(f"H does not satisfy its equations at "
                                f"{tuple(p)} (defect {worst:.3e})")
 
@@ -188,19 +206,9 @@ def _require_h(cfg: FieldConfig, p, tol: float = 1e-6):
 def conservation_defect(cfg: FieldConfig, p) -> float:
     """Identity defect d_k(sqrt|g| j^k)/sqrt|g| - Tr(-iH(C - C*)),
     valid for arbitrary smooth Psi when H solves its equations."""
-    _require_h(cfg, p)
-    chart = cfg.chart
-    memo = {}
-    sqrtg = chart.sqrt_abs_det
-    div = CZERO
-    for k, jk in enumerate(current_exprs(cfg), start=1):
-        div = div + CExpr(diff(sqrtg * jk.re, k), diff(sqrtg * jk.im, k))
-    lhs = div.evaluate(p, memo) / evaluate(sqrtg, p, memo)
-    c = c_form(cfg)
-    diffc = c - conjugate_field(c)
-    rhs_field = clifford_mul_fields(cfg.h, diffc).scale(-1j)
-    rhs = trace_field(rhs_field).evaluate(p, memo)
-    return abs(lhs - rhs)
+    res = ResidualSystem(cfg, ("h", "conservation")).at(p)
+    _require_h(res, p)
+    return res["conservation"]
 
 
 # ---------------------------------------------------------------------------
@@ -339,92 +347,230 @@ def current_j_fields(cfg: FieldConfig):
     return out
 
 
-def system_residuals(cfg: FieldConfig, p, c1: float = 1.0,
-                     c2: float = 1.0) -> dict:
-    """Max-norm residuals of every equation of the coupled system."""
-    chart = cfg.chart
-    n = chart.dim
-    memo = {}
-    gu_exprs = chart.g_upper_exprs
-    sqrtg_expr = chart.sqrt_abs_det
-    sqrtg = evaluate(sqrtg_expr, p, memo)
-    out = {}
+# Each family builder returns the family's output forms (FormFields, CExprs
+# or Exprs) and a reduction of their values to named defects.  The values
+# are complex arrays at a batch and Python numbers at a point of floats,
+# so one reduction serves both, and keeps the plain float arithmetic at a
+# single point.
 
-    out["main"] = main_residual(cfg, p).norm()
+def _norm(values):
+    """Max-abs norm over the blade axis, at every point."""
+    return np.abs(values).max(axis=0)
 
-    j_fields = current_j_fields(cfg)
 
-    # Maxwell-type equations
+def _worst(defects):
+    """Pointwise maximum of a sequence of defects (0 when empty)."""
+    out = 0.0
+    for d in defects:
+        out = np.maximum(out, d)
+    return out
+
+
+def _main_family(cfg):
+    return [main_form(cfg)], lambda v: {"main": _norm(v[0])}
+
+
+def _maxwell_family(cfg, j_fields, c1):
+    """d_i(sqrt|g| f^ij)/sqrt|g| against the source i Im Tr(J^j)/c1."""
+    n = cfg.chart.dim
+    sqrtg = cfg.chart.sqrt_abs_det
     f_exprs = f_strength_exprs(cfg)
-    f_upper = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = CZERO
-            for r in range(n):
-                for s in range(n):
-                    acc = acc + CExpr(gu_exprs[i][r] * gu_exprs[j][s]) \
-                        * f_exprs[r][s]
-            f_upper[i][j] = acc
-    maxwell = 0.0
+    lhs = []
     for j in range(n):
         acc = CZERO
         for i in range(n):
-            fij = f_upper[i][j]
-            acc = acc + CExpr(diff(sqrtg_expr * fij.re, i + 1),
-                              diff(sqrtg_expr * fij.im, i + 1))
-        lhs = acc.evaluate(p, memo) / sqrtg
-        p0 = trace_field(j_fields[j]).evaluate(p, memo)
-        rhs = 1j * p0.imag / c1
-        maxwell = max(maxwell, abs(lhs - rhs))
-    out["maxwell"] = maxwell
+            fij = _raise_pair(cfg, f_exprs, i, j)
+            acc = acc + CExpr(diff(sqrtg * fij.re, i + 1),
+                              diff(sqrtg * fij.im, i + 1))
+        lhs.append(acc)
+    sources = [trace_field(jf) for jf in j_fields]
 
-    # Yang-Mills-type equations
+    def reduce(v):
+        s, div, src = v[0], v[1:n + 1], v[n + 1:]
+        return {"maxwell": _worst(abs(d / s - 1j * p0.imag / c1)
+                                  for d, p0 in zip(div, src))}
+    return [sqrtg] + lhs + sources, reduce
+
+
+def _yang_mills_family(cfg, j_fields, c2):
+    """Covariant divergence of G^ij with the [G^ij, B_i] term, against the
+    grade-2 real part of J^j/c2."""
+    chart = cfg.chart
+    n = chart.dim
+    sqrtg = chart.sqrt_abs_det
     gm = chart.gamma_exprs()
     g_fields = g_strength_fields(cfg)
     g_upper = [[_raise_pair(cfg, g_fields, i, j) for j in range(n)]
                for i in range(n)]
-    ym = 0.0
+    lhs = []
     for j in range(n):
         acc = FormField(chart)
         for i in range(n):
-            scaled = g_upper[i][j].scale(CExpr(sqrtg_expr))
+            scaled = g_upper[i][j].scale(CExpr(sqrtg))
             term = upsilon_k(scaled, i + 1)
             # the sqrt|g| factor absorbs the contracted Christoffel of the
             # first index; the second free upper index still needs its own
             for s in range(n):
-                term = term + g_upper[i][s].scale(
-                    CExpr(sqrtg_expr * gm[j][i][s]))
+                term = term + g_upper[i][s].scale(CExpr(sqrtg * gm[j][i][s]))
             comm = clifford_mul_fields(g_upper[i][j], cfg.b[i]) \
                 - clifford_mul_fields(cfg.b[i], g_upper[i][j])
-            acc = acc + term - comm.scale(CExpr(sqrtg_expr))
-        lhs = acc.eval_at(p, memo) * (1.0 / sqrtg)
-        jj = j_fields[j].eval_at(p, memo)
-        rhs = Multivector(n)
-        for mask in range(1 << n):
-            if bin(mask).count("1") == 2:
-                rhs.coeffs[mask] = jj.coeffs[mask].real / c2
-        ym = max(ym, (lhs - rhs).norm())
-    out["yang_mills"] = ym
+            acc = acc + term - comm.scale(CExpr(sqrtg))
+        lhs.append(acc)
+    two = [mask for mask in range(1 << n) if popcount(mask) == 2]
 
-    sq, forms = h_residual(cfg, p)
-    out["h_scalar"] = sq.norm()
-    out["h_forms"] = max(f.norm() for f in forms) if forms else 0.0
-    out["curvature_link"] = curvature_link_check(cfg, p)
+    def reduce(v):
+        s, div, src = v[0], v[1:n + 1], v[n + 1:]
+        worst = 0.0
+        for d, jj in zip(div, src):
+            rhs = np.zeros_like(d)
+            rhs[two] = jj[two].real / c2
+            worst = np.maximum(worst, _norm(d * (1.0 / s) - rhs))
+        return {"yang_mills": worst}
+    return [sqrtg] + lhs + list(j_fields), reduce
+
+
+def _h_family(cfg):
+    sq, forms = h_forms(cfg)
+    return [sq] + forms, lambda v: {"h_scalar": _norm(v[0]),
+                                    "h_forms": _worst(map(_norm, v[1:]))}
+
+
+def _curvature_link_family(cfg):
+    """G_ij + (1/2) D_ij over all index pairs."""
+    n = cfg.chart.dim
+    g_fields = g_strength_fields(cfg)
+    d_forms = curvature_forms(cfg.chart)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    terms = [g_fields[i][j] for i, j in pairs] + [d_forms[i][j]
+                                                  for i, j in pairs]
+    k = len(pairs)
+    return terms, lambda v: {"curvature_link": _worst(
+        _norm(g + 0.5 * d) for g, d in zip(v[:k], v[k:]))}
+
+
+def _conservation_family(cfg):
+    sqrtg = cfg.chart.sqrt_abs_det
+    div = CZERO
+    for k, jk in enumerate(current_exprs(cfg), start=1):
+        div = div + CExpr(diff(sqrtg * jk.re, k), diff(sqrtg * jk.im, k))
+    c = c_form(cfg)
+    rhs = trace_field(clifford_mul_fields(cfg.h, c - conjugate_field(c))
+                      .scale(-1j))
+    return [div, sqrtg, rhs], lambda v: {"conservation": abs(v[0] / v[1]
+                                                             - v[2])}
+
+
+FAMILIES = ("main", "maxwell", "yang_mills", "h", "curvature_link",
+            "conservation")
+SYSTEM_FAMILIES = FAMILIES[:-1]
+
+
+def _value(term, point):
+    """One output form at a point or batch, with a memo of its own."""
+    if isinstance(term, FormField):
+        return term.eval_array(point)
+    if isinstance(term, CExpr):
+        return term.evaluate(point)
+    return evaluate(term, point)
+
+
+def _reduce(family, point) -> dict:
+    terms, reduce = family
+    values = [_value(t, point) for t in terms]
+    with np.errstate(all="ignore"):  # a non-finite defect raises below
+        out = reduce(values)
+    for v in out.values():
+        check_finite(v, point, "defect")
     return out
+
+
+class ResidualSystem:
+    """Build step of the coupled system: the named residual families of
+    one configuration, each built once.  `families` maps a family name to
+    its (output forms, reduction).  The conservation identity holds only
+    where H solves its equations, so its family is built on first use,
+    when the evaluated h defects pass somewhere."""
+
+    def __init__(self, cfg: FieldConfig, families=FAMILIES,
+                 c1: float = 1.0, c2: float = 1.0):
+        unknown = set(families) - set(FAMILIES)
+        if unknown:
+            raise ArgumentError(f"unknown residual families {sorted(unknown)}")
+        if "conservation" in families and "h" not in families:
+            raise ArgumentError("the conservation family needs the h family")
+        self.cfg = cfg
+        self.families = {}
+        if "main" in families:
+            self.families["main"] = _main_family(cfg)
+        if "maxwell" in families or "yang_mills" in families:
+            j_fields = current_j_fields(cfg)
+        if "maxwell" in families:
+            self.families["maxwell"] = _maxwell_family(cfg, j_fields, c1)
+        if "yang_mills" in families:
+            self.families["yang_mills"] = _yang_mills_family(cfg, j_fields,
+                                                             c2)
+        if "h" in families:
+            self.families["h"] = _h_family(cfg)
+        if "curvature_link" in families:
+            self.families["curvature_link"] = _curvature_link_family(cfg)
+        self._with_conservation = "conservation" in families
+
+    def _defects(self, point) -> dict:
+        out = {}
+        for family in self.families.values():
+            out.update(_reduce(family, point))
+        return out
+
+    def _conservation_built(self):
+        if "conservation" not in self.families:
+            self.families["conservation"] = _conservation_family(self.cfg)
+        return self.families["conservation"]
+
+    def _h_passes(self, res):
+        return np.maximum(res["h_scalar"], res["h_forms"]) <= H_TOL
+
+    def at(self, p) -> dict:
+        """Evaluate step at one point, with plain float arithmetic:
+        output name -> defect, 'conservation' only where H passes."""
+        self.cfg.chart.check_point(p)
+        p = tuple(float(x) for x in p)
+        res = self._defects(p)
+        if self._with_conservation and self._h_passes(res):
+            res.update(_reduce(self._conservation_built(), p))
+        return {name: float(v) for name, v in res.items()}
+
+    def evaluate(self, points) -> list:
+        """Evaluate step over all points in one vectorised pass: one dict
+        per point, as `at` gives it."""
+        for p in points:
+            self.cfg.chart.check_point(p)
+        if not points:
+            return []
+        xs = tuple(np.array(points, dtype=float).T)
+        res = {name: np.broadcast_to(v, len(points))
+               for name, v in self._defects(xs).items()}
+        rows = [{name: float(v[i]) for name, v in res.items()}
+                for i in range(len(points))]
+        if self._with_conservation:
+            ok = self._h_passes(res)
+            if ok.any():
+                cons = _reduce(self._conservation_built(),
+                               tuple(x[ok] for x in xs))["conservation"]
+                for i, v in zip(np.flatnonzero(ok),
+                                np.broadcast_to(cons, ok.sum())):
+                    rows[i]["conservation"] = float(v)
+        return rows
+
+
+def system_residuals(cfg: FieldConfig, p, c1: float = 1.0,
+                     c2: float = 1.0) -> dict:
+    """Max-norm residuals of every equation of the coupled system."""
+    return ResidualSystem(cfg, SYSTEM_FAMILIES, c1, c2).at(p)
 
 
 def curvature_link_check(cfg: FieldConfig, p) -> float:
     """Max norm of G_ij + (1/2) D_ij over all index pairs."""
-    n = cfg.chart.dim
-    memo = {}
-    g_fields = g_strength_fields(cfg)
-    d = cfg.chart.curvature(p).d_forms
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            defect = g_fields[i][j].eval_at(p, memo) + 0.5 * d[i][j]
-            worst = max(worst, defect.norm())
-    return worst
+    return ResidualSystem(cfg, ("curvature_link",)).at(p)["curvature_link"]
 
 
 # ---------------------------------------------------------------------------

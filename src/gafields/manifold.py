@@ -198,6 +198,36 @@ class Chart:
         return CurvatureData(tuple(p), gamma, r_mixed, r_lower, d_forms)
 
 
+def curvature_forms(chart: Chart):
+    """The curvature 2-forms D_rl as symbolic fields, [r][l]: built once,
+    they evaluate at any point or batch to what `Chart.curvature` gives
+    numerically at one point."""
+    n = chart.dim
+    gm = chart.gamma_exprs()
+    dg = chart._dgamma_exprs()
+    g = chart.g_lower_exprs
+    coeffs = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mask = (1 << i) | (1 << j)
+            for r in range(n):
+                # R^k_{ij,r} for every k, then lowered with g_kl
+                r_mixed = []
+                for k in range(n):
+                    quad = ZERO
+                    for m in range(n):
+                        quad = quad + gm[k][m][i] * gm[m][j][r] \
+                            - gm[k][m][j] * gm[m][i][r]
+                    r_mixed.append(-(dg[i][k][j][r] - dg[j][k][i][r] + quad))
+                for l in range(n):
+                    acc = ZERO
+                    for k in range(n):
+                        acc = acc + r_mixed[k] * g[k][l]
+                    coeffs[r][l][mask] = CExpr(acc)
+    return [[FormField(chart, coeffs[r][l]) for l in range(n)]
+            for r in range(n)]
+
+
 def chart_from_json(text: str) -> Chart:
     data = json.loads(text)
     n = int(data["dim"])
@@ -257,11 +287,20 @@ class FormField:
 
     def eval_at(self, p, memo=None) -> Multivector:
         self.chart.check_point(p)
+        out = Multivector(self.chart.dim)
+        out.coeffs = self.eval_array(p, memo)
+        return out
+
+    def eval_array(self, point, memo=None) -> np.ndarray:
+        """Coefficient array at a point of floats, shape (2^n,), or at a
+        batch of N points given as n coordinate arrays, shape (2^n, N).
+        The caller checks that the points lie in the chart."""
         if memo is None:
             memo = {}
-        out = Multivector(self.chart.dim)
+        shape = (1 << self.chart.dim,) + np.shape(point[0])
+        out = np.zeros(shape, dtype=complex)
         for mask, c in self.coeffs.items():
-            out.coeffs[mask] = c.evaluate(p, memo)
+            out[mask] = c.evaluate(point, memo)
         return out
 
     def grades(self):

@@ -125,6 +125,8 @@ def test_mul_table_matches_products(basis, tmp_path, capsys):
     assert not emitted
 
 
+# input file contents: text, raw bytes, or None for a directory in place
+# of the file
 BAD_METRICS = {
     "nan": '{"g_upper": [[NaN]]}',
     "overflow": '{"g_upper": [[1e308, 0], [0, 1e308]]}',
@@ -133,20 +135,88 @@ BAD_METRICS = {
     "non_numeric": '{"g_upper": [["a", 0], [0, 1]]}',
     "not_json": '{"g_upper": [[1, 0], [0, 1]]',
     "inverse_overflow": '{"g_upper": [[1e-155, 0], [0, 1e-155]]}',
+    "directory": None,
+    "not_utf8": b'{"g_upper": [[1.0]]} \xff\xfe',
 }
+
+
+def assert_usage_error(args, content, tmp_path):
+    """Run the CLI on one input file; it must exit 2 with an error line
+    and no traceback."""
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    proc = subprocess.run([sys.executable, "-m", "gafields.cli", *args,
+                           str(path)], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("error:")
+               for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("name", list(BAD_METRICS))
 def test_mul_table_bad_metric_is_usage_error(name, tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text(BAD_METRICS[name])
-    proc = subprocess.run([sys.executable, "-m", "gafields.cli",
-                           "mul-table", "--metric", str(path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert any(line.startswith("error:")
-               for line in proc.stderr.splitlines())
-    assert "Traceback" not in proc.stderr
+    assert_usage_error(["mul-table", "--metric"], BAD_METRICS[name], tmp_path)
+
+
+def field_config(**changes) -> str:
+    """A field config on the sphere-times-flat chart (x3 in [-1, 1]) with
+    psi = 1 and H = dx^4; `changes` replace top-level entries."""
+    empty = {"basis": "grassmann", "terms": []}
+    data = {
+        "chart": {"dim": 4,
+                  "g_lower": [["1", "0", "0", "0"],
+                              ["0", "sin(x1)^2", "0", "0"],
+                              ["0", "0", "-1", "0"], ["0", "0", "0", "1"]],
+                  "domain": [[0.5, 2.6], [0.1, 3.0], [-1.0, 1.0],
+                             [-1.0, 1.0]]},
+        "psi": {"basis": "grassmann",
+                "terms": [{"indices": [], "re": "1", "im": "0"}]},
+        "a": [empty] * 4, "b": [empty] * 4,
+        "h": {"basis": "grassmann",
+              "terms": [{"indices": [4], "re": "1", "im": "0"}]},
+        "m": 1.0,
+    }
+    data.update(changes)
+    return json.dumps(data)
+
+
+def psi_term(re: str) -> dict:
+    return {"basis": "grassmann",
+            "terms": [{"indices": [1], "re": re, "im": "0"}]}
+
+
+BAD_CONFIGS = {
+    "log_of_negative": field_config(psi=psi_term("log(x3)")),
+    "overflow": field_config(psi=psi_term("exp(400*x1)")),
+    "psi_number": field_config(psi=5),
+    "a_number": field_config(a=3),
+    "g_lower_number": field_config(chart={"dim": 1, "g_lower": [1],
+                                          "domain": [[0, 1]]}),
+    "top_level_list": "[1, 2]",
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONFIGS))
+def test_field_check_bad_config_is_usage_error(name, tmp_path):
+    assert_usage_error(["field-check", "--count", "20", "--config"],
+                       BAD_CONFIGS[name], tmp_path)
+
+
+def test_field_check_good_config_file(tmp_path, capsys):
+    # the base of BAD_CONFIGS is valid, so each case above fails for its
+    # one change
+    path = tmp_path / "ok.json"
+    path.write_text(field_config())
+    code, out, _ = run_cli(["field-check", "--config", str(path),
+                            "--count", "20"], capsys)
+    assert code in (0, 1)
+    assert len(json.loads(out)["cases"]) == 20 * 7
 
 
 @pytest.mark.parametrize("suite", ["algebra", "hodge", "spin", "manifold",

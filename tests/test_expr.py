@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gafields.expr import (
     CExpr,
     EvalDomainError,
+    ExprError,
     ExprSyntaxError,
     ZERO,
     call,
@@ -53,6 +54,43 @@ def test_domain_errors():
         evaluate(parse("sqrt(x1)", 1), (-1.0,))
     with pytest.raises(EvalDomainError):
         evaluate(parse("log(x1)", 1), (0.0,))
+
+
+@pytest.mark.parametrize("src, x", [
+    ("pow(x1, -1)", 0.0),      # ZeroDivisionError in Python
+    ("exp(x1)", 1000.0),       # OverflowError
+    ("x1^400", 10.0),          # OverflowError
+    ("sin(x1)", math.inf),     # ValueError
+    ("x1/x1", math.nan),       # NaN result
+])
+def test_domain_errors_are_typed(src, x):
+    e = parse(src, 1)
+    with pytest.raises(EvalDomainError) as info:
+        evaluate(e, (x,))
+    assert info.value.point == (x,) or math.isnan(info.value.point[0])
+    # the same input inside a batch names that point
+    batch = (np.array([0.5, x, 2.0]),)
+    with pytest.raises(EvalDomainError) as info:
+        evaluate(e, batch)
+    assert info.value.point == (x,) or math.isnan(info.value.point[0])
+    with pytest.raises(EvalDomainError):
+        CExpr(parse("x1", 1), e).evaluate(batch)
+
+
+def test_batch_matches_float_points():
+    e = parse("sin(x1)*x2^3 - exp(0.3*x2)/x1 + sqrt(x1)*log(x2) "
+              "+ pow(x1 + x2, -2)", 2)
+    rng = np.random.default_rng(3)
+    pts = [(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)) for _ in range(9)]
+    batch = tuple(np.array(pts).T)
+    got = evaluate(e, batch)
+    assert got.shape == (9,)
+    for v, p in zip(got, pts):
+        assert v == pytest.approx(evaluate(e, p), rel=1e-14)
+    z = CExpr(e, parse("x1*x2", 2)).evaluate(batch)
+    assert z.dtype == complex and np.array_equal(z.real, got)
+    # a constant stays a number that broadcasts over the batch
+    assert evaluate(parse("2*3", 2), batch) == 6.0
 
 
 def test_round_trip_printing():
@@ -151,3 +189,11 @@ def test_cexpr_diff():
 def test_call_guard():
     with pytest.raises(ValueError):
         call("notafunction", ZERO)
+
+
+@pytest.mark.parametrize("src", ["pow(0, -1)", "exp(1000)", "10^400",
+                                 "log(0 - 1)"])
+def test_constant_folding_errors_are_typed(src):
+    # constants fold while parsing, so their domain errors surface there
+    with pytest.raises(ExprError):
+        parse(src, 1)

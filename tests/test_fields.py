@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from gafields.expr import CExpr, ZERO, call, parse
+from gafields.expr import CExpr, EvalDomainError, ZERO, call, parse
 from gafields.fields import (
     FieldConfig,
     FieldConfigError,
+    ResidualSystem,
     bar_psi,
     c_form,
     config_from_json,
@@ -25,6 +26,7 @@ from gafields.fields import (
     system_residuals,
     transform_config,
 )
+from gafields.fields import _value as form_value
 from gafields.manifold import CoordinateChange, FormField, scalar_field
 from gafields.multivector import build_product_table
 from gafields.spin import random_spin_element
@@ -233,6 +235,68 @@ def test_curvature_link_detects_mismatch():
     # away from the anchor point the linear model drifts from the curvature
     p = tuple(x + 0.3 for x in p0[:1]) + p0[1:]
     assert curvature_link_check(cfg, p) > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# build once, evaluate a batch
+
+def _close(a, b, rtol=1e-12):
+    # identity defects sit at rounding level, where numpy's exp and pow may
+    # round differently from math's: their scale is that of the terms
+    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+
+
+@pytest.mark.parametrize("name", ["smooth", "smooth_without_b", "plane_wave",
+                                  "curvature_linked"])
+def test_batch_matches_one_point_wrappers(name, rng):
+    cfg = {"smooth": lambda: smooth_config(rng),
+           "smooth_without_b": lambda: smooth_config(rng, with_b=False),
+           "plane_wave": plane_wave_config,
+           "curvature_linked": lambda: curvature_linked_config()[0]}[name]()
+    points = sample_points(cfg.chart, rng, 8)
+    system = ResidualSystem(cfg)
+    rows = system.evaluate(points)
+    batch = tuple(np.array(points).T)
+
+    # every built form: the batch column equals the float-point value
+    for terms, _ in system.families.values():
+        for term in terms:
+            values = form_value(term, batch)
+            for i, p in enumerate(points):
+                want = np.asarray(form_value(term, p))
+                got = np.asarray(values)[..., i] if np.ndim(values) else values
+                assert np.abs(got - want).max() \
+                    <= 1e-12 * np.abs(want).max()
+
+    # every defect: the batch row equals the one-point wrappers
+    for p, row in zip(points, rows):
+        one = system_residuals(cfg, p)
+        assert list(row)[:len(one)] == list(one)
+        for key, value in one.items():
+            assert _close(row[key], value), key
+        assert _close(row["curvature_link"], curvature_link_check(cfg, p))
+        try:
+            cons = conservation_defect(cfg, p)
+        except FieldConfigError:
+            assert "conservation" not in row
+        else:
+            assert _close(row["conservation"], cons)
+    if name != "smooth":  # B = 0: H = dx^4 solves its system everywhere
+        assert all("conservation" in row for row in rows)
+
+
+def test_batch_domain_error_names_an_input_point(rng):
+    chart = flat_minkowski_chart()
+    zero = [FormField(chart) for _ in range(4)]
+    cfg = FieldConfig(chart, FormField(chart, {0: CExpr(parse("log(x3)", 4))}),
+                      zero, zero, FormField(chart, {0b1000: CExpr.of(1.0)}),
+                      1.0)
+    points = [(0.1, 0.2, x3, 0.3) for x3 in (0.5, 0.25, -0.4, 0.0, 0.7)]
+    with pytest.raises(EvalDomainError) as info:
+        ResidualSystem(cfg).evaluate(points)
+    assert info.value.point in points and info.value.point[2] <= 0.0
+    with pytest.raises(EvalDomainError):
+        system_residuals(cfg, points[2])
 
 
 # ---------------------------------------------------------------------------

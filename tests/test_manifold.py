@@ -13,6 +13,7 @@ from gafields.manifold import (
     TensorField,
     chart_from_json,
     chart_to_json,
+    curvature_forms,
     d_op,
     delta_op,
     dx,
@@ -151,6 +152,25 @@ def test_curvature_forms_antisymmetry(rng):
     for r in range(2):
         for l in range(2):
             assert (cd.d_forms[r][l] + cd.d_forms[l][r]).norm() < 1e-12
+
+
+def test_symbolic_curvature_forms_match_numeric(rng):
+    # a 3-chart mixing a sphere block with a warped third coordinate
+    chart = Chart([[parse(s, 3) for s in row] for row in
+                   [["1", "0", "0"], ["0", "sin(x1)^2", "0"],
+                    ["0", "0", "-(1 + x1*x2^2)"]]],
+                  [(0.5, 2.6), (0.1, 1.0), (-1.0, 1.0)])
+    forms = curvature_forms(chart)
+    points = random_points(chart, rng, 4)
+    batch = tuple(np.array(points).T)
+    for r in range(3):
+        for l in range(3):
+            at_batch = forms[r][l].eval_array(batch)
+            assert at_batch.shape == (8, 4)
+            for i, p in enumerate(points):
+                want = chart.curvature(p).d_forms[r][l]
+                assert (forms[r][l].eval_at(p) - want).norm() < 1e-12
+                assert np.abs(at_batch[:, i] - want.coeffs).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
