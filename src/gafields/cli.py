@@ -446,6 +446,9 @@ def cmd_field_check(args) -> int:
     from .manifold import ChartError
     input_errors = (ArgumentError, ChartError, ExprError, FieldConfigError,
                     MetricError)
+    if args.count < 1:
+        # no points would pass vacuously
+        raise _UsageError(f"--count must be at least 1, got {args.count}")
     with open(args.config) as fh:
         text = fh.read()
     try:

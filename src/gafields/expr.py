@@ -11,6 +11,10 @@ Python floats and the `math` functions, or a batch: one 1-D float array
 per coordinate, evaluated with one numpy operation per node for all the
 points at once.  Both raise `EvalDomainError` naming a point where a
 value leaves the domain or stops being finite.
+
+Parsing, printing, differentiation and evaluation recurse once per
+nesting level; an expression nested deeper than Python's recursion limit
+raises `ExprDepthError` instead of a bare `RecursionError`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,14 @@ class ExprSyntaxError(ExprError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (offset {pos})")
         self.pos = pos
+
+
+class ExprDepthError(ExprError):
+    """An expression nests deeper than the recursive parser, printer,
+    differentiator or evaluator can follow."""
+
+    def __init__(self, what: str):
+        super().__init__(f"expression nests too deeply to {what}")
 
 
 class EvalDomainError(ExprError):
@@ -304,13 +316,16 @@ def evaluate(e: Expr, point, memo=None):
     arrays (an array of values, or a float where `e` is constant)."""
     if memo is None:
         memo = {}
-    if _is_batch(point):
-        # every value that leaves the domain raises EvalDomainError, so
-        # numpy's warnings say nothing more
-        with np.errstate(all="ignore"):
+    try:
+        if _is_batch(point):
+            # every value that leaves the domain raises EvalDomainError, so
+            # numpy's warnings say nothing more
+            with np.errstate(all="ignore"):
+                v = _eval(e, point, memo)
+        else:
             v = _eval(e, point, memo)
-    else:
-        v = _eval(e, point, memo)
+    except RecursionError:
+        raise ExprDepthError("evaluate") from None
     check_finite(v, point)
     return v
 
@@ -390,26 +405,33 @@ def _eval(e: Expr, point, memo):
 
 def diff(e: Expr, var: int) -> Expr:
     """Exact partial derivative with respect to x<var> (1-based)."""
+    try:
+        return _diff(e, var)
+    except RecursionError:
+        raise ExprDepthError("differentiate") from None
+
+
+def _diff(e: Expr, var: int) -> Expr:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == var else ZERO
     if isinstance(e, Add):
-        return add(diff(e.a, var), diff(e.b, var))
+        return add(_diff(e.a, var), _diff(e.b, var))
     if isinstance(e, Sub):
-        return sub(diff(e.a, var), diff(e.b, var))
+        return sub(_diff(e.a, var), _diff(e.b, var))
     if isinstance(e, Mul):
-        return add(mul(diff(e.a, var), e.b), mul(e.a, diff(e.b, var)))
+        return add(mul(_diff(e.a, var), e.b), mul(e.a, _diff(e.b, var)))
     if isinstance(e, Div):
-        return div(sub(mul(diff(e.a, var), e.b), mul(e.a, diff(e.b, var))),
+        return div(sub(mul(_diff(e.a, var), e.b), mul(e.a, _diff(e.b, var))),
                    powi(e.b, 2))
     if isinstance(e, Neg):
-        return neg(diff(e.a, var))
+        return neg(_diff(e.a, var))
     if isinstance(e, Pow):
         return mul(mul(Const(e.exponent), powi(e.base, e.exponent - 1)),
-                   diff(e.base, var))
+                   _diff(e.base, var))
     if isinstance(e, Call):
-        da = diff(e.arg, var)
+        da = _diff(e.arg, var)
         if e.fn == "sin":
             return mul(call("cos", e.arg), da)
         if e.fn == "cos":
@@ -603,12 +625,18 @@ class _Parser:
 
 
 def parse(src: str, dim: int) -> Expr:
-    return _Parser(src, dim).parse()
+    try:
+        return _Parser(src, dim).parse()
+    except RecursionError:
+        raise ExprDepthError("parse") from None
 
 
 def to_str(e: Expr) -> str:
     """Canonical printer; parse(to_str(e)) reproduces the same tree."""
-    return _print(e, 0)
+    try:
+        return _print(e, 0)
+    except RecursionError:
+        raise ExprDepthError("print") from None
 
 
 # precedence levels: 0 add, 1 mul, 2 unary, 3 pow, 4 atom
@@ -705,15 +733,18 @@ class CExpr:
         array (or a complex number where both parts are constant)."""
         if memo is None:
             memo = {}
-        if not _is_batch(point):
-            z = complex(_eval(self.re, point, memo),
-                        _eval(self.im, point, memo))
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise EvalDomainError("non-finite value", point)
-            return z
-        with np.errstate(all="ignore"):
-            re = _eval(self.re, point, memo)
-            im = _eval(self.im, point, memo)
+        try:
+            if not _is_batch(point):
+                z = complex(_eval(self.re, point, memo),
+                            _eval(self.im, point, memo))
+                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                    raise EvalDomainError("non-finite value", point)
+                return z
+            with np.errstate(all="ignore"):
+                re = _eval(self.re, point, memo)
+                im = _eval(self.im, point, memo)
+        except RecursionError:
+            raise ExprDepthError("evaluate") from None
         check_finite(re, point)
         check_finite(im, point)
         return re + 1j * im

@@ -14,12 +14,21 @@ maxwell, yang_mills, h, curvature_link, conservation) once: symbolic
 forms plus a numeric reduction of their values to defects.  Its
 `evaluate(points)` then evaluates every form over all points in one
 vectorised pass, and `at(p)` evaluates them at one point with plain
-floats.  `system_residuals`, `h_residual`, `conservation_defect` and
-`curvature_link_check` are one-point calls of the same two steps.
+floats.
+
+Every symbolic form of a configuration is built once: `FieldConfig` is
+immutable, and the main form, C, the L1 form, the current, the H system,
+the f and G field strengths and the residual systems are kept in a memo
+on the config the first time they are asked for.  The one-point calls
+(`main_residual`, `lagrangian_l0`, `lagrangian_l1`, `current`,
+`h_residual`, `system_residuals`, `conservation_defect`,
+`curvature_link_check`) look their forms up there and only evaluate, so
+calling them at many points builds nothing after the first.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -71,25 +80,63 @@ def _check_shape(name: str, f: FormField, grades, real: bool,
 
 
 class FieldConfig:
-    __slots__ = ("chart", "psi", "a", "b", "h", "m")
+    """Psi, a_k, B_k, H and m on a chart.  Immutable after construction:
+    the symbolic forms derived from it are built once, on first use, and
+    kept in `_built` (see `_once`), so they can never go stale."""
+
+    __slots__ = ("chart", "psi", "a", "b", "h", "m", "_built")
 
     def __init__(self, chart: Chart, psi: FormField, a, b, h: FormField,
                  m: float, validate: bool = True):
         n = chart.dim
         if len(a) != n or len(b) != n:
             raise FieldConfigError(f"need {n} components for a and B")
-        self.chart = chart
-        self.psi = psi
-        self.a = list(a)
-        self.b = list(b)
-        self.h = h
-        self.m = float(m)
+        init = super().__setattr__
+        init("chart", chart)
+        init("psi", psi)
+        init("a", tuple(a))
+        init("b", tuple(b))
+        init("h", h)
+        init("m", float(m))
+        init("_built", {})
         if validate:
             p = chart.midpoint()
             for k in range(n):
                 _check_shape(f"a_{k + 1}", self.a[k], {0}, False, True, p)
                 _check_shape(f"B_{k + 1}", self.b[k], {2}, True, False, p)
             _check_shape("H", self.h, {1}, True, False, p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldConfig is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FieldConfig is immutable; cannot delete "
+                             f"{name!r}")
+
+
+def _once(cfg: FieldConfig, key, build):
+    """The value of `build()` for cfg, built on the first call with `key`
+    and returned from cfg's memo after that."""
+    built = cfg._built
+    if key not in built:
+        built[key] = build()
+    return built[key]
+
+
+def _per_config(build):
+    """Make a form builder `build(cfg)` one memo lookup per config.  Every
+    caller gets the same result, so builders return tuples, not lists."""
+    @functools.wraps(build)
+    def form(cfg: FieldConfig):
+        return _once(cfg, build.__name__, lambda: build(cfg))
+    return form
+
+
+def _system(cfg: FieldConfig, families, c1: float = 1.0,
+            c2: float = 1.0) -> "ResidualSystem":
+    """The config's `ResidualSystem` for these families and couplings."""
+    key = (families, float(c1), float(c2))
+    return _once(cfg, key, lambda: ResidualSystem(cfg, families, c1, c2))
 
 
 def config_from_json(text: str) -> FieldConfig:
@@ -125,6 +172,7 @@ def config_to_json(cfg: FieldConfig) -> str:
 # ---------------------------------------------------------------------------
 # The main equation and its conjugate form.
 
+@_per_config
 def main_form(cfg: FieldConfig) -> FormField:
     """Left side of the main equation as a symbolic field:
     i dx^k (Y_k Psi - Psi a_k - Psi B_k) - m Psi."""
@@ -142,18 +190,20 @@ def main_residual(cfg: FieldConfig, p) -> Multivector:
     return main_form(cfg).eval_at(p)
 
 
+@_per_config
 def c_form(cfg: FieldConfig) -> FormField:
     """The form C = Psi* (main equation left side)."""
     return clifford_mul_fields(conjugate_field(cfg.psi), main_form(cfg))
 
 
+@_per_config
 def h_forms(cfg: FieldConfig):
     """The H system as symbolic fields: the scalar H*H - e and the n forms
     Y_k H - (H B_k - B_k H)."""
     sq = clifford_mul_fields(cfg.h, cfg.h) - scalar_field(cfg.chart, 1.0)
-    forms = [upsilon_k(cfg.h, k) - clifford_mul_fields(cfg.h, bk)
-             + clifford_mul_fields(bk, cfg.h)
-             for k, bk in enumerate(cfg.b, start=1)]
+    forms = tuple(upsilon_k(cfg.h, k) - clifford_mul_fields(cfg.h, bk)
+                  + clifford_mul_fields(bk, cfg.h)
+                  for k, bk in enumerate(cfg.b, start=1))
     return sq, forms
 
 
@@ -166,6 +216,7 @@ def h_residual(cfg: FieldConfig, p):
 # ---------------------------------------------------------------------------
 # Current and conservation.
 
+@_per_config
 def bar_psi_field(cfg: FieldConfig) -> FormField:
     return clifford_mul_fields(cfg.h, conjugate_field(cfg.psi))
 
@@ -174,6 +225,7 @@ def bar_psi(cfg: FieldConfig, p) -> Multivector:
     return bar_psi_field(cfg).eval_at(p)
 
 
+@_per_config
 def current_exprs(cfg: FieldConfig):
     """The n complex scalars j^k = Tr(bar-Psi dx^k Psi)."""
     bp = bar_psi_field(cfg)
@@ -182,11 +234,11 @@ def current_exprs(cfg: FieldConfig):
         prod = clifford_mul_fields(clifford_mul_fields(bp, dx(cfg.chart, k)),
                                    cfg.psi)
         out.append(trace_field(prod))
-    return out
+    return tuple(out)
 
 
 def current(cfg: FieldConfig, p) -> np.ndarray:
-    _require_h(ResidualSystem(cfg, ("h",)).at(p), p)
+    _require_h(_system(cfg, ("h",)).at(p), p)
     memo = {}
     vals = [c.evaluate(p, memo) for c in current_exprs(cfg)]
     worst = max(abs(z.imag) for z in vals)
@@ -206,7 +258,7 @@ def _require_h(res: dict, p):
 def conservation_defect(cfg: FieldConfig, p) -> float:
     """Identity defect d_k(sqrt|g| j^k)/sqrt|g| - Tr(-iH(C - C*)),
     valid for arbitrary smooth Psi when H solves its equations."""
-    res = ResidualSystem(cfg, ("h", "conservation")).at(p)
+    res = _system(cfg, ("h", "conservation")).at(p)
     _require_h(res, p)
     return res["conservation"]
 
@@ -248,14 +300,16 @@ def gauge_transform(cfg: FieldConfig, u: FormField, v: CExpr) -> FieldConfig:
 # ---------------------------------------------------------------------------
 # Field strengths and Lagrangians.
 
+@_per_config
 def f_strength_exprs(cfg: FieldConfig):
     """f_ij = d_i a_j - d_j a_i as complex scalar expressions."""
     n = cfg.chart.dim
     a = [trace_field(f) for f in cfg.a]
-    return [[a[j].diff(i + 1) - a[i].diff(j + 1) for j in range(n)]
-            for i in range(n)]
+    return tuple(tuple(a[j].diff(i + 1) - a[i].diff(j + 1) for j in range(n))
+                 for i in range(n))
 
 
+@_per_config
 def g_strength_fields(cfg: FieldConfig):
     """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] as 2-form fields."""
     n = cfg.chart.dim
@@ -266,7 +320,7 @@ def g_strength_fields(cfg: FieldConfig):
             out[i][j] = upsilon_k(b[j], i + 1) - upsilon_k(b[i], j + 1) \
                 + clifford_mul_fields(b[i], b[j]) \
                 - clifford_mul_fields(b[j], b[i])
-    return out
+    return tuple(map(tuple, out))
 
 
 def field_strengths(cfg: FieldConfig, p):
@@ -282,11 +336,15 @@ def field_strengths(cfg: FieldConfig, p):
     return f, g
 
 
-def lagrangian_l1(cfg: FieldConfig, p) -> complex:
-    memo = {}
+@_per_config
+def _l1_form(cfg: FieldConfig) -> CExpr:
+    """L1 = Tr(H (C + C*)) as a complex scalar expression."""
     c = c_form(cfg)
-    total = c + conjugate_field(c)
-    return trace_field(clifford_mul_fields(cfg.h, total)).evaluate(p, memo)
+    return trace_field(clifford_mul_fields(cfg.h, c + conjugate_field(c)))
+
+
+def lagrangian_l1(cfg: FieldConfig, p) -> complex:
+    return _l1_form(cfg).evaluate(p, {})
 
 
 def _raise_pair(cfg, lower, i, j):
@@ -337,6 +395,7 @@ def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,
 # ---------------------------------------------------------------------------
 # The Euler-Lagrange system.
 
+@_per_config
 def current_j_fields(cfg: FieldConfig):
     """J^j = i bar-Psi dx^j Psi as symbolic fields."""
     bp = bar_psi_field(cfg)
@@ -344,7 +403,7 @@ def current_j_fields(cfg: FieldConfig):
     for j in range(1, cfg.chart.dim + 1):
         out.append(clifford_mul_fields(
             clifford_mul_fields(bp, dx(cfg.chart, j)), cfg.psi).scale(1j))
-    return out
+    return tuple(out)
 
 
 # Each family builder returns the family's output forms (FormFields, CExprs
@@ -431,7 +490,7 @@ def _yang_mills_family(cfg, j_fields, c2):
 
 def _h_family(cfg):
     sq, forms = h_forms(cfg)
-    return [sq] + forms, lambda v: {"h_scalar": _norm(v[0]),
+    return [sq, *forms], lambda v: {"h_scalar": _norm(v[0]),
                                     "h_forms": _worst(map(_norm, v[1:]))}
 
 
@@ -565,12 +624,12 @@ class ResidualSystem:
 def system_residuals(cfg: FieldConfig, p, c1: float = 1.0,
                      c2: float = 1.0) -> dict:
     """Max-norm residuals of every equation of the coupled system."""
-    return ResidualSystem(cfg, SYSTEM_FAMILIES, c1, c2).at(p)
+    return _system(cfg, SYSTEM_FAMILIES, c1, c2).at(p)
 
 
 def curvature_link_check(cfg: FieldConfig, p) -> float:
     """Max norm of G_ij + (1/2) D_ij over all index pairs."""
-    return ResidualSystem(cfg, ("curvature_link",)).at(p)["curvature_link"]
+    return _system(cfg, ("curvature_link",)).at(p)["curvature_link"]
 
 
 # ---------------------------------------------------------------------------

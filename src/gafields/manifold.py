@@ -96,6 +96,7 @@ class Chart:
             raise ChartError("empty domain interval")
 
         self.g_upper_exprs, self.det_expr = _sym_inverse(self.g_lower_exprs)
+        self._metric_key = self._metric = None
         mid = self.midpoint()
         ref = self.metric_at(mid)  # validates symmetry and nondegeneracy
         self.sign = ref.sign
@@ -115,10 +116,17 @@ class Chart:
             raise DomainError(f"point {tuple(p)} outside chart domain")
 
     def metric_at(self, p) -> Metric:
+        """The metric at p.  The chart keeps the last Metric it built and
+        returns it again while the metric's exact values repeat, so a
+        constant chart has one Metric and one product table."""
         memo = {}
         g = np.array([[evaluate(e, p, memo) for e in row]
                       for row in self.g_lower_exprs])
-        return new_metric(g, convention="lower")
+        key = g.tobytes()
+        if key != self._metric_key:
+            self._metric = new_metric(g, convention="lower")
+            self._metric_key = key
+        return self._metric
 
     def g_upper_cexpr(self, i: int, j: int) -> CExpr:
         return CExpr(self.g_upper_exprs[i - 1][j - 1])

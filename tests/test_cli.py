@@ -13,7 +13,8 @@ from gafields.fields import FieldConfig, config_to_json
 from gafields.manifold import Chart, FormField
 from gafields.metric import metric_from_json, metric_to_json, new_metric
 from gafields.multivector import (CLIFFORD, GRASSMANN, Multivector,
-                                  basis_convert, build_product_table)
+                                  ProductTable, basis_convert,
+                                  build_product_table)
 from gafields.cli import main
 from conftest import random_metric
 
@@ -199,6 +200,8 @@ BAD_CONFIGS = {
                                           "domain": [[0, 1]]}),
     "top_level_list": "[1, 2]",
     "directory": None,
+    # nests 3000 levels deep, past Python's recursion limit
+    "deep_sum": field_config(psi=psi_term(" + ".join(["x1"] * 3000))),
 }
 
 
@@ -240,6 +243,22 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_field_builds_one_table(capsys, monkeypatch):
+    # the field suite's chart is constant: every metric it asks for is the
+    # same value, so one product table serves the whole suite
+    real = ProductTable.__init__
+    tables = []
+
+    def counted(self, metric):
+        tables.append(metric)
+        real(self, metric)
+    monkeypatch.setattr(ProductTable, "__init__", counted)
+    code, _, _ = run_cli(["verify", "--suite", "field", "--seed", "0"],
+                         capsys)
+    assert code == 0
+    assert len(tables) == 1
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(["verify", "--suite", "bogus"], capsys)
     assert code == 2
@@ -252,6 +271,16 @@ def test_field_check_pass(config_file, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"]
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_field_check_nonpositive_count_is_usage_error(count, config_file,
+                                                      capsys):
+    code, out, err = run_cli(["field-check", "--config", config_file,
+                              "--count", str(count)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_field_check_missing_file(capsys):

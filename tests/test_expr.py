@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gafields.expr import (
     CExpr,
     EvalDomainError,
+    ExprDepthError,
     ExprError,
     ExprSyntaxError,
     ZERO,
@@ -197,3 +198,23 @@ def test_constant_folding_errors_are_typed(src):
     # constants fold while parsing, so their domain errors surface there
     with pytest.raises(ExprError):
         parse(src, 1)
+
+
+def test_deep_expressions_raise_a_typed_error():
+    # each operation recurses once per nesting level; past Python's
+    # recursion limit it raises ExprDepthError, not RecursionError
+    deep = parse(" + ".join(["x1"] * 3000), 1)
+    with pytest.raises(ExprDepthError):
+        parse("(" * 3000 + "x1" + ")" * 3000, 1)
+    with pytest.raises(ExprDepthError):
+        diff(deep, 1)
+    with pytest.raises(ExprDepthError):
+        to_str(deep)
+    with pytest.raises(ExprDepthError):
+        evaluate(deep, (0.5,))
+    with pytest.raises(ExprDepthError):
+        evaluate(deep, (np.array([0.5, 0.25]),))
+    with pytest.raises(ExprDepthError):
+        CExpr(deep).evaluate((0.5,))
+    # a shallow sum of the same terms still works
+    assert evaluate(parse(" + ".join(["x1"] * 300), 1), (0.5,)) == 150.0

@@ -26,6 +26,7 @@ from gafields.fields import (
     system_residuals,
     transform_config,
 )
+from gafields import fields, multivector
 from gafields.fields import _value as form_value
 from gafields.manifold import CoordinateChange, FormField, scalar_field
 from gafields.multivector import build_product_table
@@ -297,6 +298,67 @@ def test_batch_domain_error_names_an_input_point(rng):
     assert info.value.point in points and info.value.point[2] <= 0.0
     with pytest.raises(EvalDomainError):
         system_residuals(cfg, points[2])
+
+
+# ---------------------------------------------------------------------------
+# every form built once per config
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so each call appends to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def one_point_values(cfg, p):
+    return (main_residual(cfg, p).coeffs, lagrangian_l1(cfg, p),
+            conservation_defect(cfg, p), current(cfg, p),
+            lagrangian_l0(cfg, p, 0.8, 1.2))
+
+
+def test_one_point_calls_build_each_form_once(rng, monkeypatch):
+    cfg = smooth_config(rng, with_b=False)  # H passes: conservation exists
+    points = sample_points(cfg.chart, rng, 4)
+    upsilon = count_calls(monkeypatch, fields, "upsilon_k")
+    first = one_point_values(cfg, points[0])
+    built = len(upsilon)
+    assert built > 0
+    values = [first] + [one_point_values(cfg, p) for p in points[1:]]
+    assert len(upsilon) == built  # later points only evaluate
+
+    # bitwise the values of a freshly built equal config, in another order
+    fresh = FieldConfig(cfg.chart, cfg.psi, cfg.a, cfg.b, cfg.h, cfg.m)
+    for p, want in reversed(list(zip(points, values))):
+        got = one_point_values(fresh, p)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_config_is_immutable(rng):
+    cfg = smooth_config(rng)
+    main_residual(cfg, cfg.chart.midpoint())  # memo filled
+    with pytest.raises(AttributeError):
+        cfg.m = 2.0
+    with pytest.raises(AttributeError):
+        cfg.psi = cfg.h
+    with pytest.raises(AttributeError):
+        del cfg.h
+    with pytest.raises(TypeError):
+        cfg.b[0] = cfg.b[1]
+    assert cfg.m == 1.1
+
+
+def test_constant_chart_builds_one_product_table(rng, monkeypatch):
+    cfg = smooth_config(rng)
+    tables = count_calls(monkeypatch, multivector.ProductTable, "__init__")
+    p, q = sample_points(cfg.chart, rng, 2)
+    for point in (p, q, p):
+        lagrangian_l0(cfg, point)
+    assert len(tables) == 1
 
 
 # ---------------------------------------------------------------------------
