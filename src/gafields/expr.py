@@ -12,9 +12,9 @@ per coordinate, evaluated with one numpy operation per node for all the
 points at once.  Both raise `EvalDomainError` naming a point where a
 value leaves the domain or stops being finite.
 
-Parsing, printing, differentiation and evaluation recurse once per
-nesting level; an expression nested deeper than Python's recursion limit
-raises `ExprDepthError` instead of a bare `RecursionError`.
+Parsing, printing, differentiation, substitution and evaluation recurse
+once per nesting level; an expression nested deeper than Python's
+recursion limit raises `ExprDepthError` instead of a bare `RecursionError`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class ExprSyntaxError(ExprError):
 
 class ExprDepthError(ExprError):
     """An expression nests deeper than the recursive parser, printer,
-    differentiator or evaluator can follow."""
+    differentiator, substituter or evaluator can follow."""
 
     def __init__(self, what: str):
         super().__init__(f"expression nests too deeply to {what}")
@@ -447,24 +447,31 @@ def _diff(e: Expr, var: int) -> Expr:
 
 def subst(e: Expr, mapping) -> Expr:
     """Substitute variables: mapping is {index: Expr}."""
+    try:
+        return _subst(e, mapping)
+    except RecursionError:
+        raise ExprDepthError("substitute") from None
+
+
+def _subst(e: Expr, mapping) -> Expr:
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
         return mapping.get(e.index, e)
     if isinstance(e, Add):
-        return add(subst(e.a, mapping), subst(e.b, mapping))
+        return add(_subst(e.a, mapping), _subst(e.b, mapping))
     if isinstance(e, Sub):
-        return sub(subst(e.a, mapping), subst(e.b, mapping))
+        return sub(_subst(e.a, mapping), _subst(e.b, mapping))
     if isinstance(e, Mul):
-        return mul(subst(e.a, mapping), subst(e.b, mapping))
+        return mul(_subst(e.a, mapping), _subst(e.b, mapping))
     if isinstance(e, Div):
-        return div(subst(e.a, mapping), subst(e.b, mapping))
+        return div(_subst(e.a, mapping), _subst(e.b, mapping))
     if isinstance(e, Neg):
-        return neg(subst(e.a, mapping))
+        return neg(_subst(e.a, mapping))
     if isinstance(e, Pow):
-        return powi(subst(e.base, mapping), e.exponent)
+        return powi(_subst(e.base, mapping), e.exponent)
     if isinstance(e, Call):
-        return call(e.fn, subst(e.arg, mapping))
+        return call(e.fn, _subst(e.arg, mapping))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 

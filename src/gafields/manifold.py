@@ -534,11 +534,6 @@ class CoordinateChange:
         memo = {}
         return tuple(evaluate(e, p_new, memo) for e in self.old_exprs)
 
-    def jacobian_at(self, p_new) -> np.ndarray:
-        memo = {}
-        return np.array([[evaluate(self.jacobian[i][a], p_new, memo)
-                          for a in range(self.dim)] for i in range(self.dim)])
-
     def _subst_map(self):
         return {i + 1: self.old_exprs[i] for i in range(self.dim)}
 

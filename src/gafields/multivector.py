@@ -396,84 +396,67 @@ def basis_convert(u: Multivector, frm: str, to: str, m: Metric) -> Multivector:
 # ---------------------------------------------------------------------------
 # Clifford product through wedge/star/com tables (dimensions 2..4).
 
+# U V as a signed sum of terms, keyed by (n, grade U, grade V): "w" is
+# U ^ V, "*v" is *(U ^ *V), "*u" is *(*U ^ V), "**" is *U ^ *V and "com"
+# the 2-form commutator [U, V].  The starred terms carry the sign of
+# det g as well; terms are added in the order listed.
+_VIA_STAR = {
+    (2, 1, 1): (("w", 1), ("*v", 1)),
+    (2, 1, 2): (("**", 1),),
+    (2, 2, 1): (("**", -1),),
+    (2, 2, 2): (("**", -1),),
+    (3, 1, 1): (("w", 1), ("*v", 1)),
+    (3, 1, 2): (("w", 1), ("*v", -1)),
+    (3, 1, 3): (("**", 1),),
+    (3, 2, 1): (("w", 1), ("*u", -1)),
+    (3, 2, 2): (("**", -1), ("*v", -1)),
+    (3, 2, 3): (("**", -1),),
+    (3, 3, 1): (("**", 1),),
+    (3, 3, 2): (("**", -1),),
+    (3, 3, 3): (("**", -1),),
+    (4, 1, 1): (("w", 1), ("*v", 1)),
+    (4, 1, 2): (("w", 1), ("*v", 1)),
+    (4, 1, 3): (("w", 1), ("*v", 1)),
+    (4, 1, 4): (("**", 1),),
+    (4, 2, 1): (("w", 1), ("*u", -1)),
+    (4, 2, 2): (("w", 1), ("*v", -1), ("com", 0.5)),
+    (4, 2, 3): (("**", -1), ("*v", 1)),
+    (4, 2, 4): (("**", -1),),
+    (4, 3, 1): (("w", 1), ("*u", -1)),
+    (4, 3, 2): (("**", 1), ("*u", 1)),
+    (4, 3, 3): (("**", -1), ("*v", -1)),
+    (4, 3, 4): (("**", -1),),
+    (4, 4, 1): (("**", -1),),
+    (4, 4, 2): (("**", -1),),
+    (4, 4, 3): (("**", 1),),
+    (4, 4, 4): (("**", 1),),
+}
+
+
 def clifford_via_star(u: Multivector, v: Multivector, m: Metric) -> Multivector:
     n = m.dim
     if n > 4 or n < 2:
         raise ArgumentError(f"wedge/star product tables cover dimensions 2..4, "
                             f"got {n}")
     r, s = u.grade(), v.grade()
-    table = build_product_table(m)
-    sgn = m.sign
-
-    def star(w):
-        return hodge_star(w, m)
-
     if r == 0 or s == 0:
         return wedge(u, v)
-    key = (n, r, s)
-    if n == 2:
-        if key == (2, 1, 1):
-            return wedge(u, v) + sgn * star(wedge(u, star(v)))
-        if key == (2, 1, 2):
-            return sgn * wedge(star(u), star(v))
-        if key == (2, 2, 1):
-            return -sgn * wedge(star(u), star(v))
-        if key == (2, 2, 2):
-            return -sgn * wedge(star(u), star(v))
-    if n == 3:
-        if key == (3, 1, 1):
-            return wedge(u, v) + sgn * star(wedge(u, star(v)))
-        if key == (3, 1, 2):
-            return wedge(u, v) - sgn * star(wedge(u, star(v)))
-        if key == (3, 1, 3):
-            return sgn * wedge(star(u), star(v))
-        if key == (3, 2, 1):
-            return wedge(u, v) - sgn * star(wedge(star(u), v))
-        if key == (3, 2, 2):
-            return -sgn * wedge(star(u), star(v)) - sgn * star(wedge(u, star(v)))
-        if key == (3, 2, 3):
-            return -sgn * wedge(star(u), star(v))
-        if key == (3, 3, 1):
-            return sgn * wedge(star(u), star(v))
-        if key == (3, 3, 2):
-            return -sgn * wedge(star(u), star(v))
-        if key == (3, 3, 3):
-            return -sgn * wedge(star(u), star(v))
-    if n == 4:
-        if key == (4, 1, 1):
-            return wedge(u, v) + sgn * star(wedge(u, star(v)))
-        if key == (4, 1, 2):
-            return wedge(u, v) + sgn * star(wedge(u, star(v)))
-        if key == (4, 1, 3):
-            return wedge(u, v) + sgn * star(wedge(u, star(v)))
-        if key == (4, 1, 4):
-            return sgn * wedge(star(u), star(v))
-        if key == (4, 2, 1):
-            return wedge(u, v) - sgn * star(wedge(star(u), v))
-        if key == (4, 2, 2):
-            return (wedge(u, v) - sgn * star(wedge(u, star(v)))
-                    + 0.5 * commutator_2forms(u, v, table))
-        if key == (4, 2, 3):
-            return -sgn * wedge(star(u), star(v)) + sgn * star(wedge(u, star(v)))
-        if key == (4, 2, 4):
-            return -sgn * wedge(star(u), star(v))
-        if key == (4, 3, 1):
-            return wedge(u, v) - sgn * star(wedge(star(u), v))
-        if key == (4, 3, 2):
-            return sgn * wedge(star(u), star(v)) + sgn * star(wedge(star(u), v))
-        if key == (4, 3, 3):
-            return -sgn * wedge(star(u), star(v)) - sgn * star(wedge(u, star(v)))
-        if key == (4, 3, 4):
-            return -sgn * wedge(star(u), star(v))
-        if key == (4, 4, 1):
-            return -sgn * wedge(star(u), star(v))
-        if key == (4, 4, 2):
-            return -sgn * wedge(star(u), star(v))
-        if key == (4, 4, 3):
-            return sgn * wedge(star(u), star(v))
-        if key == (4, 4, 4):
-            return sgn * wedge(star(u), star(v))
-    raise ArgumentError(f"no table entry for grades {(r, s)} in dimension {n}")
+    entry = _VIA_STAR.get((n, r, s))
+    if entry is None:
+        raise ArgumentError(f"no table entry for grades {(r, s)} in "
+                            f"dimension {n}")
+    terms = {"w": lambda: wedge(u, v),
+             "*v": lambda: hodge_star(wedge(u, hodge_star(v, m)), m),
+             "*u": lambda: hodge_star(wedge(hodge_star(u, m), v), m),
+             "**": lambda: wedge(hodge_star(u, m), hodge_star(v, m)),
+             "com": lambda: commutator_2forms(u, v, build_product_table(m))}
+    out = None
+    for name, coeff in entry:
+        if name.startswith("*"):
+            coeff *= m.sign
+        term = coeff * terms[name]()
+        out = term if out is None else out + term
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,42 +1,17 @@
-"""Shared generators for the test suite."""
+"""Shared fixtures and test-only generators for the test suite."""
 
 import numpy as np
 import pytest
 
-from gafields.metric import Metric, new_metric
-from gafields.multivector import Multivector, grade_masks
+from gafields.checks import random_metric
 
 
-def random_metric(n, rng, min_det=0.05):
-    """Random symmetric nondegenerate g^ij."""
-    while True:
-        a = rng.normal(size=(n, n))
-        g = (a + a.T) / 2 + np.diag(rng.normal(size=n)) * 0.5
-        if abs(np.linalg.det(g)) > min_det:
-            return new_metric(g, convention="upper")
-
-
-def random_metric_signed(n, rng, sign, min_det=0.05):
+def random_metric_signed(n, rng, sign):
     """Random metric whose determinant has the requested sign."""
     while True:
-        m = random_metric(n, rng, min_det)
+        m = random_metric(n, rng)
         if m.sign == sign:
             return m
-
-
-def random_mv(n, rng, complex_coeffs=True):
-    c = rng.normal(size=1 << n)
-    if complex_coeffs:
-        c = c + 1j * rng.normal(size=1 << n)
-    return Multivector(n, c)
-
-
-def random_kform(n, k, rng, complex_coeffs=True):
-    u = Multivector(n)
-    for mask in grade_masks(n, k):
-        u.coeffs[mask] = rng.normal() + (1j * rng.normal()
-                                         if complex_coeffs else 0.0)
-    return u
 
 
 @pytest.fixture

@@ -2,37 +2,22 @@
 
 import numpy as np
 
+from gafields.checks import flat_minkowski_chart, random_form_field
 from gafields.expr import CExpr, ZERO, Const, parse
 from gafields.fields import FieldConfig
 from gafields.manifold import Chart, FormField, scalar_field
 from gafields.dirac import column_embed, gamma_matrices, plane_wave_spinor
 
 
-def flat_minkowski_chart(lo=-1.0, hi=1.0):
-    rows = [["-1", "0", "0", "0"], ["0", "-1", "0", "0"],
-            ["0", "0", "-1", "0"], ["0", "0", "0", "1"]]
-    return Chart([[parse(s, 4) for s in row] for row in rows],
-                 [(lo, hi)] * 4)
-
-
-def random_form_field(chart, rng, grades=None, pool=None):
-    if pool is None:
-        pool = ["x1*x2", "sin(x1)", "cos(x2)*x3", "x4^2", "x3 + 1",
-                "sin(x4)*x1", "exp(0.2*x2)", "x1 - x3"]
-    coeffs = {}
-    for mask in range(1 << chart.dim):
-        if grades is not None and bin(mask).count("1") not in grades:
-            continue
-        coeffs[mask] = CExpr(
-            parse(pool[int(rng.integers(len(pool)))], chart.dim),
-            parse(pool[int(rng.integers(len(pool)))], chart.dim))
-    return FormField(chart, coeffs)
+# coefficient expressions of the smooth random fields on the flat chart
+FLAT_POOL = ("x1*x2", "sin(x1)", "cos(x2)*x3", "x4^2", "x3 + 1",
+             "sin(x4)*x1", "exp(0.2*x2)", "x1 - x3")
 
 
 def smooth_config(rng, with_b=True):
     """Flat-background configuration with smooth psi, imaginary a, real B."""
     chart = flat_minkowski_chart()
-    psi = random_form_field(chart, rng)
+    psi = random_form_field(chart, rng, FLAT_POOL)
     a = [scalar_field(chart, CExpr(ZERO, parse(src, 4)))
          for src in ("0.3*x2", "x1*x3", "0.1*x4", "x1 + x2")]
     b = []

@@ -5,8 +5,24 @@ import time
 
 import numpy as np
 
+from gafields.checks import (
+    constant_field,
+    curvature_commutator_defect,
+    flat_minkowski_chart,
+    form_calculus_defects,
+    gamma_anticommutator_defect,
+    gauge_defects,
+    hodge_defects,
+    random_form_field,
+    random_kform,
+    random_metric,
+    random_mv,
+    random_point,
+    rep_defects,
+    spin_defects,
+)
 from gafields.expr import CExpr, ZERO, call, parse
-from gafields.metric import is_isometry, minor, new_metric
+from gafields.metric import minor, new_metric
 from gafields.multivector import (
     CLIFFORD,
     GRASSMANN,
@@ -14,64 +30,38 @@ from gafields.multivector import (
     basis_convert,
     build_product_table,
     clifford_via_star,
-    conjugate_star,
     exterior_metric_block,
     grade_masks,
-    grade_project,
     hodge_star,
-    hodge_star_components,
     scalar_product,
-    star_inverse,
     volume_form,
     wedge,
 )
-from gafields.spin import factor_isometry, isometry_of, random_spin_element
-from gafields.manifold import (
-    Chart,
-    FormField,
-    d_op,
-    delta_op,
-    dx,
-    grade_project_field,
-    hodge_field,
-    laplace,
-    scalar_field,
-    star_inverse_field,
-    upsilon_k,
-)
+from gafields.spin import adjoint_action, random_spin_element
+from gafields.manifold import Chart, FormField, laplace, scalar_field
 from gafields.fields import (
     FieldConfig,
     conservation_defect,
     current,
     curvature_link_check,
     gauge_transform,
-    lagrangian_l0,
     lagrangian_l1,
     lagrangian_total,
     main_residual,
 )
 from gafields.dirac import (
-    MINKOWSKI_DIAG,
     dirac_residual,
     gamma_matrices,
     minkowski_metric,
-    multivector_from_matrix,
     rep_map,
 )
 from gafields import blades
-from conftest import (
-    random_kform,
-    random_metric,
-    random_metric_signed,
-    random_mv,
-)
+from conftest import random_metric_signed
 from helpers import (
     curvature_linked_config,
-    flat_minkowski_chart,
     phase_cexpr,
     plane_wave_config,
     plane_wave_spinor,
-    random_form_field,
     smooth_config,
 )
 
@@ -235,15 +225,9 @@ def test_criterion_04_hodge():
         vol = volume_form(m)
         e = Multivector.unit(n)
         for mask in range(1 << n):
-            u = Multivector.from_dict(n, {mask: 1.0})
-            k = blades.popcount(mask)
-            # component formula against the algebraic star
-            worst = max(worst, (hodge_star(u, m)
-                                - hodge_star_components(u, m)).norm())
-            # double star sign
-            sign = m.sign * (-1.0 if (k * (n + 1)) % 2 else 1.0)
-            worst = max(worst, (hodge_star(hodge_star(u, m), m)
-                                - sign * u).norm())
+            # component formula and double star sign on each blade
+            worst = max(worst, *hodge_defects(
+                Multivector.from_dict(n, {mask: 1.0}), m))
         # volume identities: *e = I, *I = sgn e, I I = (-1)^[n/2] sgn e
         worst = max(worst, (hodge_star(e, m) - vol).norm())
         worst = max(worst, (hodge_star(vol, m) - float(m.sign) * e).norm())
@@ -277,37 +261,19 @@ def test_criterion_06_spin_suite():
         for sig in itertools.product((1.0, -1.0), repeat=n):
             m = new_metric(np.diag(sig), convention="upper")
             t = build_product_table(m)
-            e = Multivector.unit(n)
             for _ in range(200):
                 f = random_spin_element(m, rng, 0.5)
-                worst = max(worst, (t.mul(f, conjugate_star(f)) - e).norm())
-                u = random_mv(n, rng)
-                fu = t.mul(t.mul(conjugate_star(f), u), f)
-                for k in range(n + 1):
-                    gk = t.mul(t.mul(conjugate_star(f), grade_project(u, k)),
-                               f)
-                    worst = max(worst, (grade_project(fu, k) - gk).norm())
-                v = random_mv(n, rng)
-                fv = t.mul(t.mul(conjugate_star(f), v), f)
-                worst = max(worst, abs(scalar_product(fu, fv, t)
-                                       - scalar_product(u, v, t)))
-                p = isometry_of(f, m)
-                worst = max(worst, 0.0 if is_isometry(m, p) else 1.0)
-                worst = max(worst, abs(np.linalg.det(p) - 1.0))
-                gg = factor_isometry(p, m)
-                worst = max(worst, min((gg - f).norm(), (gg + f).norm()))
+                u, v = random_mv(n, rng), random_mv(n, rng)
+                fu, fv = adjoint_action(f, u, m), adjoint_action(f, v, m)
+                worst = max(worst, *spin_defects(f, u, m),
+                            abs(scalar_product(fu, fv, t)
+                                - scalar_product(u, v, t)))
     verdict(6, "spin suite", worst, 1e-8, time.monotonic() - t0)
 
 
-def _random_field_2d(chart, rng):
-    pool = ["x1*x2", "sin(x1)", "cos(x2)", "x1^2 - x2", "x2 + 1",
-            "sin(x2)*x1", "exp(0.3*x1)"]
-    coeffs = {}
-    for mask in range(1 << chart.dim):
-        coeffs[mask] = CExpr(
-            parse(pool[int(rng.integers(len(pool)))], chart.dim),
-            parse(pool[int(rng.integers(len(pool)))], chart.dim))
-    return FormField(chart, coeffs)
+# coefficient expressions of the random fields on the sphere
+SPHERE_POOL = ("x1*x2", "sin(x1)", "cos(x2)", "x1^2 - x2", "x2 + 1",
+               "sin(x2)*x1", "exp(0.3*x1)")
 
 
 def test_criterion_07_manifold_suite():
@@ -319,40 +285,22 @@ def test_criterion_07_manifold_suite():
                   [(0.5, 2.0), (0.2, 1.2)])
     flat = 0.0
     for _ in range(20):
-        p = tuple(lo + (hi - lo) * rng.random() for lo, hi in polar.domain)
+        p = random_point(polar, rng)
         flat = max(flat, float(np.abs(polar.curvature(p).r_mixed).max()))
     assert flat < 1e-9, f"flat-chart curvature defect {flat:.3e}"
     worst = max(worst, flat)
 
     sphere = Chart([[parse("1", 2), ZERO], [ZERO, parse("sin(x1)^2", 2)]],
                    [(0.5, 2.6), (0.1, 3.0)])
-    p = tuple(lo + (hi - lo) * rng.random() for lo, hi in sphere.domain)
-    cd = sphere.curvature(p)
-    comm = 0.0
-    for i, j, k in itertools.product((1, 2), repeat=3):
-        f = dx(sphere, k)
-        got = (upsilon_k(upsilon_k(f, j), i)
-               - upsilon_k(upsilon_k(f, i), j)).eval_at(p)
-        want = Multivector(2)
-        for r in (1, 2):
-            want.coeffs[1 << (r - 1)] = cd.r_mixed[i - 1, j - 1, r - 1, k - 1]
-        comm = max(comm, (got - want).norm())
+    comm = curvature_commutator_defect(sphere, random_point(sphere, rng))
     assert comm < 1e-8, f"commutator-curvature defect {comm:.3e}"
     worst = max(worst, comm)
 
     ops = 0.0
     for _ in range(50):
-        u = _random_field_2d(sphere, rng)
-        p = tuple(lo + (hi - lo) * rng.random() for lo, hi in sphere.domain)
-        ops = max(ops, d_op(d_op(u)).eval_at(p).norm())
-        ops = max(ops, delta_op(delta_op(u)).eval_at(p).norm())
-        for k in (0, 1, 2):
-            w = grade_project_field(u, k)
-            lhs = delta_op(w).eval_at(p)
-            rhs = star_inverse_field(d_op(hodge_field(w))).eval_at(p)
-            if k % 2 == 1:
-                rhs = -rhs
-            ops = max(ops, (lhs - rhs).norm())
+        u = random_form_field(sphere, rng, SPHERE_POOL)
+        p = random_point(sphere, rng)
+        ops = max(ops, *form_calculus_defects(u, p))
     worst = max(worst, ops)
 
     # scalar Laplace-Beltrami against the divergence form, finite differences
@@ -400,20 +348,14 @@ def test_criterion_08_field_suite():
     mref = chart.metric_at(chart.midpoint())
     t = build_product_table(mref)
     f = random_spin_element(mref, rng, 0.4)
-    u = FormField(chart, {int(mk): CExpr.of(complex(f.coeffs[mk]))
-                          for mk in np.nonzero(f.coeffs)[0]})
     chi = parse("0.5*x1 - 0.2*x4 + 0.1*x2*x3", 4)
     v = CExpr(call("cos", chi), call("sin", chi))
-    cfg2 = gauge_transform(cfg, u, v)
+    cfg2 = gauge_transform(cfg, constant_field(chart, f), v)
     gauge = 0.0
     for p in pts:
-        want = t.mul(main_residual(cfg, p), f) * v.evaluate(p)
-        gauge = max(gauge, (main_residual(cfg2, p) - want).norm())
-        gauge = max(gauge, abs(lagrangian_l1(cfg2, p) - lagrangian_l1(cfg, p)))
-        gauge = max(gauge, abs(lagrangian_l0(cfg2, p, 0.7, 1.3)
-                               - lagrangian_l0(cfg, p, 0.7, 1.3)))
-        gauge = max(gauge, abs(lagrangian_total(cfg2, p, 0.7, 1.3)
-                               - lagrangian_total(cfg, p, 0.7, 1.3)))
+        gauge = max(gauge, *gauge_defects(cfg, cfg2, f, v, t, p, 0.7, 1.3),
+                    abs(lagrangian_total(cfg2, p, 0.7, 1.3)
+                        - lagrangian_total(cfg, p, 0.7, 1.3)))
     assert gauge < 1e-9, f"gauge invariance defect {gauge:.3e}"
 
     # realness of L1
@@ -452,24 +394,14 @@ def test_criterion_08_field_suite():
 def test_criterion_09_dirac():
     rng = np.random.default_rng(SEED + 9)
     rep = gamma_matrices()
-    g = np.diag(MINKOWSKI_DIAG).astype(float)
-    anti = 0.0
-    for k in range(4):
-        for l in range(4):
-            got = rep.gammas[k] @ rep.gammas[l] + rep.gammas[l] @ rep.gammas[k]
-            anti = max(anti, float(np.abs(got - 2 * g[k, l]
-                                          * np.eye(4)).max()))
+    anti = gamma_anticommutator_defect(rep)
     assert anti == 0.0, "gamma anticommutators must be exact"
 
     t = build_product_table(minkowski_metric())
     hom = 0.0
     for _ in range(500):
         u, v = random_mv(4, rng), random_mv(4, rng)
-        hom = max(hom, float(np.abs(rep_map(t.mul(u, v), rep)
-                                    - rep_map(u, rep)
-                                    @ rep_map(v, rep)).max()))
-        hom = max(hom, (multivector_from_matrix(rep_map(u, rep), rep)
-                        - u).norm())
+        hom = max(hom, *rep_defects(u, v, t, rep))
     assert hom < 1e-12, f"homomorphism defect {hom:.3e}"
 
     # column-embedded main residual vs the gamma-matrix Dirac residual

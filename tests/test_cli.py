@@ -16,7 +16,7 @@ from gafields.multivector import (CLIFFORD, GRASSMANN, Multivector,
                                   ProductTable, basis_convert,
                                   build_product_table)
 from gafields.cli import main
-from conftest import random_metric
+from gafields.checks import random_metric
 
 
 def run_cli(args, capsys):
@@ -141,6 +141,17 @@ BAD_METRICS = {
 }
 
 
+def assert_exits_2(args):
+    """Run the CLI in a fresh process; it must exit 2 with an error line
+    and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "gafields.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("error:")
+               for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
 def assert_usage_error(args, content, tmp_path):
     """Run the CLI on one input file; it must exit 2 with an error line
     and no traceback."""
@@ -151,12 +162,7 @@ def assert_usage_error(args, content, tmp_path):
         path.write_bytes(content)
     else:
         path.write_text(content)
-    proc = subprocess.run([sys.executable, "-m", "gafields.cli", *args,
-                           str(path)], capture_output=True, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert any(line.startswith("error:")
-               for line in proc.stderr.splitlines())
-    assert "Traceback" not in proc.stderr
+    assert_exits_2([*args, str(path)])
 
 
 @pytest.mark.parametrize("name", list(BAD_METRICS))
@@ -209,6 +215,17 @@ BAD_CONFIGS = {
 def test_field_check_bad_config_is_usage_error(name, tmp_path):
     assert_usage_error(["field-check", "--count", "20", "--config"],
                        BAD_CONFIGS[name], tmp_path)
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--count", "-4"],
+                                  ["--count", "0"]])
+def test_verify_bad_seed_or_count_is_usage_error(args):
+    assert_exits_2(["verify", "--suite", "dirac", *args])
+
+
+def test_field_check_negative_seed_is_usage_error(tmp_path):
+    assert_usage_error(["field-check", "--seed", "-1", "--config"],
+                       field_config(), tmp_path)
 
 
 def test_field_check_good_config_file(tmp_path, capsys):

@@ -216,5 +216,7 @@ def test_deep_expressions_raise_a_typed_error():
         evaluate(deep, (np.array([0.5, 0.25]),))
     with pytest.raises(ExprDepthError):
         CExpr(deep).evaluate((0.5,))
+    with pytest.raises(ExprDepthError):
+        subst(deep, {1: parse("x1^2", 1)})
     # a shallow sum of the same terms still works
     assert evaluate(parse(" + ".join(["x1"] * 300), 1), (0.5,)) == 150.0

@@ -31,11 +31,12 @@ from gafields.fields import _value as form_value
 from gafields.manifold import CoordinateChange, FormField, scalar_field
 from gafields.multivector import build_product_table
 from gafields.spin import random_spin_element
+from gafields.checks import (constant_field, flat_minkowski_chart,
+                             random_form_field)
 from helpers import (
+    FLAT_POOL,
     curvature_linked_config,
-    flat_minkowski_chart,
     plane_wave_config,
-    random_form_field,
     smooth_config,
 )
 
@@ -53,7 +54,7 @@ def sample_points(chart, rng, count=5, margin=0.1):
 
 def test_config_shape_checks(rng):
     chart = flat_minkowski_chart()
-    psi = random_form_field(chart, rng)
+    psi = random_form_field(chart, rng, FLAT_POOL)
     zero = [FormField(chart) for _ in range(4)]
     h = FormField(chart, {0b1000: CExpr.of(1.0)})
     # a_k must be imaginary scalars
@@ -140,8 +141,7 @@ def test_plane_wave_current_divergence_free(rng):
 def gauge_pair(cfg, rng, scale=0.4):
     mref = cfg.chart.metric_at(cfg.chart.midpoint())
     f = random_spin_element(mref, rng, scale)
-    u = FormField(cfg.chart, {int(mk): CExpr.of(complex(f.coeffs[mk]))
-                              for mk in np.nonzero(f.coeffs)[0]})
+    u = constant_field(cfg.chart, f)
     chi = parse("0.5*x1 - 0.2*x4 + 0.1*x2*x3", 4)
     v = CExpr(call("cos", chi), call("sin", chi))
     return u, v, f

@@ -19,7 +19,7 @@ from gafields.multivector import (
     wedge,
 )
 from gafields import blades
-from conftest import random_metric, random_kform, random_mv
+from gafields.checks import random_kform, random_metric, random_mv
 
 
 def test_euclidean_2d_oracle():

@@ -3,29 +3,27 @@
 import numpy as np
 import pytest
 
+from gafields.checks import (curvature_commutator_defect,
+                             form_calculus_defects, random_form_field,
+                             random_point)
 from gafields.expr import CExpr, ZERO, parse
 from gafields.manifold import (
     Chart,
     ChartError,
     CoordinateChange,
     DomainError,
-    FormField,
     TensorField,
     chart_from_json,
     chart_to_json,
     curvature_forms,
     d_op,
     delta_op,
-    dx,
     field_from_json,
     field_to_json,
-    grade_project_field,
-    hodge_field,
     laplace,
     metric_tensor_field,
     nabla,
     scalar_field,
-    star_inverse_field,
     upsilon_k,
     upsilon_op,
     volume_field,
@@ -44,22 +42,11 @@ def sphere_chart():
 
 
 def random_points(chart, rng, count):
-    return [tuple(lo + (hi - lo) * rng.random() for lo, hi in chart.domain)
-            for _ in range(count)]
+    return [random_point(chart, rng) for _ in range(count)]
 
 
-def random_field(chart, rng, grades=None):
-    pool = ["x1*x2", "sin(x1)", "cos(x2)", "x1^2", "x2 + 1", "sin(x2)*x1"]
-    coeffs = {}
-    for mask in range(1 << chart.dim):
-        k = bin(mask).count("1")
-        if grades is not None and k not in grades:
-            continue
-        coeffs[mask] = CExpr(parse(pool[int(rng.integers(len(pool)))],
-                                   chart.dim),
-                             parse(pool[int(rng.integers(len(pool)))],
-                                   chart.dim))
-    return FormField(chart, coeffs)
+# coefficient expressions of the random fields on the 2-charts
+POOL = ("x1*x2", "sin(x1)", "cos(x2)", "x1^2", "x2 + 1", "sin(x2)*x1")
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +118,12 @@ def test_sphere_curvature_oracle(rng):
 def test_commutator_curvature_identity(rng):
     # (Y_i Y_j - Y_j Y_i) dx^k = R^{...k}_{ij,r} dx^r
     chart = sphere_chart()
-    p = random_points(chart, rng, 1)[0]
-    cd = chart.curvature(p)
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                f = dx(chart, k)
-                got = (upsilon_k(upsilon_k(f, j), i)
-                       - upsilon_k(upsilon_k(f, i), j)).eval_at(p)
-                for r in (1, 2):
-                    want = cd.r_mixed[i - 1, j - 1, r - 1, k - 1]
-                    assert got.coeffs[1 << (r - 1)] == pytest.approx(
-                        want, abs=1e-9)
+    assert curvature_commutator_defect(chart, random_point(chart, rng)) < 1e-9
 
 
 def test_curvature_forms_antisymmetry(rng):
     chart = sphere_chart()
-    p = random_points(chart, rng, 1)[0]
+    p = random_point(chart, rng)
     cd = chart.curvature(p)
     for r in range(2):
         for l in range(2):
@@ -178,8 +154,8 @@ def test_symbolic_curvature_forms_match_numeric(rng):
 
 def test_upsilon_leibniz(rng):
     chart = sphere_chart()
-    u = random_field(chart, rng)
-    v = random_field(chart, rng)
+    u = random_form_field(chart, rng, POOL)
+    v = random_form_field(chart, rng, POOL)
     p = random_points(chart, rng, 2)
     from gafields.manifold import clifford_mul_fields
     for k in (1, 2):
@@ -201,10 +177,10 @@ def test_upsilon_kills_metric_volume(rng):
 def test_d_squared_and_delta_squared(rng):
     chart = sphere_chart()
     for _ in range(5):
-        u = random_field(chart, rng)
-        p = random_points(chart, rng, 1)[0]
-        assert d_op(d_op(u)).eval_at(p).norm() < 1e-9
-        assert delta_op(delta_op(u)).eval_at(p).norm() < 1e-9
+        u = random_form_field(chart, rng, POOL)
+        p = random_point(chart, rng)
+        dd, ss, _ = form_calculus_defects(u, p)
+        assert dd < 1e-9 and ss < 1e-9
 
 
 def test_d_is_exterior_derivative_on_scalars(rng):
@@ -223,15 +199,9 @@ def test_delta_via_star_conjugation(rng):
     # delta = (-1)^k star^{-1} d star on homogeneous k-form fields
     chart = sphere_chart()
     for _ in range(4):
-        u = random_field(chart, rng)
-        p = random_points(chart, rng, 1)[0]
-        for k in (0, 1, 2):
-            w = grade_project_field(u, k)
-            lhs = delta_op(w).eval_at(p)
-            rhs = star_inverse_field(d_op(hodge_field(w))).eval_at(p)
-            if k % 2 == 1:
-                rhs = -rhs
-            assert (lhs - rhs).norm() < 1e-9
+        u = random_form_field(chart, rng, POOL)
+        p = random_point(chart, rng)
+        assert form_calculus_defects(u, p)[2] < 1e-9
 
 
 def test_scalar_laplacian_oracle(rng):
@@ -279,7 +249,7 @@ def test_scalar_laplacian_divergence_form(rng):
 def test_upsilon_decomposition(rng):
     # d - delta = Upsilon (the Clifford derivative dx^k . Y_k)
     chart = sphere_chart()
-    u = random_field(chart, rng)
+    u = random_form_field(chart, rng, POOL)
     p = random_points(chart, rng, 2)
     for q in p:
         got = (d_op(u) - delta_op(u)).eval_at(q)
@@ -364,7 +334,7 @@ def test_chart_json_round_trip(rng):
 
 def test_field_json_round_trip(rng):
     chart = sphere_chart()
-    u = random_field(chart, rng)
+    u = random_form_field(chart, rng, POOL)
     again = field_from_json(field_to_json(u), chart)
     p = (1.0, 0.8)
     assert (again.eval_at(p) - u.eval_at(p)).norm() < 1e-12

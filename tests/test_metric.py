@@ -12,7 +12,7 @@ from gafields.metric import (
     minor,
     new_metric,
 )
-from conftest import random_metric
+from gafields.checks import random_metric
 
 
 def test_upper_lower_are_inverse(rng):

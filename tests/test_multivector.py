@@ -30,7 +30,8 @@ from gafields.multivector import (
     trace,
     wedge,
 )
-from conftest import random_metric, random_metric_signed, random_mv, random_kform
+from gafields.checks import random_kform, random_metric, random_mv
+from conftest import random_metric_signed
 
 
 def blade(n, idx):
