@@ -15,15 +15,46 @@ This chain kernel is the product path of the symbolic layer (fields of
 expression pairs) and the reference the tests check the numeric
 structure tensor against.  The numeric layer takes only the generator
 step `gen_mul` and the basis conversions from here.
+
+This module is also the one place that knows blade grades and signs:
+`grade_array(n)` and `reversion_array(n)` are read-only arrays over all 2^n
+masks, built once per dimension, and `reversion_sign(k)` is the sign
+rule itself; the numeric layer reads its grade projections, parities
+and involutions off these arrays.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
+import numpy as np
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+
+popcount = int.bit_count
+
+
+def reversion_sign(k):
+    """(-1)^(k(k-1)/2), the sign reversion gives a grade-k blade; k may
+    be an int or an integer array."""
+    return 1 - 2 * ((k // 2) % 2)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def grade_array(n: int) -> np.ndarray:
+    """Grade of every blade mask 0 .. 2^n - 1."""
+    return _frozen(np.array([m.bit_count() for m in range(1 << n)]))
+
+
+@lru_cache(maxsize=None)
+def reversion_array(n: int) -> np.ndarray:
+    """Reversion sign of every blade mask 0 .. 2^n - 1."""
+    return _frozen(reversion_sign(grade_array(n)))
 
 
 def blade_indices(mask: int):

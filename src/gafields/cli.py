@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
 
@@ -80,9 +82,10 @@ def cmd_mul_table(args) -> int:
                             "gamma": names[c], "re": _fmt(prod[c, b]),
                             "im": 0.0})
     payload = {"dim": metric.dim, "basis": basis, "entries": entries}
-    csv_rows = [("alpha", "beta", "gamma", "re", "im")] + [
+    # lazy: the rows are formatted only under --format csv
+    csv_rows = itertools.chain([("alpha", "beta", "gamma", "re", "im")], (
         ("|".join(map(str, e["alpha"])), "|".join(map(str, e["beta"])),
-         "|".join(map(str, e["gamma"])), e["re"], e["im"]) for e in entries]
+         "|".join(map(str, e["gamma"])), e["re"], e["im"]) for e in entries))
     _emit(payload, args, csv_rows)
     return EXIT_PASS
 
@@ -138,12 +141,15 @@ def cmd_field_check(args) -> int:
 
 
 def _check_args(args) -> None:
-    """Reject the seeds and counts no run can use."""
+    """Reject the seeds, counts and tolerances no run can use."""
     if getattr(args, "seed", 0) < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if getattr(args, "count", 1) < 1:
         # no cases would pass vacuously
         raise _UsageError(f"--count must be at least 1, got {args.count}")
+    if not 0.0 <= getattr(args, "tolerance", 0.0) < math.inf:
+        raise _UsageError(f"--tolerance must be finite and non-negative, "
+                          f"got {args.tolerance}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,7 +53,7 @@ from .manifold import (
     upsilon_k,
 )
 from .metric import ArgumentError, MetricError
-from .multivector import Multivector, build_product_table
+from .multivector import Multivector, build_product_table, grade_masks
 from .spin import is_spin_member
 
 CHECK_TOL = 1e-8
@@ -475,7 +475,7 @@ def _yang_mills_family(cfg, j_fields, c2):
                 - clifford_mul_fields(cfg.b[i], g_upper[i][j])
             acc = acc + term - comm.scale(CExpr(sqrtg))
         lhs.append(acc)
-    two = [mask for mask in range(1 << n) if popcount(mask) == 2]
+    two = grade_masks(n, 2)
 
     def reduce(v):
         s, div, src = v[0], v[1:n + 1], v[n + 1:]

@@ -295,9 +295,7 @@ class FormField:
 
     def eval_at(self, p, memo=None) -> Multivector:
         self.chart.check_point(p)
-        out = Multivector(self.chart.dim)
-        out.coeffs = self.eval_array(p, memo)
-        return out
+        return Multivector._of(self.chart.dim, self.eval_array(p, memo))
 
     def eval_array(self, point, memo=None) -> np.ndarray:
         """Coefficient array at a point of floats, shape (2^n,), or at a
@@ -369,20 +367,14 @@ def clifford_mul_fields(u: FormField, v: FormField) -> FormField:
 
 
 def reversion_field(u: FormField) -> FormField:
-    out = {}
-    for mask, c in u.coeffs.items():
-        k = blades.popcount(mask)
-        out[mask] = -c if (k // 2) % 2 == 1 else c
-    return FormField(u.chart, out)
+    return FormField(u.chart, {
+        mask: c if blades.reversion_sign(blades.popcount(mask)) > 0 else -c
+        for mask, c in u.coeffs.items()})
 
 
 def conjugate_field(u: FormField) -> FormField:
-    out = {}
-    for mask, c in u.coeffs.items():
-        k = blades.popcount(mask)
-        cc = c.conj()
-        out[mask] = -cc if (k // 2) % 2 == 1 else cc
-    return FormField(u.chart, out)
+    return FormField(u.chart, {mask: c.conj() for mask, c
+                               in reversion_field(u).coeffs.items()})
 
 
 def trace_field(u: FormField) -> CExpr:

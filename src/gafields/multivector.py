@@ -3,7 +3,10 @@
 Coefficients are complex doubles indexed by blade bitmask; the internal
 basis is always the Grassmann one, with a Clifford-basis convention
 available for import/export.  Every Clifford product of a metric is a
-slice or a contraction of one real array, ``ProductTable.left``.
+slice or a contraction of one real array, ``ProductTable.left``.  Blade
+grades and reversion signs come from ``blades.grade_array`` and
+``blades.reversion_array``; grade projection, parity and the involutions
+are array expressions over them.
 """
 
 from __future__ import annotations
@@ -45,14 +48,19 @@ class Multivector:
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def _of(cls, dim: int, coeffs: np.ndarray) -> "Multivector":
+        """Wrap a complex array the engine computed: no copy, no check."""
+        out = cls.__new__(cls)
+        out.dim, out.coeffs = dim, coeffs
+        return out
+
+    @classmethod
     def zero(cls, dim: int) -> "Multivector":
         return cls(dim)
 
     @classmethod
     def unit(cls, dim: int) -> "Multivector":
-        u = cls(dim)
-        u.coeffs[0] = 1.0
-        return u
+        return cls.scalar(dim, 1.0)
 
     @classmethod
     def blade(cls, dim: int, indices, coeff=1.0) -> "Multivector":
@@ -85,7 +93,7 @@ class Multivector:
         return float(np.abs(self.coeffs).max())
 
     def grades(self):
-        return sorted({blades.popcount(int(m)) for m in np.nonzero(self.coeffs)[0]})
+        return sorted(set(blades.grade_array(self.dim)[self.coeffs != 0].tolist()))
 
     def grade(self) -> int:
         gs = self.grades()
@@ -99,8 +107,8 @@ class Multivector:
 
     def is_even(self, tol: float = 1e-12) -> bool:
         scale = max(self.norm(), 1.0)
-        odd = [m for m in range(1 << self.dim) if blades.popcount(m) % 2 == 1]
-        return float(np.abs(self.coeffs[odd]).max()) <= tol * scale if odd else True
+        odd = self.coeffs[blades.grade_array(self.dim) % 2 == 1]
+        return float(np.abs(odd).max()) <= tol * scale if odd.size else True
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "Multivector"):
@@ -109,27 +117,19 @@ class Multivector:
 
     def __add__(self, other):
         self._check(other)
-        out = Multivector(self.dim)
-        out.coeffs = self.coeffs + other.coeffs
-        return out
+        return Multivector._of(self.dim, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._check(other)
-        out = Multivector(self.dim)
-        out.coeffs = self.coeffs - other.coeffs
-        return out
+        return Multivector._of(self.dim, self.coeffs - other.coeffs)
 
     def __neg__(self):
-        out = Multivector(self.dim)
-        out.coeffs = -self.coeffs
-        return out
+        return Multivector._of(self.dim, -self.coeffs)
 
     def __mul__(self, scalar):
         if isinstance(scalar, Multivector):
             raise TypeError("use clifford_mul or wedge for multivector products")
-        out = Multivector(self.dim)
-        out.coeffs = self.coeffs * scalar
-        return out
+        return Multivector._of(self.dim, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -197,35 +197,31 @@ class ProductTable:
         flat = self.left.reshape(size, size * size)
         # real and imaginary parts apart: the tensor is never made complex
         lu = u.coeffs.real @ flat + 1j * (u.coeffs.imag @ flat)
-        res = Multivector(self.dim)
-        res.coeffs = lu.reshape(size, size) @ v.coeffs
-        return res
+        return Multivector._of(self.dim, lu.reshape(size, size) @ v.coeffs)
 
     def grassmann_to_clifford_matrix(self) -> np.ndarray:
         if self._g2c is None:
-            size = 1 << self.dim
-            mat = np.zeros((size, size))
-            for b in range(size):
-                for m, c in blades.grassmann_to_chains(b, self._g).items():
-                    mat[m, b] = c
-            self._g2c = mat
+            self._g2c = self._basis_matrix(blades.grassmann_to_chains)
         return self._g2c
 
     def clifford_to_grassmann_matrix(self) -> np.ndarray:
         if self._c2g is None:
-            size = 1 << self.dim
-            mat = np.zeros((size, size))
-            for b in range(size):
-                for m, c in blades.clifford_to_grassmann_blade(b, self._g).items():
-                    mat[m, b] = c
-            self._c2g = mat
+            self._c2g = self._basis_matrix(blades.clifford_to_grassmann_blade)
         return self._c2g
+
+    def _basis_matrix(self, convert) -> np.ndarray:
+        """Column b holds the expansion convert(b) of blade b."""
+        size = 1 << self.dim
+        mat = np.zeros((size, size))
+        for b in range(size):
+            for m, c in convert(b, self._g).items():
+                mat[m, b] = c
+        return mat
 
     def volume(self) -> Multivector:
         if self._volume is None:
-            v = Multivector(self.dim)
-            v.coeffs[(1 << self.dim) - 1] = np.sqrt(self.metric.abs_det)
-            self._volume = v
+            self._volume = Multivector.blade(self.dim, range(1, self.dim + 1),
+                                             np.sqrt(self.metric.abs_det))
         return self._volume
 
 
@@ -251,26 +247,16 @@ def clifford_mul(u: Multivector, v: Multivector, table: ProductTable) -> Multive
 def grade_project(u: Multivector, k: int) -> Multivector:
     if not 0 <= k <= u.dim:
         raise ArgumentError(f"grade {k} out of range 0..{u.dim}")
-    out = Multivector(u.dim)
-    for mask in range(1 << u.dim):
-        if blades.popcount(mask) == k:
-            out.coeffs[mask] = u.coeffs[mask]
-    return out
+    return Multivector._of(u.dim, np.where(blades.grade_array(u.dim) == k,
+                                           u.coeffs, 0.0))
 
 
 def reversion(u: Multivector) -> Multivector:
-    out = Multivector(u.dim)
-    for mask in range(1 << u.dim):
-        k = blades.popcount(mask)
-        sign = -1 if (k // 2) % 2 == 1 else 1
-        out.coeffs[mask] = sign * u.coeffs[mask]
-    return out
+    return Multivector._of(u.dim, u.coeffs * blades.reversion_array(u.dim))
 
 
 def conjugate_star(u: Multivector) -> Multivector:
-    out = reversion(u)
-    out.coeffs = out.coeffs.conjugate()
-    return out
+    return Multivector._of(u.dim, reversion(u).coeffs.conjugate())
 
 
 def trace(u: Multivector) -> complex:
@@ -286,22 +272,14 @@ def exterior_metric_block(m: Metric, k: int) -> np.ndarray:
     minors of g^{ij}, rows/columns ordered by blade mask."""
     if not 0 <= k <= m.dim:
         raise ArgumentError(f"grade {k} out of range 0..{m.dim}")
-    masks = [mask for mask in range(1 << m.dim) if blades.popcount(mask) == k]
-    size = len(masks)
-    out = np.zeros((size, size))
-    for a, ma in enumerate(masks):
-        rows = [i - 1 for i in blades.blade_indices(ma)]
-        for b, mb in enumerate(masks):
-            cols = [j - 1 for j in blades.blade_indices(mb)]
-            if k == 0:
-                out[a, b] = 1.0
-            else:
-                out[a, b] = np.linalg.det(m.g_upper[np.ix_(rows, cols)])
-    return out
+    # idx[a] holds the 0-based generator indices of the a-th grade-k blade
+    bits = (np.array(grade_masks(m.dim, k))[:, None] >> np.arange(m.dim)) & 1
+    idx = np.nonzero(bits)[1].reshape(len(bits), k)
+    return np.linalg.det(m.g_upper[idx[:, None, :, None], idx[None, :, None, :]])
 
 
 def grade_masks(dim: int, k: int):
-    return [mask for mask in range(1 << dim) if blades.popcount(mask) == k]
+    return np.flatnonzero(blades.grade_array(dim) == k).tolist()
 
 
 def volume_form(m: Metric) -> Multivector:
@@ -319,18 +297,14 @@ def hodge_star_components(u: Multivector, m: Metric) -> Multivector:
     minors, then pair each blade with the sign of its complement permutation."""
     n = m.dim
     full = (1 << n) - 1
-    out = Multivector(n)
+    out = np.zeros(1 << n, dtype=complex)
     sqrtg = np.sqrt(m.abs_det)
     for k in range(n + 1):
         masks = grade_masks(n, k)
-        block = exterior_metric_block(m, k)
-        comp = np.array([u.coeffs[mask] for mask in masks])
-        raised = block @ comp
-        for idx, mask in enumerate(masks):
-            cmask = full ^ mask
-            eps = blades.wedge_sign(mask, cmask)
-            out.coeffs[cmask] += sqrtg * eps * raised[idx]
-    return out
+        raised = exterior_metric_block(m, k) @ u.coeffs[masks]
+        eps = np.array([blades.wedge_sign(mask, full ^ mask) for mask in masks])
+        out[np.bitwise_xor(full, masks)] += sqrtg * eps * raised
+    return Multivector._of(n, out)
 
 
 def star_inverse(u: Multivector, m: Metric) -> Multivector:
@@ -384,13 +358,12 @@ def basis_convert(u: Multivector, frm: str, to: str, m: Metric) -> Multivector:
     if frm == to:
         return u * 1.0
     table = build_product_table(m)
-    out = Multivector(u.dim)
     if frm == CLIFFORD:
         # coefficients on Clifford monomials -> coefficients on Grassmann blades
-        out.coeffs = table.clifford_to_grassmann_matrix() @ u.coeffs
+        mat = table.clifford_to_grassmann_matrix()
     else:
-        out.coeffs = table.grassmann_to_clifford_matrix() @ u.coeffs
-    return out
+        mat = table.grassmann_to_clifford_matrix()
+    return Multivector._of(u.dim, mat @ u.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,8 @@ def factor_isometry(p: np.ndarray, m: Metric, tol: float = 1e-8) -> Multivector:
     if not is_isometry(m, p):
         raise ArgumentError("matrix is not an isometry of the metric")
     table = build_product_table(m)
-    even = [mask for mask in range(1 << n) if blades.popcount(mask) % 2 == 0]
-    odd = [mask for mask in range(1 << n) if blades.popcount(mask) % 2]
+    parity = blades.grade_array(n) % 2
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
     full = len(even)
     gens = [1 << j for j in range(n)]
     # right_gens[a, c, j]: coefficient of c in e_a e^j, so x -> x e^j is
@@ -108,10 +108,9 @@ def factor_isometry(p: np.ndarray, m: Metric, tol: float = 1e-8) -> Multivector:
         raise NotSpinIsometry("no even form intertwines this isometry")
 
     for idx in range(full - null_dim, full):
-        vec = vt[idx]
-        f = Multivector(n)
-        for t, mask in enumerate(even):
-            f.coeffs[mask] = vec[t]
+        coeffs = np.zeros(1 << n, dtype=complex)
+        coeffs[even] = vt[idx]
+        f = Multivector._of(n, coeffs)
         ff = clifford_mul(f, conjugate_star(f), table)
         rest = ff - grade_project(ff, 0)
         scale = complex(ff.coeffs[0])
@@ -120,8 +119,7 @@ def factor_isometry(p: np.ndarray, m: Metric, tol: float = 1e-8) -> Multivector:
         if scale.real > tol:
             f = f * (1.0 / np.sqrt(scale.real))
             # normalize the overall sign: largest coefficient positive
-            lead = max(range(1 << n), key=lambda mk: abs(f.coeffs[mk]))
-            if f.coeffs[lead].real < 0:
+            if f.coeffs[np.argmax(np.abs(f.coeffs))].real < 0:
                 f = -f
             return f
     raise NotSpinIsometry("isometry lifts only to F F* = -e, "
@@ -133,6 +131,6 @@ def random_spin_element(m: Metric, rng: np.random.Generator,
     """Exponential of a random real bivector, a spin element by construction."""
     n = m.dim
     b = Multivector(n)
-    for mask in grade_masks(n, 2):
-        b.coeffs[mask] = scale * rng.normal()
+    masks = grade_masks(n, 2)
+    b.coeffs[masks] = scale * rng.normal(size=len(masks))
     return exp_mv(b, build_product_table(m))

@@ -6,6 +6,7 @@ from gafields.checks import flat_minkowski_chart, random_form_field
 from gafields.expr import CExpr, ZERO, Const, parse
 from gafields.fields import FieldConfig
 from gafields.manifold import Chart, FormField, scalar_field
+from gafields.multivector import grade_masks
 from gafields.dirac import column_embed, gamma_matrices, plane_wave_spinor
 
 
@@ -87,9 +88,7 @@ def curvature_linked_config():
     b = []
     for j in range(n):
         coeffs = {}
-        for mask in range(1 << n):
-            if bin(mask).count("1") != 2:
-                continue
+        for mask in grade_masks(n, 2):
             expr = None
             for i in range(n):
                 c = -0.25 * cd.d_forms[i][j].coeffs[mask].real

@@ -300,6 +300,16 @@ def test_field_check_nonpositive_count_is_usage_error(count, config_file,
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-8"])
+def test_field_check_bad_tolerance_is_usage_error(tol, config_file, capsys):
+    # NaN would be written as invalid JSON, inf would pass every case
+    code, out, err = run_cli(["field-check", "--config", config_file,
+                              f"--tolerance={tol}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_field_check_missing_file(capsys):
     code, _, err = run_cli(["field-check", "--config", "/nonexistent.json"],
                            capsys)

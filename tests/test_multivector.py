@@ -30,7 +30,9 @@ from gafields.multivector import (
     trace,
     wedge,
 )
-from gafields.checks import random_kform, random_metric, random_mv
+from gafields.checks import (constant_field, flat_minkowski_chart,
+                             random_kform, random_metric, random_mv)
+from gafields.manifold import conjugate_field, reversion_field
 from conftest import random_metric_signed
 
 
@@ -194,16 +196,34 @@ def test_basis_tag_guard(rng):
 # ---------------------------------------------------------------------------
 # grading, involutions, trace
 
+def ref_grade(mask):
+    return bin(mask).count("1")
+
+
 def test_grade_decomposition(rng):
-    n = 5
-    u = random_mv(n, rng)
-    total = Multivector(n)
-    for k in range(n + 1):
-        total = total + grade_project(u, k)
-    assert (total - u).norm() == 0.0
+    # the grade arrays against per-mask reference loops, every mask to n = 8
+    for n in range(9):
+        grades = blades.grade_array(n)
+        assert not grades.flags.writeable
+        assert grades.tolist() == [ref_grade(mask) for mask in range(1 << n)]
+        u = random_mv(n, rng)
+        total = Multivector(n)
+        for k in range(n + 1):
+            part = grade_project(u, k)
+            masks = [mask for mask in range(1 << n) if ref_grade(mask) == k]
+            assert grade_masks(n, k) == masks
+            for mask in range(1 << n):
+                want = u.coeffs[mask] if ref_grade(mask) == k else 0.0
+                assert part.coeffs[mask] == want
+            total = total + part
+        assert (total - u).norm() == 0.0
+        for mask in range(1 << n):
+            e = Multivector.from_dict(n, {mask: 1.0 + 2.0j})
+            assert e.grades() == [ref_grade(mask)]
+            assert e.is_even() == (ref_grade(mask) % 2 == 0)
 
 
-def test_reversion_signs():
+def test_reversion_signs(rng):
     n = 4
     signs = [1, 1, -1, -1, 1]  # (-1)^{k(k-1)/2} read off by grade
     for k in range(n + 1):
@@ -213,6 +233,25 @@ def test_reversion_signs():
         got = conjugate_star(u)
         want = signs[k] * Multivector.from_dict(n, {masks[0]: 1.0 - 2.0j})
         assert (got - want).norm() == 0.0
+    # every mask to n = 8 against the per-mask rule
+    for n in range(9):
+        assert not blades.reversion_array(n).flags.writeable
+        u = random_mv(n, rng)
+        rev, conj = reversion(u), conjugate_star(u)
+        for mask in range(1 << n):
+            k = ref_grade(mask)
+            sign = (-1) ** (k * (k - 1) // 2)
+            assert blades.reversion_sign(k) == sign
+            assert blades.reversion_array(n)[mask] == sign
+            assert rev.coeffs[mask] == sign * u.coeffs[mask]
+            assert conj.coeffs[mask] == sign * u.coeffs[mask].conjugate()
+    # the symbolic involutions agree with the numeric ones on a constant field
+    chart = flat_minkowski_chart()
+    u = random_mv(4, rng)
+    p = chart.midpoint()
+    field = constant_field(chart, u)
+    assert (reversion_field(field).eval_at(p) - reversion(u)).norm() == 0.0
+    assert (conjugate_field(field).eval_at(p) - conjugate_star(u)).norm() == 0.0
 
 
 def test_reversion_antihomomorphism(rng):
