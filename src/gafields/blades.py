@@ -18,9 +18,10 @@ step `gen_mul` and the basis conversions from here.
 
 This module is also the one place that knows blade grades and signs:
 `grade_array(n)` and `reversion_array(n)` are read-only arrays over all 2^n
-masks, built once per dimension, and `reversion_sign(k)` is the sign
-rule itself; the numeric layer reads its grade projections, parities
-and involutions off these arrays.
+masks, built once per dimension, and `reversion_sign(k)` and
+`star_inverse_sign(k, n, sgn g)` are the sign rules themselves; the
+numeric layer reads its grade projections, parities and involutions off
+these arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ def reversion_sign(k):
     """(-1)^(k(k-1)/2), the sign reversion gives a grade-k blade; k may
     be an int or an integer array."""
     return 1 - 2 * ((k // 2) % 2)
+
+
+def star_inverse_sign(k: int, n: int, det_sign: int) -> int:
+    """sgn(g) (-1)^(k(n+1)): the double Hodge star of a grade-k form in
+    n dimensions is this sign times the form, so the inverse star of a
+    grade-k form is this sign times its star."""
+    return det_sign * (-1 if k * (n + 1) % 2 else 1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from .blades import star_inverse_sign
 from .dirac import (MINKOWSKI_DIAG, gamma_matrices, minkowski_metric,
                     multivector_from_matrix, rep_map)
 from .expr import CExpr, ZERO, call, parse
@@ -53,10 +54,13 @@ def random_mv(n: int, rng: np.random.Generator) -> Multivector:
 
 
 def random_kform(n: int, k: int, rng: np.random.Generator) -> Multivector:
-    u = Multivector(n)
-    for mask in grade_masks(n, k):
-        u.coeffs[mask] = rng.normal() + 1j * rng.normal()
-    return u
+    """Complex normal coefficients on the grade-k blades, drawn real
+    part then imaginary part, blade by blade in mask order."""
+    masks = grade_masks(n, k)
+    z = rng.normal(size=(len(masks), 2))
+    coeffs = np.zeros(1 << n, dtype=complex)
+    coeffs[masks] = z[:, 0] + 1j * z[:, 1]
+    return Multivector._of(n, coeffs)
 
 
 def random_form_field(chart: Chart, rng: np.random.Generator,
@@ -95,9 +99,8 @@ def constant_field(chart: Chart, u: Multivector) -> FormField:
 def hodge_defects(u: Multivector, m: Metric) -> tuple:
     """For a k-form U: the algebraic star against the component formula,
     and **U against sgn(g) (-1)^(k(n+1)) U."""
-    k, n = u.grade(), m.dim
     star = hodge_star(u, m)
-    sign = m.sign * (-1 if (k * (n + 1)) % 2 else 1)
+    sign = star_inverse_sign(u.grade(), m.dim, m.sign)
     return ((star - hodge_star_components(u, m)).norm(),
             (hodge_star(star, m) - sign * u).norm())
 

@@ -25,13 +25,9 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> float:
-    return float(f"{x:.17g}")
-
-
 def _case(cid: str, defect: float, tol: float) -> dict:
     return {"id": cid, "status": "pass" if defect <= tol else "fail",
-            "max_defect": _fmt(defect), "tolerance": tol}
+            "max_defect": float(defect), "tolerance": tol}
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +75,7 @@ def cmd_mul_table(args) -> int:
         # metric; walk b, then c
         for b, c in zip(*np.nonzero(np.abs(prod.T) > 1e-14)):
             entries.append({"alpha": names[a], "beta": names[b],
-                            "gamma": names[c], "re": _fmt(prod[c, b]),
+                            "gamma": names[c], "re": float(prod[c, b]),
                             "im": 0.0})
     payload = {"dim": metric.dim, "basis": basis, "entries": entries}
     # lazy: the rows are formatted only under --format csv

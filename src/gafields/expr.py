@@ -330,6 +330,18 @@ def evaluate(e: Expr, point, memo=None):
     return v
 
 
+def evaluate_table(table, point) -> np.ndarray:
+    """A nested table (lists or an object array) of real expressions or
+    numbers at a point of floats, as a float array of the table's shape;
+    every entry shares one memo."""
+    memo = {}
+    exprs = np.asarray(table, dtype=object)
+    out = np.empty(exprs.shape)
+    for idx, e in np.ndenumerate(exprs):
+        out[idx] = evaluate(lift(e), point, memo)
+    return out
+
+
 def _eval(e: Expr, point, memo):
     # the memo entry pins the node: id() keys are only unique while the
     # object is alive, and shared memos outlive temporary subtrees.  A

@@ -324,15 +324,13 @@ def g_strength_fields(cfg: FieldConfig):
 
 
 def field_strengths(cfg: FieldConfig, p):
-    """Numeric (f_ij, G_ij) arrays at a point."""
-    n = cfg.chart.dim
+    """(f_ij, G_ij) at a point: an n x n complex array and n x n 2-form
+    Multivectors, evaluated with one memo."""
     memo = {}
-    f_exprs = f_strength_exprs(cfg)
-    f = np.array([[f_exprs[i][j].evaluate(p, memo) for j in range(n)]
-                  for i in range(n)])
-    g_fields = g_strength_fields(cfg)
-    g = [[g_fields[i][j].eval_at(p, memo) for j in range(n)]
-         for i in range(n)]
+    f = np.array([[fij.evaluate(p, memo) for fij in row]
+                  for row in f_strength_exprs(cfg)])
+    g = [[gij.eval_at(p, memo) for gij in row]
+         for row in g_strength_fields(cfg)]
     return f, g
 
 
@@ -363,28 +361,20 @@ def _raise_pair(cfg, lower, i, j):
 
 def lagrangian_l0(cfg: FieldConfig, p, c1: float = 1.0,
                   c2: float = 1.0) -> complex:
-    n = cfg.chart.dim
-    memo = {}
-    sqrtg = evaluate(cfg.chart.sqrt_abs_det, p, memo)
-    f_exprs = f_strength_exprs(cfg)
-    f_low = np.array([[f_exprs[i][j].evaluate(p, memo) for j in range(n)]
-                      for i in range(n)])
+    """sqrt|g| (c1 f_ij f^ij + c2 Tr(G_ij G^ij)), with both pairs of
+    indices raised by g^ij."""
+    sqrtg = evaluate(cfg.chart.sqrt_abs_det, p)
+    f_low, g_fields = field_strengths(cfg, p)
     metric = cfg.chart.metric_at(p)
     gu = metric.g_upper
     f_up = gu @ f_low @ gu.T
-    total = c1 * sqrtg * np.sum(f_low * f_up)
-    g_fields = g_strength_fields(cfg)
-    g_low = [[g_fields[i][j].eval_at(p, memo) for j in range(n)]
-             for i in range(n)]
-    table = build_product_table(metric)
-    for i in range(n):
-        for j in range(n):
-            g_up = Multivector(n)
-            for r in range(n):
-                for s in range(n):
-                    g_up = g_up + gu[i, r] * gu[j, s] * g_low[r][s]
-            total += c2 * sqrtg * table.mul(g_low[i][j], g_up).coeffs[0]
-    return complex(total)
+    g_low = np.array([[gij.coeffs for gij in row] for row in g_fields])
+    g_up = np.einsum("ir,js,rsa->ija", gu, gu, g_low)
+    # scalar[a, b]: the trace of e_a e_b
+    scalar = build_product_table(metric).left[:, 0, :]
+    return complex(c1 * sqrtg * np.sum(f_low * f_up)
+                   + c2 * sqrtg * np.einsum("ija,ab,ijb->", g_low, scalar,
+                                            g_up))
 
 
 def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,

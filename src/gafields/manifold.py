@@ -10,6 +10,7 @@ dx^{i1} ^ ... ^ dx^{ik}.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .expr import (
     ZERO,
     call,
     diff,
-    evaluate,
+    evaluate_table,
     lift,
     parse,
     subst,
@@ -73,8 +74,6 @@ def _sym_inverse(mat):
 
 @dataclass
 class CurvatureData:
-    point: tuple
-    gamma: np.ndarray      # gamma[k, i, j] = Gamma^k_{ij}
     r_mixed: np.ndarray    # r_mixed[i, j, r, k] = R^{...k}_{ij,r}
     r_lower: np.ndarray    # r_lower[i, j, r, l] = R_{ij,rl}
     d_forms: list          # d_forms[r][l] = D_{rl} as a 2-form Multivector
@@ -102,7 +101,7 @@ class Chart:
         self.sign = ref.sign
         self.sqrt_abs_det = call("sqrt", Const(float(self.sign)) * self.det_expr)
         self._gamma = None
-        self._dgamma = None
+        self._riemann = None
 
     def midpoint(self):
         return tuple((lo + hi) / 2 for lo, hi in self.domain)
@@ -119,9 +118,7 @@ class Chart:
         """The metric at p.  The chart keeps the last Metric it built and
         returns it again while the metric's exact values repeat, so a
         constant chart has one Metric and one product table."""
-        memo = {}
-        g = np.array([[evaluate(e, p, memo) for e in row]
-                      for row in self.g_lower_exprs])
+        g = evaluate_table(self.g_lower_exprs, p)
         key = g.tobytes()
         if key != self._metric_key:
             self._metric = new_metric(g, convention="lower")
@@ -152,86 +149,59 @@ class Chart:
             self._gamma = gamma
         return self._gamma
 
-    def _dgamma_exprs(self):
-        if self._dgamma is None:
+    def riemann_exprs(self):
+        """R^k_{ij,r} as expressions, [i][j][r][k], for i < j; the
+        entries with i >= j are ZERO, since R is antisymmetric in (i, j)."""
+        if self._riemann is None:
             n = self.dim
             gm = self.gamma_exprs()
-            self._dgamma = [[[[diff(gm[k][j][r], i + 1) for r in range(n)]
-                              for j in range(n)] for k in range(n)]
-                            for i in range(n)]  # [i][k][j][r] = d_i Gamma^k_{jr}
-        return self._dgamma
-
-    def christoffel(self, p) -> np.ndarray:
-        self.check_point(p)
-        gm = self.gamma_exprs()
-        n = self.dim
-        memo = {}
-        out = np.zeros((n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = evaluate(gm[k][i][j], p, memo)
-        return out
-
-    def curvature(self, p) -> CurvatureData:
-        self.check_point(p)
-        n = self.dim
-        gamma = self.christoffel(p)
-        dg = self._dgamma_exprs()
-        memo = {}
-        dgam = np.zeros((n, n, n, n))
-        for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    for r in range(n):
-                        dgam[i, k, j, r] = evaluate(dg[i][k][j][r], p, memo)
-        r_mixed = np.zeros((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for r in range(n):
-                    for k in range(n):
-                        quad = gamma[k, :, i] @ gamma[:, j, r] \
-                            - gamma[k, :, j] @ gamma[:, i, r]
-                        r_mixed[i, j, r, k] = -(dgam[i, k, j, r]
-                                                - dgam[j, k, i, r] + quad)
-        g_low = self.metric_at(p).g_lower
-        r_lower = np.einsum("ijrk,kl->ijrl", r_mixed, g_low)
-        d_forms = [[Multivector(n) for _ in range(n)] for _ in range(n)]
-        for r in range(n):
-            for l in range(n):
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        mask = (1 << i) | (1 << j)
-                        d_forms[r][l].coeffs[mask] = r_lower[i, j, r, l]
-        return CurvatureData(tuple(p), gamma, r_mixed, r_lower, d_forms)
-
-
-def curvature_forms(chart: Chart):
-    """The curvature 2-forms D_rl as symbolic fields, [r][l]: built once,
-    they evaluate at any point or batch to what `Chart.curvature` gives
-    numerically at one point."""
-    n = chart.dim
-    gm = chart.gamma_exprs()
-    dg = chart._dgamma_exprs()
-    g = chart.g_lower_exprs
-    coeffs = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mask = (1 << i) | (1 << j)
-            for r in range(n):
-                # R^k_{ij,r} for every k, then lowered with g_kl
-                r_mixed = []
-                for k in range(n):
+            riem = [[[[ZERO] * n for _ in range(n)] for _ in range(n)]
+                    for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                for r, k in itertools.product(range(n), repeat=2):
                     quad = ZERO
                     for m in range(n):
                         quad = quad + gm[k][m][i] * gm[m][j][r] \
                             - gm[k][m][j] * gm[m][i][r]
-                    r_mixed.append(-(dg[i][k][j][r] - dg[j][k][i][r] + quad))
-                for l in range(n):
-                    acc = ZERO
-                    for k in range(n):
-                        acc = acc + r_mixed[k] * g[k][l]
-                    coeffs[r][l][mask] = CExpr(acc)
+                    riem[i][j][r][k] = -(diff(gm[k][j][r], i + 1)
+                                         - diff(gm[k][i][r], j + 1) + quad)
+            self._riemann = riem
+        return self._riemann
+
+    def christoffel(self, p) -> np.ndarray:
+        self.check_point(p)
+        return evaluate_table(self.gamma_exprs(), p)
+
+    def curvature(self, p) -> CurvatureData:
+        self.check_point(p)
+        n = self.dim
+        upper = evaluate_table(self.riemann_exprs(), p)
+        r_mixed = upper - upper.swapaxes(0, 1)
+        r_lower = np.einsum("ijrk,kl->ijrl", r_mixed,
+                            self.metric_at(p).g_lower)
+        i, j = np.triu_indices(n, 1)
+        coeffs = np.zeros((n, n, 1 << n), dtype=complex)
+        coeffs[:, :, (1 << i) | (1 << j)] = r_lower[i, j].transpose(1, 2, 0)
+        d_forms = [[Multivector._of(n, coeffs[r, l]) for l in range(n)]
+                   for r in range(n)]
+        return CurvatureData(r_mixed, r_lower, d_forms)
+
+
+def curvature_forms(chart: Chart):
+    """The curvature 2-forms D_rl as symbolic fields, [r][l]: the
+    Riemann table of `Chart.riemann_exprs` lowered with g_kl, which
+    `Chart.curvature` evaluates and lowers at one point."""
+    n = chart.dim
+    riem = chart.riemann_exprs()
+    g = chart.g_lower_exprs
+    coeffs = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        mask = (1 << i) | (1 << j)
+        for r, l in itertools.product(range(n), repeat=2):
+            acc = ZERO
+            for k in range(n):
+                acc = acc + riem[i][j][r][k] * g[k][l]
+            coeffs[r][l][mask] = CExpr(acc)
     return [[FormField(chart, coeffs[r][l]) for l in range(n)]
             for r in range(n)]
 
@@ -394,7 +364,7 @@ def star_inverse_field(u: FormField) -> FormField:
     n = u.chart.dim
     out = FormField(u.chart)
     for k in u.grades():
-        sign = u.chart.sign * (-1.0 if (k * (n + 1)) % 2 == 1 else 1.0)
+        sign = blades.star_inverse_sign(k, n, u.chart.sign)
         out = out + hodge_field(grade_project_field(u, k)).scale(sign)
     return out
 
@@ -476,11 +446,8 @@ class TensorField:
 
     def eval_at(self, p) -> np.ndarray:
         self.chart.check_point(p)
-        memo = {}
-        out = np.zeros(self.comps.shape)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = evaluate(lift(self.comps[idx]), p, memo)
-        return out if self.comps.shape else float(out)
+        out = evaluate_table(self.comps, p)
+        return out if out.shape else float(out)
 
 
 def nabla(t: TensorField) -> TensorField:
@@ -523,8 +490,7 @@ class CoordinateChange:
                           for a in range(self.dim)] for i in range(self.dim)]
 
     def old_point(self, p_new):
-        memo = {}
-        return tuple(evaluate(e, p_new, memo) for e in self.old_exprs)
+        return tuple(evaluate_table(self.old_exprs, p_new).tolist())
 
     def _subst_map(self):
         return {i + 1: self.old_exprs[i] for i in range(self.dim)}

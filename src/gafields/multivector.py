@@ -20,6 +20,8 @@ from .metric import ArgumentError, Metric
 
 IDENTITY_RTOL = 1e-10
 MAX_TABLE_DIM = 8  # the dense structure tensor takes 128 MB at n = 8
+EXP_RTOL = 1e-16  # exp_mv stops at a term this small against the sum or 1
+EXP_MAX_TERMS = 200
 
 
 class DimensionMismatch(ValueError):
@@ -312,7 +314,7 @@ def star_inverse(u: Multivector, m: Metric) -> Multivector:
     n = m.dim
     out = Multivector(n)
     for k in u.grades():
-        sign = m.sign * (-1 if (k * (n + 1)) % 2 == 1 else 1)
+        sign = blades.star_inverse_sign(k, n, m.sign)
         out = out + sign * hodge_star(grade_project(u, k), m)
     return out
 
@@ -327,21 +329,21 @@ def commutator_2forms(u: Multivector, v: Multivector,
     return table.mul(u, v) - table.mul(v, u)
 
 
-def exp_mv(u: Multivector, table: ProductTable, rtol: float = 1e-16,
-           max_terms: int = 200) -> Multivector:
+def exp_mv(u: Multivector, table: ProductTable) -> Multivector:
     """Clifford exponential as a truncated power series."""
     acc = Multivector.unit(u.dim)
     term = Multivector.unit(u.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_terms + 1):
+        for k in range(1, EXP_MAX_TERMS + 1):
             term = table.mul(term, u) * (1.0 / k)
             acc = acc + term
-            if term.norm() < rtol * max(acc.norm(), 1.0):
+            if term.norm() < EXP_RTOL * max(acc.norm(), 1.0):
                 return acc
             if not np.isfinite(term.norm()):
                 break
     raise NumericError(f"exponential series did not converge in "
-                       f"{max_terms} terms (last term norm {term.norm():.3e})")
+                       f"{EXP_MAX_TERMS} terms (last term norm "
+                       f"{term.norm():.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +479,11 @@ def mv_from_json(text: str, dim: int, m: Metric = None) -> Multivector:
     basis = data.get("basis", GRASSMANN)
     u = Multivector(dim)
     for term in data["terms"]:
-        mask = blades.mask_of(term["indices"])
+        idx = term["indices"]
+        if len(set(idx)) != len(idx) or not all(1 <= i <= dim for i in idx):
+            raise ArgumentError(f"blade indices {idx} are not distinct "
+                                f"values in 1..{dim}")
+        mask = blades.mask_of(idx)
         u.coeffs[mask] += complex(term.get("re", 0.0), term.get("im", 0.0))
     if basis == CLIFFORD:
         if m is None:

@@ -23,6 +23,7 @@ from .multivector import (
 )
 
 SPIN_TOL = 1e-9
+FACTOR_TOL = 1e-8  # relative singular-value and F F* = e tolerance
 
 
 class NotSpinIsometry(ValueError):
@@ -71,7 +72,7 @@ def isometry_of(f: Multivector, m: Metric) -> np.ndarray:
     return p
 
 
-def factor_isometry(p: np.ndarray, m: Metric, tol: float = 1e-8) -> Multivector:
+def factor_isometry(p: np.ndarray, m: Metric) -> Multivector:
     """Find a spin element F with F* e^i F = p[i][j] e^j.
 
     Solves the equivalent linear condition e^i F = F (p[i][j] e^j) on the
@@ -103,7 +104,8 @@ def factor_isometry(p: np.ndarray, m: Metric, tol: float = 1e-8) -> Multivector:
     system = np.vstack(rows)
 
     _, s, vt = np.linalg.svd(system)
-    null_dim = full - np.count_nonzero(s > tol * max(s[0] if s.size else 1.0, 1.0))
+    cutoff = FACTOR_TOL * max(s[0] if s.size else 1.0, 1.0)
+    null_dim = full - np.count_nonzero(s > cutoff)
     if null_dim < 1:
         raise NotSpinIsometry("no even form intertwines this isometry")
 
@@ -114,9 +116,10 @@ def factor_isometry(p: np.ndarray, m: Metric, tol: float = 1e-8) -> Multivector:
         ff = clifford_mul(f, conjugate_star(f), table)
         rest = ff - grade_project(ff, 0)
         scale = complex(ff.coeffs[0])
-        if rest.norm() > tol * max(abs(scale), 1.0) or abs(scale.imag) > tol:
+        if rest.norm() > FACTOR_TOL * max(abs(scale), 1.0) \
+                or abs(scale.imag) > FACTOR_TOL:
             continue
-        if scale.real > tol:
+        if scale.real > FACTOR_TOL:
             f = f * (1.0 / np.sqrt(scale.real))
             # normalize the overall sign: largest coefficient positive
             if f.coeffs[np.argmax(np.abs(f.coeffs))].real < 0:

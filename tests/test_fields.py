@@ -1,9 +1,11 @@
 """Gauge field model: main equation, conservation, gauge symmetry, sources."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from gafields.expr import CExpr, EvalDomainError, ZERO, call, parse
+from gafields.expr import CExpr, EvalDomainError, ZERO, call, evaluate, parse
 from gafields.fields import (
     FieldConfig,
     FieldConfigError,
@@ -29,7 +31,7 @@ from gafields.fields import (
 from gafields import fields, multivector
 from gafields.fields import _value as form_value
 from gafields.manifold import CoordinateChange, FormField, scalar_field
-from gafields.multivector import build_product_table
+from gafields.multivector import Multivector, build_product_table, trace
 from gafields.spin import random_spin_element
 from gafields.checks import (constant_field, flat_minkowski_chart,
                              random_form_field)
@@ -182,6 +184,46 @@ def test_gauge_rejects_non_unit_v(rng):
     u, v, _ = gauge_pair(cfg, rng)
     with pytest.raises(FieldConfigError):
         gauge_transform(cfg, u, CExpr.of(2.0))
+
+
+def noncommuting_b_config(rng):
+    """Flat config whose B_k do not commute, so G_ij is not zero."""
+    chart = flat_minkowski_chart()
+    b_srcs = ({0b0011: "0.5", 0b1100: "0.2*x2"}, {0b0110: "0.4 + 0.1*x1"},
+              {0b0101: "0.3*x4"}, {0b1001: "0.6", 0b1010: "0.2*x3"})
+    b = [FormField(chart, {mask: CExpr(parse(src, 4), ZERO)
+                           for mask, src in srcs.items()})
+         for srcs in b_srcs]
+    a = [scalar_field(chart, CExpr(ZERO, parse(src, 4)))
+         for src in ("0.3*x2", "x1*x3", "0.1*x4", "x1 + x2")]
+    h = FormField(chart, {0b1000: CExpr.of(1.0)})
+    return FieldConfig(chart, random_form_field(chart, rng, FLAT_POOL), a, b,
+                       h, 1.1)
+
+
+def test_lagrangian_l0_gauge_part_with_noncommuting_b(rng):
+    # the c2 part of L0 is sqrt|g| sum_ij Tr(G_ij G^ij), here nonzero, and
+    # it is invariant under a constant spin gauge transformation
+    cfg = noncommuting_b_config(rng)
+    mref = cfg.chart.metric_at(cfg.chart.midpoint())
+    t = build_product_table(mref)
+    gu = mref.g_upper
+    f = random_spin_element(mref, rng, 0.4)
+    cfg2 = gauge_transform(cfg, constant_field(cfg.chart, f), CExpr.of(1.0))
+    pairs = list(itertools.product(range(4), repeat=2))
+    for p in sample_points(cfg.chart, rng, 3):
+        _, g = field_strengths(cfg, p)
+        want = 0.0
+        for i, j in pairs:
+            g_up = Multivector(4)
+            for r, s in pairs:
+                g_up = g_up + gu[i, r] * gu[j, s] * g[r][s]
+            want += trace(t.mul(g[i][j], g_up))
+        want *= evaluate(cfg.chart.sqrt_abs_det, p)
+        got = lagrangian_l0(cfg, p, 0.0, 1.0)
+        assert abs(got) > 0.1
+        assert abs(got - want) < 1e-12
+        assert abs(lagrangian_l0(cfg2, p, 0.0, 1.0) - got) < 1e-12
 
 
 def test_lagrangian_l1_real(rng):

@@ -130,6 +130,22 @@ def test_curvature_forms_antisymmetry(rng):
             assert (cd.d_forms[r][l] + cd.d_forms[l][r]).norm() < 1e-12
 
 
+def riemann_by_differences(chart, p, h=1e-5):
+    """R^k_{ij,r} = -(d_i G^k_{jr} - d_j G^k_{ir} + G^k_{mi} G^m_{jr}
+    - G^k_{mj} G^m_{ir}), [i, j, r, k], from central differences of the
+    Christoffel symbols G."""
+    n = chart.dim
+    gam = chart.christoffel(p)
+    dgam = np.zeros((n, n, n, n))  # dgam[i, k, j, r] = d_i G^k_{jr}
+    for i in range(n):
+        step = h * np.eye(n)[i]
+        dgam[i] = (chart.christoffel(tuple(p + step))
+                   - chart.christoffel(tuple(p - step))) / (2 * h)
+    d = np.einsum("ikjr->ijrk", dgam)
+    quad = np.einsum("kmi,mjr->ijrk", gam, gam)
+    return -(d - d.swapaxes(0, 1) + quad - quad.swapaxes(0, 1))
+
+
 def test_symbolic_curvature_forms_match_numeric(rng):
     # a 3-chart mixing a sphere block with a warped third coordinate
     chart = Chart([[parse(s, 3) for s in row] for row in
@@ -138,6 +154,10 @@ def test_symbolic_curvature_forms_match_numeric(rng):
                   [(0.5, 2.6), (0.1, 1.0), (-1.0, 1.0)])
     forms = curvature_forms(chart)
     points = random_points(chart, rng, 4)
+    for p in points:
+        want = riemann_by_differences(chart, np.array(p))
+        assert np.abs(want).max() > 0.1
+        assert np.allclose(chart.curvature(p).r_mixed, want, atol=1e-7)
     batch = tuple(np.array(points).T)
     for r in range(3):
         for l in range(3):

@@ -1,6 +1,7 @@
 """Multivector core: wedge, Clifford product, bases, grading, JSON."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -345,6 +346,29 @@ def test_mv_json_round_trip(rng):
     m = random_metric(3, rng)
     w = mv_from_json(mv_to_json(u, CLIFFORD, m), 3, m)
     assert (w - u).norm() < 1e-12
+
+
+@pytest.mark.parametrize("indices", [[5], [0], [1, 1]],
+                         ids=["beyond_dim", "zero", "repeated"])
+def test_mv_json_bad_indices_is_argument_error(indices):
+    text = json.dumps({"terms": [{"indices": indices, "re": 1.0}]})
+    with pytest.raises(ArgumentError):
+        mv_from_json(text, 2)
+
+
+def test_random_kform_matches_per_mask_draws():
+    # one batched draw gives the stream of a real-then-imaginary draw per
+    # mask, bit for bit, and leaves the generator where the loop does
+    for n in range(1, 6):
+        for k in range(n + 1):
+            rng = np.random.default_rng(n * 10 + k)
+            ref_rng = np.random.default_rng(n * 10 + k)
+            got = random_kform(n, k, rng)
+            want = np.zeros(1 << n, dtype=complex)
+            for mask in grade_masks(n, k):
+                want[mask] = ref_rng.normal() + 1j * ref_rng.normal()
+            assert np.array_equal(got.coeffs, want)
+            assert rng.normal() == ref_rng.normal()
 
 
 @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
