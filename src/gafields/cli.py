@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -33,16 +32,62 @@ def _case(cid: str, defect: float, tol: float) -> dict:
 # ---------------------------------------------------------------------------
 # Commands.
 
+def _output(args, write) -> None:
+    """Run `write(fh)` on the --out file, or else on `sys.stdout` as it
+    is at this call (a caller may have redirected it)."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            write(fh)
+    else:
+        write(sys.stdout)
+
+
 def _emit(payload, args, csv_rows):
     if args.format == "csv":
         text = "\n".join(",".join(str(x) for x in row) for row in csv_rows)
     else:
         text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _output(args, lambda fh: fh.write(text + "\n"))
+
+
+def _write_table(fh, fmt: str, basis: str, dim: int, prods) -> None:
+    """Stream the nonzero structure constants, one alpha at a time, as
+    `json.dumps(..., indent=2)` of {dim, basis, entries} or as CSV rows
+    would write them; `prods[a][c, b]` is the coefficient of c in
+    e_a e_b, real for a real metric.  Floats go out as `repr`, which is
+    what json writes for a finite float."""
+    names = [blades.blade_indices(mask) for mask in range(1 << dim)]
+    if fmt == "csv":
+        keys = ["|".join(map(str, idx)) for idx in names]
+        fh.write("alpha,beta,gamma,re,im")
+        # an entry reads: start alpha to_beta beta to_gamma gamma to_re
+        # re end
+        start, to_beta, to_gamma, to_re, end = "", ",", ",", ",", ",0.0"
+        sep, tail = "\n", "\n"
     else:
-        print(text)
+        # an entry's names sit at the third indent level
+        keys = [json.dumps(idx, indent=2).replace("\n", "\n      ")
+                for idx in names]
+        fh.write(f'{{\n  "dim": {dim},\n  "basis": {json.dumps(basis)},\n'
+                 f'  "entries": [')
+        start, to_beta, to_gamma, to_re, end = (
+            '    {\n      "alpha": ', ',\n      "beta": ',
+            ',\n      "gamma": ', ',\n      "re": ',
+            ',\n      "im": 0.0\n    }')
+        sep, tail = ",\n", "\n  ]\n}\n"
+    lead = "\n"
+    for a, prod in enumerate(prods):
+        # walk b, then c; e_a e_0 = e_a, so there is at least one entry
+        b, c = np.nonzero(np.abs(prod.T) > 1e-14)
+        # a table repeats few values: format each distinct one once
+        values, which = np.unique(prod.T[b, c], return_inverse=True)
+        res = list(map(repr, values.tolist()))
+        head = start + keys[a] + to_beta
+        fh.write(lead + sep.join([
+            f"{head}{keys[j]}{to_gamma}{keys[k]}{to_re}{res[i]}{end}"
+            for j, k, i in zip(b.tolist(), c.tolist(), which.tolist())]))
+        lead = sep
+    fh.write(tail)
 
 
 def cmd_mul_table(args) -> int:
@@ -54,35 +99,17 @@ def cmd_mul_table(args) -> int:
     if metric.dim > MAX_TABLE_DIM:
         raise _UsageError(f"dimension {metric.dim} exceeds the table "
                           f"limit of {MAX_TABLE_DIM}")
-    basis = args.basis
-    if basis not in (GRASSMANN, CLIFFORD):
-        raise _UsageError(f"unknown basis {basis!r}")
     table = build_product_table(metric)
-    size = 1 << metric.dim
-    names = [blades.blade_indices(mask) for mask in range(size)]
-    if basis == CLIFFORD:
+    prods = table.left
+    if args.basis == CLIFFORD:
+        # for Clifford monomials: the Grassmann-basis product conjugated
+        # by the two basis-change matrices
         c2g = table.clifford_to_grassmann_matrix()
         g2c = table.grassmann_to_clifford_matrix()
-    entries = []
-    for a in range(size):
-        if basis == CLIFFORD:
-            # e_a e_b for Clifford monomials: the Grassmann-basis product
-            # conjugated by the two basis-change matrices
-            prod = g2c @ np.tensordot(c2g[:, a], table.left, 1) @ c2g
-        else:
-            prod = table.left[a]
-        # prod[c, b] is the coefficient of c in e_a e_b, real for a real
-        # metric; walk b, then c
-        for b, c in zip(*np.nonzero(np.abs(prod.T) > 1e-14)):
-            entries.append({"alpha": names[a], "beta": names[b],
-                            "gamma": names[c], "re": float(prod[c, b]),
-                            "im": 0.0})
-    payload = {"dim": metric.dim, "basis": basis, "entries": entries}
-    # lazy: the rows are formatted only under --format csv
-    csv_rows = itertools.chain([("alpha", "beta", "gamma", "re", "im")], (
-        ("|".join(map(str, e["alpha"])), "|".join(map(str, e["beta"])),
-         "|".join(map(str, e["gamma"])), e["re"], e["im"]) for e in entries))
-    _emit(payload, args, csv_rows)
+        prods = (g2c @ np.tensordot(c2g[:, a], table.left, 1) @ c2g
+                 for a in range(1 << metric.dim))
+    _output(args, lambda fh: _write_table(fh, args.format, args.basis,
+                                          metric.dim, prods))
     return EXIT_PASS
 
 
@@ -156,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mt = sub.add_parser("mul-table", help="emit Clifford structure constants")
     mt.add_argument("--metric", required=True)
-    mt.add_argument("--basis", default=GRASSMANN)
+    mt.add_argument("--basis", default=GRASSMANN,
+                    choices=(GRASSMANN, CLIFFORD))
     mt.add_argument("--out")
     mt.add_argument("--format", default="json", choices=("json", "csv"))
     mt.set_defaults(func=cmd_mul_table)

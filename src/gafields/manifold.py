@@ -32,7 +32,8 @@ from .expr import (
     to_str,
 )
 from .metric import ArgumentError, Metric, new_metric
-from .multivector import Multivector, grade_masks
+from .multivector import (GRASSMANN, Multivector, grade_masks, json_basis,
+                          term_mask)
 
 
 class ChartError(ValueError):
@@ -304,9 +305,11 @@ def volume_field(chart: Chart) -> FormField:
 
 def field_from_json(text: str, chart: Chart) -> FormField:
     data = json.loads(text)
+    # the coefficients are expressions: no Clifford-basis import
+    json_basis(data, (GRASSMANN,))
     coeffs = {}
     for term in data["terms"]:
-        mask = blades.mask_of(term["indices"])
+        mask = term_mask(term["indices"], chart.dim)
         re = parse(term.get("re", "0"), chart.dim)
         im = parse(term.get("im", "0"), chart.dim)
         blades.add_term(coeffs, mask, CExpr(re, im))
@@ -319,7 +322,7 @@ def field_to_json(u: FormField) -> str:
         c = u.coeffs[mask]
         terms.append({"indices": blades.blade_indices(mask),
                       "re": to_str(c.re), "im": to_str(c.im)})
-    return json.dumps({"basis": "grassmann", "terms": terms})
+    return json.dumps({"basis": GRASSMANN, "terms": terms})
 
 
 # ---------------------------------------------------------------------------

@@ -474,16 +474,30 @@ def mv_to_json(u: Multivector, basis: str = GRASSMANN, m: Metric = None) -> str:
     return json.dumps({"basis": basis, "terms": terms})
 
 
+def json_basis(data, allowed) -> str:
+    """The `basis` of a JSON object (Grassmann if absent), one of
+    `allowed`."""
+    basis = data.get("basis", GRASSMANN)
+    if basis not in allowed:
+        raise ArgumentError(f"unknown basis {basis!r}; expected "
+                            f"{' or '.join(allowed)}")
+    return basis
+
+
+def term_mask(idx, dim: int) -> int:
+    """Blade mask of a JSON term's indices: distinct values in 1..dim."""
+    if len(set(idx)) != len(idx) or not all(1 <= i <= dim for i in idx):
+        raise ArgumentError(f"blade indices {idx} are not distinct "
+                            f"values in 1..{dim}")
+    return blades.mask_of(idx)
+
+
 def mv_from_json(text: str, dim: int, m: Metric = None) -> Multivector:
     data = json.loads(text)
-    basis = data.get("basis", GRASSMANN)
+    basis = json_basis(data, (GRASSMANN, CLIFFORD))
     u = Multivector(dim)
     for term in data["terms"]:
-        idx = term["indices"]
-        if len(set(idx)) != len(idx) or not all(1 <= i <= dim for i in idx):
-            raise ArgumentError(f"blade indices {idx} are not distinct "
-                                f"values in 1..{dim}")
-        mask = blades.mask_of(idx)
+        mask = term_mask(term["indices"], dim)
         u.coeffs[mask] += complex(term.get("re", 0.0), term.get("im", 0.0))
     if basis == CLIFFORD:
         if m is None:

@@ -7,13 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from gafields.blades import mask_of
+from gafields.blades import blade_indices, mask_of
 from gafields.expr import CExpr, parse
 from gafields.fields import FieldConfig, config_to_json
 from gafields.manifold import Chart, FormField
 from gafields.metric import metric_from_json, metric_to_json, new_metric
-from gafields.multivector import (CLIFFORD, GRASSMANN, Multivector,
-                                  ProductTable, basis_convert,
+from gafields.multivector import (CLIFFORD, GRASSMANN, MAX_TABLE_DIM,
+                                  Multivector, ProductTable, basis_convert,
                                   build_product_table)
 from gafields.cli import main
 from gafields.checks import random_metric
@@ -126,6 +126,62 @@ def test_mul_table_matches_products(basis, tmp_path, capsys):
     assert not emitted
 
 
+def reference_table(metric, basis: str, fmt: str) -> str:
+    """The emitter the streaming writer replaced: a list of entry dicts,
+    then `json.dumps(indent=2)` or the joined CSV rows, plus a newline."""
+    table = build_product_table(metric)
+    size = 1 << metric.dim
+    names = [blade_indices(mask) for mask in range(size)]
+    c2g = table.clifford_to_grassmann_matrix()
+    g2c = table.grassmann_to_clifford_matrix()
+    entries = []
+    for a in range(size):
+        if basis == CLIFFORD:
+            prod = g2c @ np.tensordot(c2g[:, a], table.left, 1) @ c2g
+        else:
+            prod = table.left[a]
+        for b, c in zip(*np.nonzero(np.abs(prod.T) > 1e-14)):
+            entries.append({"alpha": names[a], "beta": names[b],
+                            "gamma": names[c], "re": float(prod[c, b]),
+                            "im": 0.0})
+    if fmt == "json":
+        return json.dumps({"dim": metric.dim, "basis": basis,
+                           "entries": entries}, indent=2) + "\n"
+    rows = [("alpha", "beta", "gamma", "re", "im")] + [
+        ("|".join(map(str, e["alpha"])), "|".join(map(str, e["beta"])),
+         "|".join(map(str, e["gamma"])), e["re"], e["im"])
+        for e in entries]
+    return "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
+
+
+def golden_metrics():
+    rng = np.random.default_rng(17)
+    metrics = [random_metric(n, rng) for n in (1, 3, 5)]
+    # dense, with signature (1, 3)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    metrics.append(new_metric(q @ np.diag([-1.0, 0.7, 1.3, 2.0]) @ q.T,
+                              convention="upper"))
+    return metrics
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("basis", [GRASSMANN, CLIFFORD])
+def test_mul_table_bytes_match_reference(basis, fmt, tmp_path, capsys):
+    for idx, metric in enumerate(golden_metrics()):
+        path = tmp_path / f"m{idx}.json"
+        path.write_text(metric_to_json(metric))
+        out_file = tmp_path / f"table{idx}.{fmt}"
+        args = ["mul-table", "--metric", str(path), "--basis", basis,
+                "--format", fmt]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert run_cli([*args, "--out", str(out_file)], capsys)[:2] == (0, "")
+        # the metric as the CLI reads it back from the file
+        want = reference_table(metric_from_json(path.read_text()), basis, fmt)
+        assert out == want
+        assert out_file.read_text() == want
+
+
 # input file contents: text, raw bytes, or None for a directory in place
 # of the file
 BAD_METRICS = {
@@ -170,6 +226,26 @@ def test_mul_table_bad_metric_is_usage_error(name, tmp_path):
     assert_usage_error(["mul-table", "--metric"], BAD_METRICS[name], tmp_path)
 
 
+@pytest.mark.parametrize("metric, basis", [
+    (BAD_METRICS["singular"], GRASSMANN),
+    (metric_to_json(new_metric(np.eye(MAX_TABLE_DIM + 1))), GRASSMANN),
+    (metric_to_json(new_metric(np.eye(2))), "bogus"),
+], ids=["bad_metric", "over_max_dim", "unknown_basis"])
+def test_mul_table_usage_error_leaves_out_file(metric, basis, tmp_path):
+    # --out is opened only once the table is built
+    path = tmp_path / "metric.json"
+    path.write_text(metric)
+    out_file = tmp_path / "table.json"
+    out_file.write_bytes(b"previous contents\n")
+    proc = subprocess.run([sys.executable, "-m", "gafields.cli",
+                           "mul-table", "--metric", str(path),
+                           "--basis", basis, "--out", str(out_file)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert out_file.read_bytes() == b"previous contents\n"
+
+
 def field_config(**changes) -> str:
     """A field config on the sphere-times-flat chart (x3 in [-1, 1]) with
     psi = 1 and H = dx^4; `changes` replace top-level entries."""
@@ -208,6 +284,9 @@ BAD_CONFIGS = {
     "directory": None,
     # nests 3000 levels deep, past Python's recursion limit
     "deep_sum": field_config(psi=psi_term(" + ".join(["x1"] * 3000))),
+    # field terms are read in the Grassmann basis only
+    "clifford_basis": field_config(psi={**psi_term("1"),
+                                        "basis": "clifford"}),
 }
 
 

@@ -1,5 +1,7 @@
 """Charts, Christoffel symbols, curvature and the form calculus."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from gafields.manifold import (
     volume_field,
     wedge_fields,
 )
+from gafields.metric import ArgumentError
 
 
 def polar_chart():
@@ -350,6 +353,22 @@ def test_chart_json_round_trip(rng):
     p = (1.0, 0.8)
     assert np.allclose(again.metric_at(p).g_lower,
                        chart.metric_at(p).g_lower, atol=1e-15)
+
+
+@pytest.mark.parametrize("indices", [[3], [0], [1, 1]],
+                         ids=["beyond_dim", "zero", "repeated"])
+def test_field_json_bad_indices_is_argument_error(indices):
+    text = json.dumps({"terms": [{"indices": indices, "re": "1"}]})
+    with pytest.raises(ArgumentError, match="not distinct values in 1..2"):
+        field_from_json(text, sphere_chart())
+
+
+@pytest.mark.parametrize("basis", ["clifford", "bogus"])
+def test_field_json_non_grassmann_basis_is_argument_error(basis):
+    text = json.dumps({"basis": basis,
+                       "terms": [{"indices": [1], "re": "1"}]})
+    with pytest.raises(ArgumentError, match="unknown basis"):
+        field_from_json(text, sphere_chart())
 
 
 def test_field_json_round_trip(rng):

@@ -356,6 +356,13 @@ def test_mv_json_bad_indices_is_argument_error(indices):
         mv_from_json(text, 2)
 
 
+@pytest.mark.parametrize("basis", ["bogus", "Clifford", None])
+def test_mv_json_unknown_basis_is_argument_error(basis):
+    text = json.dumps({"basis": basis, "terms": []})
+    with pytest.raises(ArgumentError, match="unknown basis"):
+        mv_from_json(text, 2)
+
+
 def test_random_kform_matches_per_mask_draws():
     # one batched draw gives the stream of a real-then-imaginary draw per
     # mask, bit for bit, and leaves the generator where the loop does
