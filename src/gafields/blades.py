@@ -11,17 +11,18 @@ the left blade into Clifford generator chains
 (the alternating-sign index-pair contraction), then fold each generator
 into the right factor, one wedge-plus-contraction step at a time.
 
-This chain kernel is the product path of the symbolic layer (fields of
-expression pairs) and the reference the tests check the numeric
-structure tensor against.  The numeric layer takes only the generator
-step `gen_mul` and the basis conversions from here.
+This chain kernel and `wedge_dicts` are the product paths of the
+symbolic layer (fields of expression pairs), and the chain kernel is the
+reference the tests check the numeric structure tensor against.  The
+numeric layer takes only the generator step `gen_mul` and the basis
+conversions from here.
 
 This module is also the one place that knows blade grades and signs:
-`grade_array(n)` and `reversion_array(n)` are read-only arrays over all 2^n
-masks, built once per dimension, and `reversion_sign(k)` and
-`star_inverse_sign(k, n, sgn g)` are the sign rules themselves; the
-numeric layer reads its grade projections, parities and involutions off
-these arrays.
+`grade_array(n)`, `reversion_array(n)` and the exterior product's sign
+tensor `wedge_tensor(n)` are read-only arrays built once per dimension,
+and `reversion_sign(k)` and `star_inverse_sign(k, n, sgn g)` are the
+sign rules themselves; the numeric layer reads its grade projections,
+parities, involutions and wedge products off these arrays.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ def reversion_sign(k):
     return 1 - 2 * ((k // 2) % 2)
 
 
-def star_inverse_sign(k: int, n: int, det_sign: int) -> int:
+def star_inverse_sign(k, n: int, det_sign: int):
     """sgn(g) (-1)^(k(n+1)): the double Hodge star of a grade-k form in
     n dimensions is this sign times the form, so the inverse star of a
-    grade-k form is this sign times its star."""
-    return det_sign * (-1 if k * (n + 1) % 2 else 1)
+    grade-k form is this sign times its star; k may be an int or an
+    integer array."""
+    return det_sign * (1 - 2 * (k * (n + 1) % 2))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -75,6 +77,25 @@ def blade_indices(mask: int):
         mask >>= 1
         i += 1
     return out
+
+
+@lru_cache(maxsize=None)
+def wedge_tensor(n: int) -> np.ndarray:
+    """The exterior product as a dense sign tensor: ``[a, a | b, b]`` holds
+    the sign of e_a ^ e_b for disjoint masks a, b, and every other entry
+    is 0."""
+    size = 1 << n
+    a, b = np.divmod(np.arange(size * size), size)
+    keep = (a & b) == 0
+    a, b = a[keep], b[keep]
+    # merging b into a passes each generator of b over the generators of
+    # a above it
+    swaps = np.zeros(len(a), dtype=int)
+    for j in range(n):
+        swaps += ((b >> j) & 1) * grade_array(n)[a >> (j + 1)]
+    out = np.zeros((size, size, size))
+    out[a, a | b, b] = 1 - 2 * (swaps % 2)
+    return _frozen(out)
 
 
 def mask_of(indices) -> int:

@@ -102,12 +102,7 @@ def cmd_mul_table(args) -> int:
     table = build_product_table(metric)
     prods = table.left
     if args.basis == CLIFFORD:
-        # for Clifford monomials: the Grassmann-basis product conjugated
-        # by the two basis-change matrices
-        c2g = table.clifford_to_grassmann_matrix()
-        g2c = table.grassmann_to_clifford_matrix()
-        prods = (g2c @ np.tensordot(c2g[:, a], table.left, 1) @ c2g
-                 for a in range(1 << metric.dim))
+        prods = map(table.clifford_left, range(1 << metric.dim))
     _output(args, lambda fh: _write_table(fh, args.format, args.basis,
                                           metric.dim, prods))
     return EXIT_PASS

@@ -12,7 +12,7 @@ import numpy as np
 from . import blades
 from .expr import CExpr
 from .metric import ArgumentError, Metric, new_metric
-from .multivector import Multivector
+from .multivector import Multivector, coeffs_of
 
 MINKOWSKI_DIAG = (-1.0, -1.0, -1.0, 1.0)
 
@@ -31,24 +31,24 @@ class GammaRep:
         self._blade_mats = None
         self._basis_inv = None
 
-    def blade_matrix(self, mask: int) -> np.ndarray:
+    def blade_matrices(self) -> np.ndarray:
+        """The matrices of the 16 blades, indexed by mask: (16, 4, 4)."""
         if self._blade_mats is None:
-            self._blade_mats = {}
-        mat = self._blade_mats.get(mask)
-        if mat is None:
-            mat = np.eye(4, dtype=complex)
-            for i in blades.blade_indices(mask):
-                mat = mat @ self.gammas[i - 1]
-            self._blade_mats[mask] = mat
-        return mat
+            mats = np.empty((16, 4, 4), dtype=complex)
+            for mask in range(16):
+                mat = np.eye(4, dtype=complex)
+                for i in blades.blade_indices(mask):
+                    mat = mat @ self.gammas[i - 1]
+                mats[mask] = mat
+            self._blade_mats = mats
+        return self._blade_mats
 
     def basis_inverse(self) -> np.ndarray:
         """Inverse of the 16x16 matrix whose columns are vectorized blade
         matrices; lets a matrix be decomposed back into a multivector."""
         if self._basis_inv is None:
-            basis = np.column_stack([self.blade_matrix(mask).reshape(16)
-                                     for mask in range(16)])
-            self._basis_inv = np.linalg.inv(basis)
+            self._basis_inv = np.linalg.inv(
+                self.blade_matrices().reshape(16, 16).T)
         return self._basis_inv
 
 
@@ -72,23 +72,25 @@ def gamma_matrices() -> GammaRep:
     return GammaRep([g1, g2, g3, g4])
 
 
-def rep_map(u: Multivector, rep: GammaRep) -> np.ndarray:
+def rep_map(u, rep: GammaRep) -> np.ndarray:
     """Matrix of a Minkowski multivector: sum of coefficient times the
-    gamma chain of each blade (the two bases coincide here)."""
-    if u.dim != 4:
+    gamma chain of each blade (the two bases coincide here).  A stack of
+    coefficients (..., 16) gives a stack of matrices (..., 4, 4)."""
+    c = coeffs_of(u)
+    if c.shape[-1:] != (16,):
         raise ArgumentError("gamma representation needs dimension 4")
-    out = np.zeros((4, 4), dtype=complex)
-    for mask in np.nonzero(u.coeffs)[0]:
-        out += u.coeffs[mask] * rep.blade_matrix(int(mask))
-    return out
+    return np.einsum("...a,aij->...ij", c, rep.blade_matrices())
 
 
-def multivector_from_matrix(mat: np.ndarray, rep: GammaRep) -> Multivector:
+def multivector_from_matrix(mat: np.ndarray, rep: GammaRep):
+    """The multivector of a 4x4 matrix; a stack of matrices (..., 4, 4)
+    gives a stack of coefficients (..., 16)."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (4, 4):
+    if mat.ndim < 2 or mat.shape[-2:] != (4, 4):
         raise ArgumentError("expected a 4x4 matrix")
-    coeffs = rep.basis_inverse() @ mat.reshape(16)
-    return Multivector(4, coeffs)
+    coeffs = np.einsum("ak,...k->...a", rep.basis_inverse(),
+                       mat.reshape(mat.shape[:-2] + (16,)))
+    return Multivector(4, coeffs) if mat.ndim == 2 else coeffs
 
 
 def column_embed(theta, rep: GammaRep) -> Multivector:

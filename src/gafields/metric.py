@@ -102,17 +102,19 @@ def minor(m: Metric, rows, cols) -> float:
     return float(np.linalg.det(sub))
 
 
-def is_isometry(m: Metric, P: np.ndarray, rtol: float = ISOMETRY_RTOL) -> bool:
+def is_isometry(m: Metric, P: np.ndarray, rtol: float = ISOMETRY_RTOL):
     """True iff the linear change with matrix p^i_j preserves the metric,
-    i.e. the transformed contravariant components P g^ P^T equal g^."""
+    i.e. the transformed contravariant components P g^ P^T equal g^.  A
+    stack of matrices (..., n, n) gives one bool per matrix."""
     P = np.asarray(P, dtype=float)
-    if P.shape != (m.dim, m.dim):
+    if P.ndim < 2 or P.shape[-2:] != (m.dim, m.dim):
         raise ArgumentError(f"P must be {m.dim}x{m.dim}, got {P.shape}")
-    if abs(np.linalg.det(P)) < 1e-12:
+    if np.any(np.abs(np.linalg.det(P)) < 1e-12):
         raise ArgumentError("P is singular")
-    transformed = P @ m.g_upper @ P.T
+    transformed = P @ m.g_upper @ np.swapaxes(P, -1, -2)
     scale = np.abs(m.g_upper).max()
-    return bool(np.abs(transformed - m.g_upper).max() <= rtol * scale)
+    ok = np.abs(transformed - m.g_upper).max(axis=(-2, -1)) <= rtol * scale
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def metric_to_json(m: Metric) -> str:

@@ -7,6 +7,12 @@ slice or a contraction of one real array, ``ProductTable.left``.  Blade
 grades and reversion signs come from ``blades.grade_array`` and
 ``blades.reversion_array``; grade projection, parity and the involutions
 are array expressions over them.
+
+Every operation takes a `Multivector` or a stack of coefficient arrays of
+shape (..., 2^n), blade axis last, and applies one array kernel to all
+rows at once.  A `Multivector` is the one-element wrapper: its operations
+run the same kernels on `u.coeffs`, and return a `Multivector` when every
+operand is one, else an array.
 """
 
 from __future__ import annotations
@@ -87,21 +93,15 @@ class Multivector:
         return u
 
     # -- structure ---------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {int(m): self.coeffs[m] for m in np.nonzero(self.coeffs)[0]}
-
     def norm(self) -> float:
         """Max-abs coefficient norm, the identity-test yardstick."""
         return float(np.abs(self.coeffs).max())
 
     def grades(self):
-        return sorted(set(blades.grade_array(self.dim)[self.coeffs != 0].tolist()))
+        return _grades(self.coeffs)
 
     def grade(self) -> int:
-        gs = self.grades()
-        if len(gs) > 1:
-            raise ValueError(f"inhomogeneous multivector with grades {gs}")
-        return gs[0] if gs else 0
+        return _grade(self.coeffs)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         scale = max(self.norm(), 1.0)
@@ -192,14 +192,24 @@ class ProductTable:
         self._c2g = None
         self._volume = None
 
-    def mul(self, u: Multivector, v: Multivector) -> Multivector:
-        if u.dim != self.dim or v.dim != self.dim:
+    def mul(self, u, v):
+        """Clifford product U V, row by row over broadcast stacks."""
+        a, b = coeffs_of(u), coeffs_of(v)
+        if _dim_of(a) != self.dim or _dim_of(b) != self.dim:
             raise DimensionMismatch("multivector dimension does not match table")
-        size = 1 << self.dim
-        flat = self.left.reshape(size, size * size)
-        # real and imaginary parts apart: the tensor is never made complex
-        lu = u.coeffs.real @ flat + 1j * (u.coeffs.imag @ flat)
-        return Multivector._of(self.dim, lu.reshape(size, size) @ v.coeffs)
+        return _like(self.dim, _contract(self.left, a, b), u, v)
+
+    def clifford_left(self, a: int) -> np.ndarray:
+        """The matrix of x -> e_a x for the Clifford monomial a, in the
+        Clifford basis: ``left`` conjugated by the two basis changes.
+        Column a of the Clifford-to-Grassmann matrix is nonzero only on
+        the subsets of a with a's parity, so only those slices of
+        ``left`` enter the sum."""
+        c2g = self.clifford_to_grassmann_matrix()
+        acc = np.zeros(self.left.shape[1:])
+        for r in np.flatnonzero(c2g[:, a]):
+            acc += c2g[r, a] * self.left[r]
+        return self.grassmann_to_clifford_matrix() @ acc @ c2g
 
     def grassmann_to_clifford_matrix(self) -> np.ndarray:
         if self._g2c is None:
@@ -234,38 +244,106 @@ def build_product_table(m: Metric) -> ProductTable:
 
 
 # ---------------------------------------------------------------------------
+# Stacks: coefficient arrays of shape (..., 2^n), blade axis last.
+
+def coeffs_of(u) -> np.ndarray:
+    """The coefficient array of a Multivector, or a stack as an array."""
+    return u.coeffs if isinstance(u, Multivector) else np.asarray(u)
+
+
+def _dim_of(c: np.ndarray) -> int:
+    """n for a blade axis of length 2^n."""
+    size = c.shape[-1] if c.ndim else 0
+    if size < 1 or size & (size - 1):
+        raise DimensionMismatch(f"a blade axis of length {size} is not 2^n")
+    return size.bit_length() - 1
+
+
+def _like(dim: int, out: np.ndarray, *operands):
+    """A Multivector when every operand is one, else the array."""
+    if all(isinstance(w, Multivector) for w in operands):
+        return Multivector._of(dim, out)
+    return out
+
+
+def _contract(tensor: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{i,j} a[..., i] tensor[i, k, j] b[..., j] for a real tensor,
+    over the broadcast leading axes of a and b."""
+    size = tensor.shape[0]
+    flat = tensor.reshape(size, size * size)
+    # real and imaginary parts apart: the tensor is never made complex
+    la = a.real @ flat + 1j * (a.imag @ flat)
+    return (la.reshape(a.shape[:-1] + (size, size)) @ b[..., None])[..., 0]
+
+
+def row_norm(c) -> np.ndarray:
+    """Max-abs coefficient norm of every row of a stack."""
+    return np.abs(coeffs_of(c)).max(axis=-1)
+
+
+def _grades(c: np.ndarray) -> list:
+    """The grades with a nonzero coefficient in some row."""
+    nonzero = np.any(c != 0, axis=tuple(range(c.ndim - 1)))
+    return sorted(set(blades.grade_array(_dim_of(c))[nonzero].tolist()))
+
+
+def _grade(c: np.ndarray) -> int:
+    """The one grade of a homogeneous stack (0 when it is zero)."""
+    gs = _grades(c)
+    if len(gs) > 1:
+        raise ValueError(f"inhomogeneous multivector with grades {gs}")
+    return gs[0] if gs else 0
+
+
+# ---------------------------------------------------------------------------
 # Operations.
 
-def wedge(u: Multivector, v: Multivector) -> Multivector:
-    u._check(v)
-    out = blades.wedge_dicts(u.to_dict(), v.to_dict())
-    return Multivector.from_dict(u.dim, out)
+def wedge(u, v):
+    """Exterior product U ^ V: one contraction with the sign tensor of the
+    dimension."""
+    a, b = coeffs_of(u), coeffs_of(v)
+    n = _dim_of(a)
+    if _dim_of(b) != n:
+        raise DimensionMismatch(f"dimensions {n} and {_dim_of(b)}")
+    if n > MAX_TABLE_DIM:
+        raise ArgumentError(f"wedge products cover dimensions up to "
+                            f"{MAX_TABLE_DIM}, got {n}")
+    return _like(n, _contract(blades.wedge_tensor(n), a, b), u, v)
 
 
-def clifford_mul(u: Multivector, v: Multivector, table: ProductTable) -> Multivector:
+def clifford_mul(u, v, table: ProductTable):
     return table.mul(u, v)
 
 
-def grade_project(u: Multivector, k: int) -> Multivector:
-    if not 0 <= k <= u.dim:
-        raise ArgumentError(f"grade {k} out of range 0..{u.dim}")
-    return Multivector._of(u.dim, np.where(blades.grade_array(u.dim) == k,
-                                           u.coeffs, 0.0))
+def grade_project(u, k: int):
+    c = coeffs_of(u)
+    n = _dim_of(c)
+    if not 0 <= k <= n:
+        raise ArgumentError(f"grade {k} out of range 0..{n}")
+    return _like(n, np.where(blades.grade_array(n) == k, c, 0.0), u)
 
 
-def reversion(u: Multivector) -> Multivector:
-    return Multivector._of(u.dim, u.coeffs * blades.reversion_array(u.dim))
+def reversion(u):
+    c = coeffs_of(u)
+    n = _dim_of(c)
+    return _like(n, c * blades.reversion_array(n), u)
 
 
-def conjugate_star(u: Multivector) -> Multivector:
-    return Multivector._of(u.dim, reversion(u).coeffs.conjugate())
+def conjugate_star(u):
+    c = coeffs_of(u)
+    n = _dim_of(c)
+    return _like(n, (c * blades.reversion_array(n)).conjugate(), u)
 
 
-def trace(u: Multivector) -> complex:
-    return complex(u.coeffs[0])
+def trace(u):
+    """The scalar coefficient: a complex number of a Multivector, an array
+    of a stack."""
+    if isinstance(u, Multivector):
+        return complex(u.coeffs[0])
+    return np.asarray(u)[..., 0]
 
 
-def scalar_product(u: Multivector, v: Multivector, table: ProductTable) -> complex:
+def scalar_product(u, v, table: ProductTable):
     return trace(table.mul(u, conjugate_star(v)))
 
 
@@ -288,62 +366,81 @@ def volume_form(m: Metric) -> Multivector:
     return build_product_table(m).volume() * 1.0
 
 
-def hodge_star(u: Multivector, m: Metric) -> Multivector:
+def hodge_star(u, m: Metric):
     """Hodge dual via the algebraic form: (reversion of U) * volume form."""
     table = build_product_table(m)
-    return table.mul(reversion(u), table.volume())
+    star = table.mul(reversion(coeffs_of(u)), table.volume().coeffs)
+    return _like(m.dim, star, u)
 
 
-def hodge_star_components(u: Multivector, m: Metric) -> Multivector:
+def hodge_star_components(u, m: Metric):
     """Hodge dual via the component formula: raise the indices with k-by-k
     minors, then pair each blade with the sign of its complement permutation."""
+    c = coeffs_of(u)
     n = m.dim
+    if _dim_of(c) != n:
+        raise DimensionMismatch("multivector dimension does not match metric")
     full = (1 << n) - 1
-    out = np.zeros(1 << n, dtype=complex)
+    out = np.zeros(c.shape, dtype=complex)
     sqrtg = np.sqrt(m.abs_det)
     for k in range(n + 1):
         masks = grade_masks(n, k)
-        raised = exterior_metric_block(m, k) @ u.coeffs[masks]
+        raised = c[..., masks] @ exterior_metric_block(m, k).T
         eps = np.array([blades.wedge_sign(mask, full ^ mask) for mask in masks])
-        out[np.bitwise_xor(full, masks)] += sqrtg * eps * raised
-    return Multivector._of(n, out)
+        out[..., np.bitwise_xor(full, masks)] += sqrtg * eps * raised
+    return _like(n, out, u)
 
 
-def star_inverse(u: Multivector, m: Metric) -> Multivector:
+def star_inverse(u, m: Metric):
     """Inverse Hodge dual, gradewise closed form from star(star U)."""
+    c = coeffs_of(u)
     n = m.dim
-    out = Multivector(n)
-    for k in u.grades():
-        sign = blades.star_inverse_sign(k, n, m.sign)
-        out = out + sign * hodge_star(grade_project(u, k), m)
-    return out
+    if _dim_of(c) != n:
+        raise DimensionMismatch("multivector dimension does not match metric")
+    signs = blades.star_inverse_sign(blades.grade_array(n), n, m.sign)
+    return _like(n, hodge_star(c * signs, m), u)
 
 
-def commutator_2forms(u: Multivector, v: Multivector,
-                      table: ProductTable) -> Multivector:
+def commutator_2forms(u, v, table: ProductTable):
     for name, w in (("first", u), ("second", v)):
-        gs = w.grades()
+        gs = _grades(coeffs_of(w))
         if gs not in ([], [2]):
             raise ArgumentError(f"{name} operand is not a pure 2-form "
                                 f"(grades {gs})")
     return table.mul(u, v) - table.mul(v, u)
 
 
-def exp_mv(u: Multivector, table: ProductTable) -> Multivector:
-    """Clifford exponential as a truncated power series."""
-    acc = Multivector.unit(u.dim)
-    term = Multivector.unit(u.dim)
+def exp_mv(u, table: ProductTable):
+    """Clifford exponential as a truncated power series.  Each row of a
+    stack stops at its own term: a converged row is frozen, so it equals
+    its one-row result."""
+    c = coeffs_of(u)
+    if _dim_of(c) != table.dim:
+        raise DimensionMismatch("multivector dimension does not match table")
+    rows = c.reshape(-1, c.shape[-1])
+    out = np.empty(rows.shape, dtype=complex)
+    # the rows still summing: their indices, powers and partial sums
+    live = np.arange(len(rows))
+    term = np.zeros(rows.shape, dtype=complex)
+    term[:, 0] = 1.0
+    acc = term.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, EXP_MAX_TERMS + 1):
-            term = table.mul(term, u) * (1.0 / k)
+            term = table.mul(term, rows) * (1.0 / k)
             acc = acc + term
-            if term.norm() < EXP_RTOL * max(acc.norm(), 1.0):
-                return acc
-            if not np.isfinite(term.norm()):
+            size = row_norm(term)
+            if not np.isfinite(size).all():
                 break
+            done = size < EXP_RTOL * np.maximum(row_norm(acc), 1.0)
+            if done.any():
+                out[live[done]] = acc[done]
+                live, term, acc, rows = (x[~done] for x in (live, term, acc,
+                                                             rows))
+                if not live.size:
+                    return _like(table.dim, out.reshape(c.shape), u)
     raise NumericError(f"exponential series did not converge in "
                        f"{EXP_MAX_TERMS} terms (last term norm "
-                       f"{term.norm():.3e})")
+                       f"{row_norm(term).max():.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +450,7 @@ GRASSMANN = "grassmann"
 CLIFFORD = "clifford"
 
 
-def basis_convert(u: Multivector, frm: str, to: str, m: Metric) -> Multivector:
+def basis_convert(u, frm: str, to: str, m: Metric):
     for conv in (frm, to):
         if conv not in (GRASSMANN, CLIFFORD):
             raise ArgumentError(f"unknown basis convention {conv!r}")
@@ -365,7 +462,7 @@ def basis_convert(u: Multivector, frm: str, to: str, m: Metric) -> Multivector:
         mat = table.clifford_to_grassmann_matrix()
     else:
         mat = table.grassmann_to_clifford_matrix()
-    return Multivector._of(u.dim, mat @ u.coeffs)
+    return _like(m.dim, coeffs_of(u) @ mat.T, u)
 
 
 # ---------------------------------------------------------------------------
@@ -408,30 +505,31 @@ _VIA_STAR = {
 }
 
 
-def clifford_via_star(u: Multivector, v: Multivector, m: Metric) -> Multivector:
+def clifford_via_star(u, v, m: Metric):
     n = m.dim
     if n > 4 or n < 2:
         raise ArgumentError(f"wedge/star product tables cover dimensions 2..4, "
                             f"got {n}")
-    r, s = u.grade(), v.grade()
+    a, b = coeffs_of(u), coeffs_of(v)
+    r, s = _grade(a), _grade(b)
     if r == 0 or s == 0:
         return wedge(u, v)
     entry = _VIA_STAR.get((n, r, s))
     if entry is None:
         raise ArgumentError(f"no table entry for grades {(r, s)} in "
                             f"dimension {n}")
-    terms = {"w": lambda: wedge(u, v),
-             "*v": lambda: hodge_star(wedge(u, hodge_star(v, m)), m),
-             "*u": lambda: hodge_star(wedge(hodge_star(u, m), v), m),
-             "**": lambda: wedge(hodge_star(u, m), hodge_star(v, m)),
-             "com": lambda: commutator_2forms(u, v, build_product_table(m))}
+    terms = {"w": lambda: wedge(a, b),
+             "*v": lambda: hodge_star(wedge(a, hodge_star(b, m)), m),
+             "*u": lambda: hodge_star(wedge(hodge_star(a, m), b), m),
+             "**": lambda: wedge(hodge_star(a, m), hodge_star(b, m)),
+             "com": lambda: commutator_2forms(a, b, build_product_table(m))}
     out = None
     for name, coeff in entry:
         if name.startswith("*"):
             coeff *= m.sign
         term = coeff * terms[name]()
         out = term if out is None else out + term
-    return out
+    return _like(n, out, u, v)
 
 
 # ---------------------------------------------------------------------------

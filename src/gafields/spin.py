@@ -3,7 +3,9 @@ special orthogonal group.
 
 A spin element is an even real form F with F F* = e.  Conjugation
 U -> F* U F preserves grade 1 and acts there as an isometry of the
-metric; factor_isometry inverts that map up to the overall sign.
+metric; factor_isometry inverts that map up to the overall sign.  Like
+the multivector operations, the adjoint action, `isometry_of` and
+`factor_isometry` take one element or a stack of them.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from .metric import ArgumentError, Metric, is_isometry
 from . import blades
 from .multivector import (
     Multivector,
+    coeffs_of,
     build_product_table,
     clifford_mul,
     conjugate_star,
     exp_mv,
     grade_project,
     grade_masks,
+    row_norm,
 )
 
 SPIN_TOL = 1e-9
@@ -28,6 +32,11 @@ FACTOR_TOL = 1e-8  # relative singular-value and F F* = e tolerance
 
 class NotSpinIsometry(ValueError):
     """Raised when an isometry has no preimage in the spin group."""
+
+
+def _generators(n: int) -> np.ndarray:
+    """The n generators e^1 .. e^n as a stack (n, 2^n)."""
+    return np.eye(1 << n)[[1 << j for j in range(n)]]
 
 
 def is_spin_member(f: Multivector, m: Metric, tol: float = SPIN_TOL) -> bool:
@@ -41,99 +50,104 @@ def is_spin_member(f: Multivector, m: Metric, tol: float = SPIN_TOL) -> bool:
         return False
     if m.dim >= 6:
         # grade preservation is automatic only for dim <= 5
-        for i in range(1, m.dim + 1):
-            img = adjoint_action(f, Multivector.blade(m.dim, [i]), m)
-            rest = img - grade_project(img, 1)
-            if rest.norm() > tol:
-                return False
+        img = adjoint_action(f.coeffs, _generators(m.dim), m)
+        if np.any(row_norm(img - grade_project(img, 1)) > tol):
+            return False
     return True
 
 
-def adjoint_action(f: Multivector, u: Multivector, m: Metric) -> Multivector:
+def adjoint_action(f, u, m: Metric):
     """The twisted conjugation U -> F* U F."""
     table = build_product_table(m)
     return clifford_mul(clifford_mul(conjugate_star(f), u, table), f, table)
 
 
-def isometry_of(f: Multivector, m: Metric) -> np.ndarray:
-    """Matrix P with F* e^i F = P[i][j] e^j, rows indexed by i."""
+def isometry_of(f, m: Metric) -> np.ndarray:
+    """Matrix P with F* e^i F = P[i][j] e^j, rows indexed by i; a stack
+    of elements (..., 2^n) gives a stack of matrices (..., n, n)."""
     n = m.dim
-    p = np.zeros((n, n))
-    for i in range(1, n + 1):
-        img = adjoint_action(f, Multivector.blade(n, [i]), m)
-        rest = img - grade_project(img, 1)
-        scale = max(img.norm(), 1.0)
-        if rest.norm() > SPIN_TOL * scale or \
-                np.abs(img.coeffs.imag).max() > SPIN_TOL * scale:
-            raise ArgumentError("conjugation does not preserve grade 1, "
-                                "not a spin element")
-        for j in range(1, n + 1):
-            p[i - 1, j - 1] = img.coeffs[1 << (j - 1)].real
-    return p
+    gens = _generators(n)
+    # img[..., i, :] = F* e^i F, all generators as one stack
+    img = adjoint_action(coeffs_of(f)[..., None, :], gens, m)
+    scale = np.maximum(row_norm(img), 1.0)
+    if np.any(row_norm(img - grade_project(img, 1)) > SPIN_TOL * scale) or \
+            np.any(np.abs(img.imag).max(axis=-1) > SPIN_TOL * scale):
+        raise ArgumentError("conjugation does not preserve grade 1, "
+                            "not a spin element")
+    return img[..., [1 << j for j in range(n)]].real
 
 
-def factor_isometry(p: np.ndarray, m: Metric) -> Multivector:
+def factor_isometry(p: np.ndarray, m: Metric):
     """Find a spin element F with F* e^i F = p[i][j] e^j.
 
     Solves the equivalent linear condition e^i F = F (p[i][j] e^j) on the
     even subalgebra; the nullspace is one-dimensional when a preimage
     exists, and F is fixed by rescaling to F F* = e.  Raises
     NotSpinIsometry when no solution exists (including improper isometries,
-    where only F F* = -e solutions occur).
+    where only F F* = -e solutions occur).  A stack of matrices
+    (..., n, n) is solved with one stacked SVD and gives a stack of
+    elements (..., 2^n); it raises if any matrix does.
     """
     n = m.dim
     p = np.asarray(p, dtype=float)
-    if p.shape != (n, n):
+    if p.ndim < 2 or p.shape[-2:] != (n, n):
         raise ArgumentError(f"expected a {n}x{n} matrix")
-    if not is_isometry(m, p):
+    if not np.all(is_isometry(m, p)):
         raise ArgumentError("matrix is not an isometry of the metric")
     table = build_product_table(m)
     parity = blades.grade_array(n) % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
     full = len(even)
     gens = [1 << j for j in range(n)]
-    # right_gens[a, c, j]: coefficient of c in e_a e^j, so x -> x e^j is
-    # right_gens[:, :, j].T
-    right_gens = table.left[:, :, gens]
-
-    rows = []
-    for i in range(n):
-        diff = table.left[gens[i]] - (right_gens @ p[i]).T
-        # odd-grade output components of (e^i F - F p e) on even input
-        rows.append(diff[np.ix_(odd, even)])
-    system = np.vstack(rows)
-
-    _, s, vt = np.linalg.svd(system)
-    cutoff = FACTOR_TOL * max(s[0] if s.size else 1.0, 1.0)
-    null_dim = full - np.count_nonzero(s > cutoff)
-    if null_dim < 1:
+    mats = p.reshape((-1, n, n))
+    # the odd-grade output components of e^i F - F (p[i][j] e^j) on an
+    # even input: left[e^i][c, a] less sum_j left[a, c, e^j] p[i][j]
+    right = table.left[np.ix_(even, odd, gens)] @ mats[:, :, None, :, None]
+    diff = table.left[np.ix_(gens, odd, even)] - np.swapaxes(right[..., 0],
+                                                             -1, -2)
+    _, s, vt = np.linalg.svd(diff.reshape(len(mats), n * len(odd), full))
+    cutoff = FACTOR_TOL * np.maximum(s[:, 0], 1.0)
+    null_dim = full - np.count_nonzero(s > cutoff[:, None], axis=1)
+    if np.any(null_dim < 1):
         raise NotSpinIsometry("no even form intertwines this isometry")
 
-    for idx in range(full - null_dim, full):
-        coeffs = np.zeros(1 << n, dtype=complex)
-        coeffs[even] = vt[idx]
-        f = Multivector._of(n, coeffs)
-        ff = clifford_mul(f, conjugate_star(f), table)
-        rest = ff - grade_project(ff, 0)
-        scale = complex(ff.coeffs[0])
-        if rest.norm() > FACTOR_TOL * max(abs(scale), 1.0) \
-                or abs(scale.imag) > FACTOR_TOL:
-            continue
-        if scale.real > FACTOR_TOL:
-            f = f * (1.0 / np.sqrt(scale.real))
-            # normalize the overall sign: largest coefficient positive
-            if f.coeffs[np.argmax(np.abs(f.coeffs))].real < 0:
-                f = -f
-            return f
-    raise NotSpinIsometry("isometry lifts only to F F* = -e, "
-                          "not in the spin group")
+    # each row takes the first null vector with F F* a positive scalar
+    out = np.zeros((len(mats), 1 << n), dtype=complex)
+    found = np.zeros(len(mats), dtype=bool)
+    for j in range(null_dim.max()):
+        rows = np.flatnonzero(~found & (null_dim > j))
+        f = np.zeros((len(rows), 1 << n), dtype=complex)
+        f[:, even] = vt[rows, full - null_dim[rows] + j]
+        ff = table.mul(f, conjugate_star(f))
+        scale = ff[:, 0]
+        good = ~(row_norm(ff - grade_project(ff, 0))
+                 > FACTOR_TOL * np.maximum(np.abs(scale), 1.0)) \
+            & ~(np.abs(scale.imag) > FACTOR_TOL) & (scale.real > FACTOR_TOL)
+        out[rows[good]] = f[good] * (1.0 / np.sqrt(scale.real[good]))[:, None]
+        found[rows[good]] = True
+    if not found.all():
+        raise NotSpinIsometry("isometry lifts only to F F* = -e, "
+                              "not in the spin group")
+    # normalize the overall sign: largest coefficient positive
+    top = out[np.arange(len(out)), np.argmax(np.abs(out), axis=1)]
+    flip = top.real < 0
+    out[flip] = -out[flip]
+    if p.ndim == 2:
+        return Multivector._of(n, out[0])
+    return out.reshape(p.shape[:-2] + (1 << n,))
+
+
+def spin_sample(m: Metric, z: np.ndarray, scale: float) -> np.ndarray:
+    """Exponentials of real bivectors, spin elements by construction: row
+    by row, the bivector's grade-2 coefficients are `scale` times the
+    normals in z, in mask order."""
+    b = np.zeros(z.shape[:-1] + (1 << m.dim,), dtype=complex)
+    b[..., grade_masks(m.dim, 2)] = scale * z
+    return exp_mv(b, build_product_table(m))
 
 
 def random_spin_element(m: Metric, rng: np.random.Generator,
                         scale: float = 1.0) -> Multivector:
     """Exponential of a random real bivector, a spin element by construction."""
-    n = m.dim
-    b = Multivector(n)
-    masks = grade_masks(n, 2)
-    b.coeffs[masks] = scale * rng.normal(size=len(masks))
-    return exp_mv(b, build_product_table(m))
+    z = rng.normal(size=len(grade_masks(m.dim, 2)))
+    return Multivector._of(m.dim, spin_sample(m, z, scale))

@@ -15,6 +15,7 @@ from gafields.metric import metric_from_json, metric_to_json, new_metric
 from gafields.multivector import (CLIFFORD, GRASSMANN, MAX_TABLE_DIM,
                                   Multivector, ProductTable, basis_convert,
                                   build_product_table)
+from gafields import checks
 from gafields.cli import main
 from gafields.checks import random_metric
 
@@ -132,12 +133,10 @@ def reference_table(metric, basis: str, fmt: str) -> str:
     table = build_product_table(metric)
     size = 1 << metric.dim
     names = [blade_indices(mask) for mask in range(size)]
-    c2g = table.clifford_to_grassmann_matrix()
-    g2c = table.grassmann_to_clifford_matrix()
     entries = []
     for a in range(size):
         if basis == CLIFFORD:
-            prod = g2c @ np.tensordot(c2g[:, a], table.left, 1) @ c2g
+            prod = table.clifford_left(a)
         else:
             prod = table.left[a]
         for b, c in zip(*np.nonzero(np.abs(prod.T) > 1e-14)):
@@ -353,6 +352,27 @@ def test_verify_field_builds_one_table(capsys, monkeypatch):
                          capsys)
     assert code == 0
     assert len(tables) == 1
+
+
+def test_verify_nan_defect_fails(capsys, monkeypatch):
+    # a NaN defect in a sample other than the first fails its case: a
+    # running max(worst, d) would drop it, since max(0.0, nan) is 0.0
+    real = checks.hodge_star_components
+    calls = []
+
+    def planted(u, m):
+        out = real(u, m)
+        calls.append(m.dim)
+        if len(calls) == 3:
+            out[-1, 0] = np.nan  # the last row of the third block
+        return out
+    monkeypatch.setattr(checks, "hodge_star_components", planted)
+    code, out, _ = run_cli(["verify", "--suite", "hodge", "--seed", "0"],
+                           capsys)
+    assert code == 1
+    status = {c["id"]: c["status"] for c in json.loads(out)["cases"]}
+    assert status.pop("component_vs_algebraic") == "fail"
+    assert set(status.values()) == {"pass"}
 
 
 def test_verify_unknown_suite(capsys):
