@@ -11,10 +11,12 @@ the left blade into Clifford generator chains
 (the alternating-sign index-pair contraction), then fold each generator
 into the right factor, one wedge-plus-contraction step at a time.
 
-This chain kernel and `wedge_dicts` are the product paths of the
-symbolic layer (fields of expression pairs), and the chain kernel is the
-reference the tests check the numeric structure tensor against.  The
-numeric layer takes only the generator step `gen_mul` and the basis
+The symbolic layer (fields of expression pairs) takes its products from
+here: `wedge_dicts` directly, and the Clifford product through a chart's
+blade-product table, whose entries `blade_clifford_mul` builds.  The
+chain kernel over whole dicts, `clifford_mul_dicts`, is the reference the
+tests check the numeric structure tensor and the chart's table against.
+The numeric layer takes only the generator step `gen_mul` and the basis
 conversions from here.
 
 This module is also the one place that knows blade grades and signs:

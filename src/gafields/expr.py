@@ -4,7 +4,10 @@ Expressions are ASTs over coordinate variables x1..xn, real literals and
 the operators + - * / unary-minus, integer powers and the functions
 sin, cos, exp, log, sqrt.  Differentiation is exact and symbolic;
 evaluation is plain IEEE double arithmetic.  Nodes compare by identity,
-which lets evaluation memoize shared subtrees.
+which lets evaluation memoize shared subtrees.  Derivatives are memoised
+per node: each node keeps its derivative in each variable the first time
+it is differentiated, so a subtree shared by many expressions (a DAG) is
+differentiated once, and its derivative is again one shared node.
 
 A point is either a sequence of floats (x1 = point[0]), evaluated with
 Python floats and the `math` functions, or a batch: one 1-D float array
@@ -53,7 +56,8 @@ def _liftable(x) -> bool:
 
 
 class Expr:
-    __slots__ = ()
+    # _d: {var: derivative in x<var>}, set by the first `diff` of the node
+    __slots__ = ("_d",)
 
     def __add__(self, other):
         if not _liftable(other):
@@ -428,33 +432,47 @@ def _diff(e: Expr, var: int) -> Expr:
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == var else ZERO
+    # the memo lives on the node, so a shared subtree is differentiated
+    # once and every parent gets the same derivative node
+    try:
+        memo = e._d
+    except AttributeError:
+        memo = e._d = {}
+    d = memo.get(var)
+    if d is not None:
+        return d
     if isinstance(e, Add):
-        return add(_diff(e.a, var), _diff(e.b, var))
-    if isinstance(e, Sub):
-        return sub(_diff(e.a, var), _diff(e.b, var))
-    if isinstance(e, Mul):
-        return add(mul(_diff(e.a, var), e.b), mul(e.a, _diff(e.b, var)))
-    if isinstance(e, Div):
-        return div(sub(mul(_diff(e.a, var), e.b), mul(e.a, _diff(e.b, var))),
-                   powi(e.b, 2))
-    if isinstance(e, Neg):
-        return neg(_diff(e.a, var))
-    if isinstance(e, Pow):
-        return mul(mul(Const(e.exponent), powi(e.base, e.exponent - 1)),
-                   _diff(e.base, var))
-    if isinstance(e, Call):
+        d = add(_diff(e.a, var), _diff(e.b, var))
+    elif isinstance(e, Sub):
+        d = sub(_diff(e.a, var), _diff(e.b, var))
+    elif isinstance(e, Mul):
+        d = add(mul(_diff(e.a, var), e.b), mul(e.a, _diff(e.b, var)))
+    elif isinstance(e, Div):
+        d = div(sub(mul(_diff(e.a, var), e.b), mul(e.a, _diff(e.b, var))),
+                powi(e.b, 2))
+    elif isinstance(e, Neg):
+        d = neg(_diff(e.a, var))
+    elif isinstance(e, Pow):
+        d = mul(mul(Const(e.exponent), powi(e.base, e.exponent - 1)),
+                _diff(e.base, var))
+    elif isinstance(e, Call):
         da = _diff(e.arg, var)
         if e.fn == "sin":
-            return mul(call("cos", e.arg), da)
-        if e.fn == "cos":
-            return neg(mul(call("sin", e.arg), da))
-        if e.fn == "exp":
-            return mul(e, da)
-        if e.fn == "log":
-            return div(da, e.arg)
-        if e.fn == "sqrt":
-            return div(da, mul(Const(2.0), e))
-    raise TypeError(f"unknown node {type(e).__name__}")
+            d = mul(call("cos", e.arg), da)
+        elif e.fn == "cos":
+            d = neg(mul(call("sin", e.arg), da))
+        elif e.fn == "exp":
+            d = mul(e, da)
+        elif e.fn == "log":
+            d = div(da, e.arg)
+        elif e.fn == "sqrt":
+            d = div(da, mul(Const(2.0), e))
+        else:
+            raise TypeError(f"unknown function '{e.fn}'")
+    else:
+        raise TypeError(f"unknown node {type(e).__name__}")
+    memo[var] = d
+    return d
 
 
 def subst(e: Expr, mapping) -> Expr:

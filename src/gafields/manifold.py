@@ -27,6 +27,7 @@ from .expr import (
     diff,
     evaluate_table,
     lift,
+    mul,
     parse,
     subst,
     to_str,
@@ -73,6 +74,15 @@ def _sym_inverse(mat):
     return inv, det
 
 
+def _structure_constant(x):
+    """A Clifford structure constant (a number or a real CExpr) as +-1 or
+    as a real expression."""
+    re = CExpr.of(x).re  # the g^ij are real, so no imaginary part
+    if isinstance(re, Const) and abs(re.val) == 1.0:
+        return int(re.val)
+    return re
+
+
 @dataclass
 class CurvatureData:
     r_mixed: np.ndarray    # r_mixed[i, j, r, k] = R^{...k}_{ij,r}
@@ -103,6 +113,7 @@ class Chart:
         self.sqrt_abs_det = call("sqrt", Const(float(self.sign)) * self.det_expr)
         self._gamma = None
         self._riemann = None
+        self._blade_products = {}
 
     def midpoint(self):
         return tuple((lo + hi) / 2 for lo, hi in self.domain)
@@ -128,6 +139,20 @@ class Chart:
 
     def g_upper_cexpr(self, i: int, j: int) -> CExpr:
         return CExpr(self.g_upper_exprs[i - 1][j - 1])
+
+    def blade_product(self, a: int, b: int):
+        """The Clifford product of the Grassmann blades a and b, e_a e_b =
+        sum_c C^c_ab e_c, as (c, C) pairs: C is +1 or -1 where the term is
+        a signed blade, else a real expression in the g^ij.  Built by the
+        chain kernel on first use and kept."""
+        key = (a, b)
+        terms = self._blade_products.get(key)
+        if terms is None:
+            prod = blades.blade_clifford_mul(a, {b: 1}, self.g_upper_cexpr)
+            terms = self._blade_products[key] = tuple(
+                (c, _structure_constant(x)) for c, x in prod.items()
+                if not blades.is_zero(x))
+        return terms
 
     def gamma_exprs(self):
         """Christoffel symbols Gamma^k_{ij} as expressions, [k][i][j]."""
@@ -334,8 +359,20 @@ def wedge_fields(u: FormField, v: FormField) -> FormField:
 
 
 def clifford_mul_fields(u: FormField, v: FormField) -> FormField:
+    """U V from the chart's blade products: each u_a v_b is formed once
+    and added to every blade of e_a e_b, with a sign or times C^c_ab."""
     u._check(v)
-    out = blades.clifford_mul_dicts(u.coeffs, v.coeffs, u.chart.g_upper_cexpr)
+    product = u.chart.blade_product
+    out: dict = {}
+    for a, ca in u.coeffs.items():
+        for b, cb in v.coeffs.items():
+            p = ca * cb
+            for c, k in product(a, b):
+                if isinstance(k, Expr):
+                    term = CExpr(mul(k, p.re), mul(k, p.im))
+                else:
+                    term = p if k > 0 else -p
+                blades.add_term(out, c, term)
     return FormField(u.chart, out)
 
 

@@ -1,22 +1,38 @@
 """Expression AST: parsing, printing, differentiation, evaluation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gafields.expr import (
+    Add,
     CExpr,
+    Const,
+    Div,
     EvalDomainError,
     ExprDepthError,
     ExprError,
     ExprSyntaxError,
+    Mul,
+    Neg,
+    ONE,
+    Pow,
+    Sub,
+    Var,
     ZERO,
+    add,
     call,
     diff,
+    div,
     evaluate,
+    mul,
+    neg,
     parse,
+    powi,
+    sub,
     subst,
     to_str,
 )
@@ -141,6 +157,81 @@ def test_diff_product_rule(a, b, c):
                                               abs=1e-12, rel=1e-12)
 
 
+def _diff_reference(e, var):
+    """Differentiation without a memo: a shared subtree is walked and
+    copied once per path that reaches it."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.index == var else ZERO
+    if isinstance(e, Add):
+        return add(_diff_reference(e.a, var), _diff_reference(e.b, var))
+    if isinstance(e, Sub):
+        return sub(_diff_reference(e.a, var), _diff_reference(e.b, var))
+    if isinstance(e, Mul):
+        return add(mul(_diff_reference(e.a, var), e.b),
+                   mul(e.a, _diff_reference(e.b, var)))
+    if isinstance(e, Div):
+        return div(sub(mul(_diff_reference(e.a, var), e.b),
+                       mul(e.a, _diff_reference(e.b, var))), powi(e.b, 2))
+    if isinstance(e, Neg):
+        return neg(_diff_reference(e.a, var))
+    if isinstance(e, Pow):
+        return mul(mul(Const(e.exponent), powi(e.base, e.exponent - 1)),
+                   _diff_reference(e.base, var))
+    da = _diff_reference(e.arg, var)
+    if e.fn == "sin":
+        return mul(call("cos", e.arg), da)
+    if e.fn == "cos":
+        return neg(mul(call("sin", e.arg), da))
+    if e.fn == "exp":
+        return mul(e, da)
+    if e.fn == "log":
+        return div(da, e.arg)
+    return div(da, mul(Const(2.0), e))
+
+
+def _sources():
+    """Expression sources in x1, x2 of a few levels of nesting."""
+    leaves = st.sampled_from(["x1", "x2", "0.5", "3", "1"])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        st.tuples(inner, st.integers(-2, 3)).map(
+            lambda t: f"pow({t[0]}, {t[1]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]),
+                  inner).map(lambda t: f"{t[0]}({t[1]})"),
+        inner.map(lambda a: f"-({a})")), max_leaves=10)
+
+
+@given(_sources(), _sources())
+@settings(max_examples=80, deadline=None)
+def test_memoised_diff_matches_the_memo_free_reference(src_a, src_b):
+    try:
+        a, b = parse(src_a, 2), parse(src_b, 2)
+        # a DAG: a and b are shared by several parents
+        e = (a * b + a) * call("sin", b) - a / (b * b + 2.0)
+    except ExprError:  # a constant part folds to a domain error
+        return
+    for var in (1, 2, 1):  # the second x1 derivative is a memo hit
+        assert to_str(diff(e, var)) == to_str(_diff_reference(e, var))
+        assert to_str(diff(a, var)) == to_str(_diff_reference(a, var))
+
+
+def test_diff_of_a_shared_dag_is_linear():
+    # 40 levels of e = e*e: a tree of 2^40 leaves as a DAG of 41 nodes,
+    # whose derivative is again a DAG of a few nodes per level
+    e = parse("x1", 1)
+    for _ in range(40):
+        e = mul(e, e)
+    t0 = time.perf_counter()
+    d = diff(e, 1)
+    assert time.perf_counter() - t0 < 0.5
+    # e = x1^(2^40), so d = 2^40 x1^(2^40 - 1), exactly 2^40 at x1 = 1
+    assert evaluate(d, (1.0,)) == 2.0 ** 40
+    assert diff(e, 1) is d
+
+
 def test_subst_composition():
     e = parse("x1^2 + x2", 2)
     s = subst(e, {1: parse("sin(x1)", 1), 2: parse("x1 + 1", 1)})
@@ -218,5 +309,8 @@ def test_deep_expressions_raise_a_typed_error():
         CExpr(deep).evaluate((0.5,))
     with pytest.raises(ExprDepthError):
         subst(deep, {1: parse("x1^2", 1)})
-    # a shallow sum of the same terms still works
+    # a shallow sum of the same terms still works, and so does the
+    # derivative of a sum nested 900 levels deep
     assert evaluate(parse(" + ".join(["x1"] * 300), 1), (0.5,)) == 150.0
+    assert evaluate(diff(parse(" + ".join(["x1"] * 900), 1), 1),
+                    (0.5,)) == 900.0

@@ -5,18 +5,21 @@ import json
 import numpy as np
 import pytest
 
+from gafields import blades
 from gafields.checks import (curvature_commutator_defect,
-                             form_calculus_defects, random_form_field,
-                             random_point)
+                             flat_minkowski_chart, form_calculus_defects,
+                             random_form_field, random_point)
 from gafields.expr import CExpr, ZERO, parse
 from gafields.manifold import (
     Chart,
     ChartError,
     CoordinateChange,
     DomainError,
+    FormField,
     TensorField,
     chart_from_json,
     chart_to_json,
+    clifford_mul_fields,
     curvature_forms,
     d_op,
     delta_op,
@@ -173,6 +176,69 @@ def test_symbolic_curvature_forms_match_numeric(rng):
 
 
 # ---------------------------------------------------------------------------
+# the chart's blade-product table
+
+def skew_chart(n, sign):
+    """A curved n-chart whose metric has every off-diagonal entry nonzero
+    and, for sign -1, a negative last diagonal entry."""
+    def entry(i, j):
+        if i != j:
+            return f"0.2*sin(x{i + 1} + x{j + 1})"
+        return "-3 + x1*x2" if sign < 0 and i == n - 1 else f"3 + x{i + 1}^2"
+    return Chart([[parse(entry(i, j), n) for j in range(n)] for i in range(n)],
+                 [(0.1, 0.9)] * n)
+
+
+def sparse_field(chart, rng, pool, terms):
+    """A field on `terms` random blades, its coefficients drawn from the
+    expression sources in `pool`."""
+    masks = rng.choice(1 << chart.dim, size=terms, replace=False)
+    return FormField(chart, {int(m): CExpr(parse(rng.choice(pool), chart.dim),
+                                           parse(rng.choice(pool), chart.dim))
+                             for m in masks})
+
+
+@pytest.mark.parametrize("chart", [
+    *(skew_chart(n, sign) for n in (2, 3, 4) for sign in (1, -1)),
+    flat_minkowski_chart()], ids=["skew2+", "skew2-", "skew3+", "skew3-",
+                                  "skew4+", "skew4-", "minkowski"])
+def test_clifford_mul_fields_matches_chain_kernel(chart, rng):
+    # the blade-chain product of whole coefficient dicts is the reference
+    for _ in range(3):
+        u = sparse_field(chart, rng, POOL, min(6, 1 << chart.dim))
+        v = sparse_field(chart, rng, POOL, min(6, 1 << chart.dim))
+        got = clifford_mul_fields(u, v)
+        want = FormField(chart, blades.clifford_mul_dicts(
+            u.coeffs, v.coeffs, chart.g_upper_cexpr))
+        for p in random_points(chart, rng, 3):
+            a, b = got.eval_array(p), want.eval_array(p)
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+def test_blade_products_are_built_once_per_chart(rng, monkeypatch):
+    chart = skew_chart(3, 1)
+    built = []
+    kernel = blades.blade_clifford_mul
+
+    def counted(mask, v, g):
+        built.append((mask, *v))
+        return kernel(mask, v, g)
+
+    monkeypatch.setattr(blades, "blade_clifford_mul", counted)
+    u, v = (sparse_field(chart, rng, POOL, 5) for _ in range(2))
+    clifford_mul_fields(u, v)
+    first = set(built)
+    assert len(first) == len(built) == len(u.coeffs) * len(v.coeffs)
+    del built[:]
+    clifford_mul_fields(u, v)
+    assert built == []
+    w = sparse_field(chart, rng, POOL, 5)
+    clifford_mul_fields(u, w)
+    assert built and not first & set(built)
+    assert len(set(built)) == len(built)
+
+
+# ---------------------------------------------------------------------------
 # differential operators
 
 def test_upsilon_leibniz(rng):
@@ -180,7 +246,6 @@ def test_upsilon_leibniz(rng):
     u = random_form_field(chart, rng, POOL)
     v = random_form_field(chart, rng, POOL)
     p = random_points(chart, rng, 2)
-    from gafields.manifold import clifford_mul_fields
     for k in (1, 2):
         lhs = upsilon_k(clifford_mul_fields(u, v), k)
         rhs = (clifford_mul_fields(upsilon_k(u, k), v)
