@@ -60,6 +60,8 @@ class Expr:
     __slots__ = ("_d",)
 
     def __add__(self, other):
+        if isinstance(other, Expr):
+            return add(self, other)
         if not _liftable(other):
             return NotImplemented
         return add(self, lift(other))
@@ -70,6 +72,8 @@ class Expr:
         return add(lift(other), self)
 
     def __sub__(self, other):
+        if isinstance(other, Expr):
+            return sub(self, other)
         if not _liftable(other):
             return NotImplemented
         return sub(self, lift(other))
@@ -80,6 +84,8 @@ class Expr:
         return sub(lift(other), self)
 
     def __mul__(self, other):
+        if isinstance(other, Expr):
+            return mul(self, other)
         if not _liftable(other):
             return NotImplemented
         return mul(self, lift(other))
@@ -103,7 +109,7 @@ class Expr:
         return neg(self)
 
     def is_zero(self) -> bool:
-        return isinstance(self, Const) and self.val == 0.0
+        return False
 
     def __repr__(self):
         return f"Expr({to_str(self)})"
@@ -114,6 +120,9 @@ class Const(Expr):
 
     def __init__(self, val: float):
         self.val = float(val)
+
+    def is_zero(self) -> bool:
+        return self.val == 0.0
 
 
 class Var(Expr):
@@ -203,9 +212,13 @@ def lift(x) -> Expr:
 
 
 # Smart constructors with light folding: enough to keep derivative trees
-# from drowning in 0*x and x+0 noise, no general simplification.
+# from drowning in 0*x and x+0 noise, no general simplification.  Every
+# fold needs a Const operand, so add, sub and mul build the node at once
+# when neither operand is one.
 
 def add(a: Expr, b: Expr) -> Expr:
+    if type(a) is not Const and type(b) is not Const:
+        return Add(a, b)
     if a.is_zero():
         return b
     if b.is_zero():
@@ -216,6 +229,8 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
+    if type(a) is not Const and type(b) is not Const:
+        return Sub(a, b)
     if b.is_zero():
         return a
     if a.is_zero():
@@ -226,6 +241,8 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    if type(a) is not Const and type(b) is not Const:
+        return Mul(a, b)
     if a.is_zero() or b.is_zero():
         return ZERO
     if isinstance(a, Const):
@@ -347,76 +364,143 @@ def evaluate_table(table, point) -> np.ndarray:
 
 
 def _eval(e: Expr, point, memo):
-    # the memo entry pins the node: id() keys are only unique while the
-    # object is alive, and shared memos outlive temporary subtrees.  A
-    # float takes Python arithmetic and `math` (which raise on overflow),
-    # an array of batch values numpy (which returns inf or NaN instead).
-    key = id(e)
-    hit = memo.get(key)
+    return _EVAL[type(e)](e, point, memo)
+
+
+# One evaluator per node type in `_EVAL`, dispatched on type(e).  Each
+# evaluates its children through the table itself, so evaluation takes
+# one Python frame per nesting level, and keeps its own memo entry.  The
+# entry pins the node: id() keys are only unique while the object is
+# alive, and shared memos outlive temporary subtrees.  A float takes
+# Python arithmetic and `math` (which raise on overflow), an array of
+# batch values numpy (which returns inf or NaN instead).
+
+def _eval_const(e, point, memo):
+    return e.val
+
+
+def _eval_var(e, point, memo):
+    hit = memo.get(id(e))
     if hit is not None:
         return hit[1]
-    if isinstance(e, Const):
-        v = e.val
-    elif isinstance(e, Var):
-        if e.index > len(point):
-            raise EvalDomainError(f"variable x{e.index} beyond point "
-                                  "dimension", _point_at(point))
-        x = point[e.index - 1]
-        v = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) \
-            else float(x)
-        check_finite(v, point, "coordinate")
-    elif isinstance(e, Add):
-        v = _eval(e.a, point, memo) + _eval(e.b, point, memo)
-    elif isinstance(e, Sub):
-        v = _eval(e.a, point, memo) - _eval(e.b, point, memo)
-    elif isinstance(e, Mul):
-        v = _eval(e.a, point, memo) * _eval(e.b, point, memo)
-    elif isinstance(e, Div):
-        den = _eval(e.b, point, memo)
-        if isinstance(den, np.ndarray):
-            _domain_check(den == 0.0, "division by zero", point)
-        elif den == 0.0:
-            raise EvalDomainError("division by zero", point)
-        v = _eval(e.a, point, memo) / den
-    elif isinstance(e, Neg):
-        v = -_eval(e.a, point, memo)
-    elif isinstance(e, Pow):
-        x = _eval(e.base, point, memo)
-        if isinstance(x, np.ndarray):
-            if e.exponent < 0:
-                _domain_check(x == 0.0, "division by zero", point)
-            v = x ** e.exponent
-            check_finite(v, point, "power")
-        else:
-            if e.exponent < 0 and x == 0.0:
-                raise EvalDomainError("division by zero", point)
-            try:
-                v = x ** e.exponent
-            except OverflowError as exc:
-                raise EvalDomainError("non-finite power", point) from exc
-    elif isinstance(e, Call):
-        x = _eval(e.arg, point, memo)
-        if isinstance(x, np.ndarray):
-            if e.fn == "log":
-                _domain_check(x <= 0.0, "log of non-positive value", point)
-            elif e.fn == "sqrt":
-                _domain_check(x < 0.0, "sqrt of negative value", point)
-            v = _UFUNCS[e.fn](x)
-            check_finite(v, point, e.fn)
-        else:
-            if e.fn == "log" and x <= 0.0:
-                raise EvalDomainError("log of non-positive value", point)
-            if e.fn == "sqrt" and x < 0.0:
-                raise EvalDomainError("sqrt of negative value", point)
-            # math raises on exp overflow and on sin or cos of inf
-            try:
-                v = _FUNCS[e.fn](x)
-            except (OverflowError, ValueError) as exc:
-                raise EvalDomainError(f"non-finite {e.fn}", point) from exc
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {type(e).__name__}")
-    memo[key] = (e, v)
+    if e.index > len(point):
+        raise EvalDomainError(f"variable x{e.index} beyond point "
+                              "dimension", _point_at(point))
+    x = point[e.index - 1]
+    v = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) \
+        else float(x)
+    check_finite(v, point, "coordinate")
+    memo[id(e)] = (e, v)
     return v
+
+
+def _eval_add(e, point, memo):
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    a, b = e.a, e.b
+    v = _EVAL[type(a)](a, point, memo) + _EVAL[type(b)](b, point, memo)
+    memo[id(e)] = (e, v)
+    return v
+
+
+def _eval_sub(e, point, memo):
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    a, b = e.a, e.b
+    v = _EVAL[type(a)](a, point, memo) - _EVAL[type(b)](b, point, memo)
+    memo[id(e)] = (e, v)
+    return v
+
+
+def _eval_mul(e, point, memo):
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    a, b = e.a, e.b
+    v = _EVAL[type(a)](a, point, memo) * _EVAL[type(b)](b, point, memo)
+    memo[id(e)] = (e, v)
+    return v
+
+
+def _eval_div(e, point, memo):
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    a, b = e.a, e.b
+    den = _EVAL[type(b)](b, point, memo)
+    if isinstance(den, np.ndarray):
+        _domain_check(den == 0.0, "division by zero", point)
+    elif den == 0.0:
+        raise EvalDomainError("division by zero", point)
+    v = _EVAL[type(a)](a, point, memo) / den
+    memo[id(e)] = (e, v)
+    return v
+
+
+def _eval_neg(e, point, memo):
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    a = e.a
+    v = -_EVAL[type(a)](a, point, memo)
+    memo[id(e)] = (e, v)
+    return v
+
+
+def _eval_pow(e, point, memo):
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    base = e.base
+    x = _EVAL[type(base)](base, point, memo)
+    if isinstance(x, np.ndarray):
+        if e.exponent < 0:
+            _domain_check(x == 0.0, "division by zero", point)
+        v = x ** e.exponent
+        check_finite(v, point, "power")
+    else:
+        if e.exponent < 0 and x == 0.0:
+            raise EvalDomainError("division by zero", point)
+        try:
+            v = x ** e.exponent
+        except OverflowError as exc:
+            raise EvalDomainError("non-finite power", point) from exc
+    memo[id(e)] = (e, v)
+    return v
+
+
+def _eval_call(e, point, memo):
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    arg = e.arg
+    x = _EVAL[type(arg)](arg, point, memo)
+    if isinstance(x, np.ndarray):
+        if e.fn == "log":
+            _domain_check(x <= 0.0, "log of non-positive value", point)
+        elif e.fn == "sqrt":
+            _domain_check(x < 0.0, "sqrt of negative value", point)
+        v = _UFUNCS[e.fn](x)
+        check_finite(v, point, e.fn)
+    else:
+        if e.fn == "log" and x <= 0.0:
+            raise EvalDomainError("log of non-positive value", point)
+        if e.fn == "sqrt" and x < 0.0:
+            raise EvalDomainError("sqrt of negative value", point)
+        # math raises on exp overflow and on sin or cos of inf
+        try:
+            v = _FUNCS[e.fn](x)
+        except (OverflowError, ValueError) as exc:
+            raise EvalDomainError(f"non-finite {e.fn}", point) from exc
+    memo[id(e)] = (e, v)
+    return v
+
+
+_EVAL = {Const: _eval_const, Var: _eval_var, Add: _eval_add, Sub: _eval_sub,
+         Mul: _eval_mul, Div: _eval_div, Neg: _eval_neg, Pow: _eval_pow,
+         Call: _eval_call}
 
 
 def diff(e: Expr, var: int) -> Expr:
@@ -718,8 +802,8 @@ class CExpr:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=ZERO):
-        self.re = lift(re)
-        self.im = lift(im)
+        self.re = re if isinstance(re, Expr) else lift(re)
+        self.im = im if isinstance(im, Expr) else lift(im)
 
     @classmethod
     def of(cls, z) -> "CExpr":
@@ -737,22 +821,22 @@ class CExpr:
         return self.re.is_zero() and self.im.is_zero()
 
     def __add__(self, other):
-        o = CExpr.of(other)
-        return CExpr(self.re + o.re, self.im + o.im)
+        o = other if type(other) is CExpr else CExpr.of(other)
+        return CExpr(add(self.re, o.re), add(self.im, o.im))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = CExpr.of(other)
-        return CExpr(self.re - o.re, self.im - o.im)
+        o = other if type(other) is CExpr else CExpr.of(other)
+        return CExpr(sub(self.re, o.re), sub(self.im, o.im))
 
     def __rsub__(self, other):
         return CExpr.of(other) - self
 
     def __mul__(self, other):
-        o = CExpr.of(other)
-        return CExpr(self.re * o.re - self.im * o.im,
-                     self.re * o.im + self.im * o.re)
+        o = other if type(other) is CExpr else CExpr.of(other)
+        return CExpr(sub(mul(self.re, o.re), mul(self.im, o.im)),
+                     add(mul(self.re, o.im), mul(self.im, o.re)))
 
     __rmul__ = __mul__
 

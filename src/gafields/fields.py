@@ -23,7 +23,9 @@ on the config the first time they are asked for.  The one-point calls
 (`main_residual`, `lagrangian_l0`, `lagrangian_l1`, `current`,
 `h_residual`, `system_residuals`, `conservation_defect`,
 `curvature_link_check`) look their forms up there and only evaluate, so
-calling them at many points builds nothing after the first.
+calling them at many points builds nothing after the first.  A product
+is built only on the blades its residuals read: the current J on grades
+0 and 2, C on the blades that pair with H into a scalar.
 """
 
 from __future__ import annotations
@@ -190,10 +192,22 @@ def main_residual(cfg: FieldConfig, p) -> Multivector:
     return main_form(cfg).eval_at(p)
 
 
+def _scalar_partners(u: FormField) -> set:
+    """The blades b for which e_a e_b has a scalar part for some blade a
+    of u: the only blades of X that Tr(U X) reads."""
+    chart = u.chart
+    return {b for b in range(1 << chart.dim)
+            if any(c == 0 for a in u.coeffs
+                   for c, _ in chart.blade_product(a, b))}
+
+
 @_per_config
 def c_form(cfg: FieldConfig) -> FormField:
-    """The form C = Psi* (main equation left side)."""
-    return clifford_mul_fields(conjugate_field(cfg.psi), main_form(cfg))
+    """The form C = Psi* (main equation left side), built only on the
+    blades that pair with a blade of H into a scalar: its callers read
+    C through Tr(H (C +- C*)) alone."""
+    return clifford_mul_fields(conjugate_field(cfg.psi), main_form(cfg),
+                               keep=_scalar_partners(cfg.h))
 
 
 @_per_config
@@ -226,15 +240,25 @@ def bar_psi(cfg: FieldConfig, p) -> Multivector:
 
 
 @_per_config
-def current_exprs(cfg: FieldConfig):
-    """The n complex scalars j^k = Tr(bar-Psi dx^k Psi)."""
+def current_j_fields(cfg: FieldConfig):
+    """J^j = i bar-Psi dx^j Psi as symbolic fields, built only on the
+    blades the residuals read: grade 0 (the trace, for Maxwell and the
+    conservation identity) and grade 2 (for Yang-Mills)."""
+    chart = cfg.chart
+    keep = {0, *grade_masks(chart.dim, 2)}
     bp = bar_psi_field(cfg)
-    out = []
-    for k in range(1, cfg.chart.dim + 1):
-        prod = clifford_mul_fields(clifford_mul_fields(bp, dx(cfg.chart, k)),
-                                   cfg.psi)
-        out.append(trace_field(prod))
-    return tuple(out)
+    return tuple(clifford_mul_fields(clifford_mul_fields(bp, dx(chart, j)),
+                                     cfg.psi, keep=keep).scale(1j)
+                 for j in range(1, chart.dim + 1))
+
+
+@_per_config
+def current_exprs(cfg: FieldConfig):
+    """The n complex scalars j^k = Tr(bar-Psi dx^k Psi) = -i Tr(J^k).
+    Multiplying by -i folds back to the parts of the trace of the
+    triple product, so no product is built a second time."""
+    return tuple(CExpr(0.0, -1.0) * trace_field(jf)
+                 for jf in current_j_fields(cfg))
 
 
 def current(cfg: FieldConfig, p) -> np.ndarray:
@@ -338,7 +362,8 @@ def field_strengths(cfg: FieldConfig, p):
 def _l1_form(cfg: FieldConfig) -> CExpr:
     """L1 = Tr(H (C + C*)) as a complex scalar expression."""
     c = c_form(cfg)
-    return trace_field(clifford_mul_fields(cfg.h, c + conjugate_field(c)))
+    return trace_field(clifford_mul_fields(cfg.h, c + conjugate_field(c),
+                                           keep={0}))
 
 
 def lagrangian_l1(cfg: FieldConfig, p) -> complex:
@@ -346,16 +371,21 @@ def lagrangian_l1(cfg: FieldConfig, p) -> complex:
 
 
 def _raise_pair(cfg, lower, i, j):
-    """g^{ir} g^{js} X_rs for a matrix of scalar expressions or fields."""
-    n = cfg.chart.dim
-    gu = cfg.chart.g_upper_exprs
-    acc = None
-    for r in range(n):
-        for s in range(n):
+    """g^{ir} g^{js} X_rs for a matrix of scalar expressions or fields.
+    A pair whose g^ir or g^js is zero adds nothing and is skipped."""
+    chart = cfg.chart
+    gu = chart.g_upper_exprs
+    of_fields = isinstance(lower[0][0], FormField)
+    acc = FormField(chart) if of_fields else CZERO
+    for r in range(chart.dim):
+        if gu[i][r].is_zero():
+            continue
+        for s in range(chart.dim):
+            if gu[j][s].is_zero():
+                continue
+            z = CExpr(gu[i][r] * gu[j][s])
             x = lower[r][s]
-            term = x.scale(CExpr(gu[i][r] * gu[j][s])) \
-                if isinstance(x, FormField) else CExpr(gu[i][r] * gu[j][s]) * x
-            acc = term if acc is None else acc + term
+            acc = acc + (x.scale(z) if of_fields else z * x)
     return acc
 
 
@@ -384,17 +414,6 @@ def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,
 
 # ---------------------------------------------------------------------------
 # The Euler-Lagrange system.
-
-@_per_config
-def current_j_fields(cfg: FieldConfig):
-    """J^j = i bar-Psi dx^j Psi as symbolic fields."""
-    bp = bar_psi_field(cfg)
-    out = []
-    for j in range(1, cfg.chart.dim + 1):
-        out.append(clifford_mul_fields(
-            clifford_mul_fields(bp, dx(cfg.chart, j)), cfg.psi).scale(1j))
-    return tuple(out)
-
 
 # Each family builder returns the family's output forms (FormFields, CExprs
 # or Exprs) and a reduction of their values to named defects.  The values
@@ -460,7 +479,9 @@ def _yang_mills_family(cfg, j_fields, c2):
             # the sqrt|g| factor absorbs the contracted Christoffel of the
             # first index; the second free upper index still needs its own
             for s in range(n):
-                term = term + g_upper[i][s].scale(CExpr(sqrtg * gm[j][i][s]))
+                if not gm[j][i][s].is_zero():
+                    term = term + g_upper[i][s].scale(
+                        CExpr(sqrtg * gm[j][i][s]))
             comm = clifford_mul_fields(g_upper[i][j], cfg.b[i]) \
                 - clifford_mul_fields(cfg.b[i], g_upper[i][j])
             acc = acc + term - comm.scale(CExpr(sqrtg))
@@ -503,8 +524,8 @@ def _conservation_family(cfg):
     for k, jk in enumerate(current_exprs(cfg), start=1):
         div = div + CExpr(diff(sqrtg * jk.re, k), diff(sqrtg * jk.im, k))
     c = c_form(cfg)
-    rhs = trace_field(clifford_mul_fields(cfg.h, c - conjugate_field(c))
-                      .scale(-1j))
+    rhs = trace_field(clifford_mul_fields(cfg.h, c - conjugate_field(c),
+                                          keep={0}).scale(-1j))
     return [div, sqrtg, rhs], lambda v: {"conservation": abs(v[0] / v[1]
                                                              - v[2])}
 

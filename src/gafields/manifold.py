@@ -358,16 +358,27 @@ def wedge_fields(u: FormField, v: FormField) -> FormField:
     return FormField(u.chart, blades.wedge_dicts(u.coeffs, v.coeffs))
 
 
-def clifford_mul_fields(u: FormField, v: FormField) -> FormField:
+def clifford_mul_fields(u: FormField, v: FormField, *,
+                        keep=None) -> FormField:
     """U V from the chart's blade products: each u_a v_b is formed once
-    and added to every blade of e_a e_b, with a sign or times C^c_ab."""
+    and added to every blade of e_a e_b, with a sign or times C^c_ab.
+
+    `keep`, a set of blade masks, builds only those blades of U V: a pair
+    (a, b) whose e_a e_b has no kept blade is skipped before u_a v_b is
+    formed.  Each kept blade gets the same terms, in the same order, as
+    in the full product."""
     u._check(v)
     product = u.chart.blade_product
     out: dict = {}
     for a, ca in u.coeffs.items():
         for b, cb in v.coeffs.items():
+            terms = product(a, b)
+            if keep is not None:
+                terms = [(c, k) for c, k in terms if c in keep]
+                if not terms:
+                    continue
             p = ca * cb
-            for c, k in product(a, b):
+            for c, k in terms:
                 if isinstance(k, Expr):
                     term = CExpr(mul(k, p.re), mul(k, p.im))
                 else:

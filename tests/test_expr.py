@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gafields import expr as expr_module
 from gafields.expr import (
     Add,
     CExpr,
     Const,
     Div,
     EvalDomainError,
+    Expr,
     ExprDepthError,
     ExprError,
     ExprSyntaxError,
@@ -108,6 +110,18 @@ def test_batch_matches_float_points():
     assert z.dtype == complex and np.array_equal(z.real, got)
     # a constant stays a number that broadcasts over the batch
     assert evaluate(parse("2*3", 2), batch) == 6.0
+
+
+def test_every_node_type_has_an_evaluator():
+    # evaluation dispatches on type(e), so a node type missing from the
+    # table would go unnoticed until an expression first holds one
+    def node_types(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from node_types(sub)
+    types = {t for t in node_types(Expr)
+             if t.__module__ == expr_module.__name__}
+    assert types == set(expr_module._EVAL)
 
 
 def test_round_trip_printing():

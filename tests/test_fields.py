@@ -380,6 +380,39 @@ def test_one_point_calls_build_each_form_once(rng, monkeypatch):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_system_build_forms_each_current_product_once(rng, monkeypatch):
+    # bar-Psi dx^k Psi is built once per k, for J^k; the scalar current
+    # j^k of the conservation identity is -i Tr(J^k), not a second product
+    cfg = smooth_config(rng, with_b=False)  # H passes: conservation built
+    products = count_calls(monkeypatch, fields, "clifford_mul_fields")
+    points = sample_points(cfg.chart, rng, 3)
+    rows = ResidualSystem(cfg).evaluate(points)
+    assert all("conservation" in row for row in rows)
+    assert sum(args[1] is cfg.psi for args in products) == cfg.chart.dim
+    j_fields = fields.current_j_fields(cfg)
+    for p in points:
+        for jk, jf in zip(fields.current_exprs(cfg), j_fields):
+            assert jk.evaluate(p) == -1j * fields.trace_field(jf).evaluate(p)
+
+
+def test_raise_pair_skips_zero_metric_factors(monkeypatch):
+    # on a diagonal chart g^ir g^js vanishes unless r = i and s = j; an
+    # all-zero raise is still a field or a complex scalar, never None
+    cfg, _ = curvature_linked_config()
+    scales = count_calls(monkeypatch, FormField, "scale")
+    g_fields = fields.g_strength_fields(cfg)
+    n = cfg.chart.dim
+    for i, j in itertools.product(range(n), repeat=2):
+        del scales[:]
+        raised = fields._raise_pair(cfg, g_fields, i, j)
+        assert len(scales) == 1 and not scales[0][1].is_zero()
+        assert isinstance(raised, FormField)
+    zero = fields._raise_pair(cfg, fields.f_strength_exprs(cfg), 0, 1)
+    assert isinstance(zero, CExpr) and zero.is_zero()  # a_k = 0
+    empty = [[FormField(cfg.chart)] * n] * n
+    assert fields._raise_pair(cfg, empty, 0, 1).coeffs == {}
+
+
 def test_config_is_immutable(rng):
     cfg = smooth_config(rng)
     main_residual(cfg, cfg.chart.midpoint())  # memo filled

@@ -35,6 +35,8 @@ from gafields.manifold import (
     wedge_fields,
 )
 from gafields.metric import ArgumentError
+from gafields.multivector import grade_masks
+from helpers import curved_link_chart
 
 
 def polar_chart():
@@ -198,21 +200,43 @@ def sparse_field(chart, rng, pool, terms):
                              for m in masks})
 
 
+def dense_constant_chart():
+    """A constant indefinite 3-metric with every entry nonzero: its
+    structure constants C^c_ab are Const nodes other than +-1."""
+    rows = [["2", "0.3", "0.1"], ["0.3", "-1.5", "0.2"],
+            ["0.1", "0.2", "1.2"]]
+    return Chart([[parse(src, 3) for src in row] for row in rows],
+                 [(0.1, 0.9)] * 3)
+
+
 @pytest.mark.parametrize("chart", [
     *(skew_chart(n, sign) for n in (2, 3, 4) for sign in (1, -1)),
-    flat_minkowski_chart()], ids=["skew2+", "skew2-", "skew3+", "skew3-",
-                                  "skew4+", "skew4-", "minkowski"])
+    flat_minkowski_chart(), curved_link_chart(), dense_constant_chart()],
+    ids=["skew2+", "skew2-", "skew3+", "skew3-", "skew4+", "skew4-",
+         "minkowski", "diagonal4", "dense3"])
 def test_clifford_mul_fields_matches_chain_kernel(chart, rng):
-    # the blade-chain product of whole coefficient dicts is the reference
+    # the blade-chain product of whole coefficient dicts is the reference;
+    # a product kept to some blades is the full one on exactly those,
+    # bitwise, since each kept blade gets the same terms in the same order
+    n = chart.dim
+    two = set(grade_masks(n, 2))
+    keeps = ({0}, two, {0} | two, set())
     for _ in range(3):
-        u = sparse_field(chart, rng, POOL, min(6, 1 << chart.dim))
-        v = sparse_field(chart, rng, POOL, min(6, 1 << chart.dim))
+        u = sparse_field(chart, rng, POOL, min(6, 1 << n))
+        v = sparse_field(chart, rng, POOL, min(6, 1 << n))
         got = clifford_mul_fields(u, v)
         want = FormField(chart, blades.clifford_mul_dicts(
             u.coeffs, v.coeffs, chart.g_upper_cexpr))
+        kept = [clifford_mul_fields(u, v, keep=keep) for keep in keeps]
+        assert kept[-1].coeffs == {}
+        for keep, part in zip(keeps, kept):
+            assert set(part.coeffs) <= keep
         for p in random_points(chart, rng, 3):
             a, b = got.eval_array(p), want.eval_array(p)
             assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+            for keep, part in zip(keeps, kept):
+                rows = sorted(keep)
+                assert np.array_equal(part.eval_array(p)[rows], a[rows])
 
 
 def test_blade_products_are_built_once_per_chart(rng, monkeypatch):
