@@ -16,8 +16,8 @@ here: `wedge_dicts` directly, and the Clifford product through a chart's
 blade-product table, whose entries `blade_clifford_mul` builds.  The
 chain kernel over whole dicts, `clifford_mul_dicts`, is the reference the
 tests check the numeric structure tensor and the chart's table against.
-The numeric layer takes only the generator step `gen_mul` and the basis
-conversions from here.
+The numeric layer takes no product or basis change from here: its
+structure tensor and basis matrices are array recurrences of their own.
 
 This module is also the one place that knows blade grades and signs:
 `grade_array(n)`, `reversion_array(n)` and the exterior product's sign
@@ -190,22 +190,12 @@ def grassmann_to_chains(mask: int, g) -> dict:
     sum_r (-1)^r/r! Q^r applied to the generator chain; every chain keeps
     ascending indices, so chain masks are Clifford basis monomials.
     """
-    return _convert_blade(mask, g, -1.0)
-
-
-def clifford_to_grassmann_blade(mask: int, g) -> dict:
-    """Expand a Clifford basis monomial over Grassmann blades (the inverse
-    index-pair contraction, with all-plus signs)."""
-    return _convert_blade(mask, g, 1.0)
-
-
-def _convert_blade(mask: int, g, sign: float) -> dict:
     k = popcount(mask)
     acc = {mask: 1.0}
     cur = {tuple(blade_indices(mask)): 1.0}
     for r in range(1, k // 2 + 1):
         cur = _q_step(cur, g)
-        factor = (sign ** r) / factorial(r)
+        factor = (-1.0) ** r / factorial(r)
         for chain, coeff in cur.items():
             if is_zero(coeff):
                 continue

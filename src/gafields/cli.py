@@ -18,6 +18,7 @@ from .metric import ArgumentError, MetricError, metric_from_json
 from .multivector import CLIFFORD, GRASSMANN, MAX_TABLE_DIM, build_product_table
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+TEXT_MAP_SIZE = 1 << 14  # value texts `mul-table` keeps between alphas
 
 
 class _UsageError(Exception):
@@ -75,17 +76,32 @@ def _write_table(fh, fmt: str, basis: str, dim: int, prods) -> None:
             ',\n      "gamma": ', ',\n      "re": ',
             ',\n      "im": 0.0\n    }')
         sep, tail = ",\n", "\n  ]\n}\n"
+    # an entry is three texts: its alpha and beta, its gamma, its value
+    gammas = np.array([k + to_re for k in keys], dtype=object)
+    # a table repeats few values: format each distinct one once per
+    # table; the map is emptied between alphas once it outgrows
+    # TEXT_MAP_SIZE
+    texts = {}
     lead = "\n"
     for a, prod in enumerate(prods):
         # walk b, then c; e_a e_0 = e_a, so there is at least one entry
         b, c = np.nonzero(np.abs(prod.T) > 1e-14)
-        # a table repeats few values: format each distinct one once
         values, which = np.unique(prod.T[b, c], return_inverse=True)
-        res = list(map(repr, values.tolist()))
+        if len(texts) > TEXT_MAP_SIZE:
+            texts.clear()
+        get, add = texts.get, texts.setdefault
+        res = np.array([get(v) or add(v, repr(v) + end)
+                        for v in values.tolist()], dtype=object)
         head = start + keys[a] + to_beta
-        fh.write(lead + sep.join([
-            f"{head}{keys[j]}{to_gamma}{keys[k]}{to_re}{res[i]}{end}"
-            for j, k, i in zip(b.tolist(), c.tolist(), which.tolist())]))
+        betas = np.array([head + k + to_gamma for k in keys], dtype=object)
+        # one row of pieces per entry, each led by its separator
+        pieces = np.empty((len(b), 4), dtype=object)
+        pieces[:, 0] = sep
+        pieces[0, 0] = lead
+        pieces[:, 1] = betas[b]
+        pieces[:, 2] = gammas[c]
+        pieces[:, 3] = res[which]
+        fh.write("".join(pieces.ravel().tolist()))
         lead = sep
     fh.write(tail)
 

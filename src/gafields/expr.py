@@ -332,11 +332,29 @@ def check_finite(v, point, what: str = "value") -> None:
         raise EvalDomainError(f"non-finite {what}", point)
 
 
+def _check_coordinates(point) -> None:
+    """Raise `EvalDomainError` naming the first point of a batch, or the
+    point of floats, with an inf or NaN coordinate.  Evaluation checks
+    the coordinates here, once, where a point enters it; the variable
+    nodes then only read them."""
+    if _is_batch(point):
+        bad = False
+        for x in point:
+            bad = bad | ~np.isfinite(x)
+        _domain_check(np.asarray(bad), "non-finite coordinate", point)
+    elif not all(math.isfinite(float(x)) for x in point):
+        raise EvalDomainError("non-finite coordinate", point)
+
+
 def evaluate(e: Expr, point, memo=None):
     """Evaluate at a point of floats (a float) or at a batch of coordinate
     arrays (an array of values, or a float where `e` is constant)."""
-    if memo is None:
-        memo = {}
+    _check_coordinates(point)
+    return _evaluate(e, point, {} if memo is None else memo)
+
+
+def _evaluate(e: Expr, point, memo):
+    """`evaluate` at a point whose coordinates are checked."""
     try:
         if _is_batch(point):
             # every value that leaves the domain raises EvalDomainError, so
@@ -355,12 +373,21 @@ def evaluate_table(table, point) -> np.ndarray:
     """A nested table (lists or an object array) of real expressions or
     numbers at a point of floats, as a float array of the table's shape;
     every entry shares one memo."""
+    _check_coordinates(point)
     memo = {}
     exprs = np.asarray(table, dtype=object)
     out = np.empty(exprs.shape)
     for idx, e in np.ndenumerate(exprs):
-        out[idx] = evaluate(lift(e), point, memo)
+        out[idx] = _evaluate(lift(e), point, memo)
     return out
+
+
+def evaluate_many(cexprs, point, memo=None) -> list:
+    """`CExpr.evaluate` of each complex expression at one point or batch,
+    all sharing one memo."""
+    _check_coordinates(point)
+    memo = {} if memo is None else memo
+    return [c._evaluate(point, memo) for c in cexprs]
 
 
 def _eval(e: Expr, point, memo):
@@ -389,7 +416,6 @@ def _eval_var(e, point, memo):
     x = point[e.index - 1]
     v = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) \
         else float(x)
-    check_finite(v, point, "coordinate")
     memo[id(e)] = (e, v)
     return v
 
@@ -852,8 +878,11 @@ class CExpr:
     def evaluate(self, point, memo=None):
         """A complex number at a point of floats; at a batch, a complex
         array (or a complex number where both parts are constant)."""
-        if memo is None:
-            memo = {}
+        _check_coordinates(point)
+        return self._evaluate(point, {} if memo is None else memo)
+
+    def _evaluate(self, point, memo):
+        """`evaluate` at a point whose coordinates are checked."""
         try:
             if not _is_batch(point):
                 z = complex(_eval(self.re, point, memo),

@@ -25,6 +25,7 @@ from .expr import (
     ZERO,
     call,
     diff,
+    evaluate_many,
     evaluate_table,
     lift,
     mul,
@@ -297,12 +298,11 @@ class FormField:
         """Coefficient array at a point of floats, shape (2^n,), or at a
         batch of N points given as n coordinate arrays, shape (2^n, N).
         The caller checks that the points lie in the chart."""
-        if memo is None:
-            memo = {}
         shape = (1 << self.chart.dim,) + np.shape(point[0])
         out = np.zeros(shape, dtype=complex)
-        for mask, c in self.coeffs.items():
-            out[mask] = c.evaluate(point, memo)
+        values = evaluate_many(self.coeffs.values(), point, memo)
+        for mask, v in zip(self.coeffs, values):
+            out[mask] = v
         return out
 
     def grades(self):

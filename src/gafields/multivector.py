@@ -153,9 +153,12 @@ class ProductTable:
 
     ``left[a][c, b]`` is the coefficient of Grassmann blade c in e_a e_b,
     so ``left[a]`` is the matrix of x -> e_a x and ``left[:, :, b].T``
-    that of x -> x e_b.  Generator slices come from ``blades.gen_mul``.
+    that of x -> x e_b.  A generator slice is filled over all masks b at
+    once: e^i e_b = e^i ^ e_b + e^i _| e_b, the wedge signed by the
+    generators of b below i, and the contraction sum_{j in b}
+    (-1)^(pos_j - 1) g^{ij} e_{b \ j}, pos_j being the position of j in b.
     A blade a = e^i ^ B with lowest index i follows from
-    e^i ^ B = e^i B - e^i _| B, pos_j being the position of j in B:
+    e^i ^ B = e^i B - e^i _| B:
 
         left[a] = left[e^i] @ left[B]
                   - sum_{j in B} (-1)^(pos_j - 1) g^{ij} left[B \ j]
@@ -169,24 +172,35 @@ class ProductTable:
                                 f"{MAX_TABLE_DIM}, got {metric.dim}")
         self.metric = metric
         self.dim = n = metric.dim
-        self._g = lambda i, j: float(metric.g_upper[i - 1, j - 1])
+        g = metric.g_upper
         size = 1 << n
+        masks = np.arange(size)
+        grade = blades.grade_array(n)
         left = np.zeros((size, size, size))
         left[0] = np.eye(size)
-        for i in range(1, n + 1):
-            for b in range(size):
-                for c, val in blades.gen_mul(i, {b: 1.0}, self._g).items():
-                    left[1 << (i - 1), c, b] = val
+        for i in range(n):
+            gen = left[1 << i]
+            # e^i ^ e_b passes e^i over the generators of b below i
+            free = masks[(masks >> i) & 1 == 0]
+            below = grade[free & ((1 << i) - 1)]
+            gen[free | (1 << i), free] = 1 - 2 * (below % 2)
+            for j in range(n):
+                if g[i, j] == 0:  # no entry, not even a signed zero
+                    continue
+                held = masks[(masks >> j) & 1 == 1]
+                # +g^{ij} where j sits at an odd position of b
+                pos = grade[held & ((2 << j) - 1)]
+                gen[held ^ (1 << j), held] = g[i, j] * (2 * (pos % 2) - 1)
         for a in range(1, size):
             rest = a & (a - 1)
             if not rest:
                 continue
             low = a ^ rest
-            i = low.bit_length()
+            i = low.bit_length() - 1
             left[a] = left[low] @ left[rest]
             for pos, j in enumerate(blades.blade_indices(rest)):
                 sign = 1.0 if pos % 2 == 0 else -1.0
-                left[a] -= sign * self._g(i, j) * left[rest ^ (1 << (j - 1))]
+                left[a] -= sign * g[i, j - 1] * left[rest ^ (1 << (j - 1))]
         self.left = left
         self._g2c = None
         self._c2g = None
@@ -212,23 +226,25 @@ class ProductTable:
         return self.grassmann_to_clifford_matrix() @ acc @ c2g
 
     def grassmann_to_clifford_matrix(self) -> np.ndarray:
+        """The inverse of `clifford_to_grassmann_matrix`, which is unit
+        upper triangular in mask order."""
         if self._g2c is None:
-            self._g2c = self._basis_matrix(blades.grassmann_to_chains)
+            self._g2c = np.linalg.inv(self.clifford_to_grassmann_matrix())
         return self._g2c
 
     def clifford_to_grassmann_matrix(self) -> np.ndarray:
+        """Column a holds the Clifford monomial a in the Grassmann basis,
+        built from e_0 up: the monomial of a with lowest index i is e^i
+        times the monomial of a without i."""
         if self._c2g is None:
-            self._c2g = self._basis_matrix(blades.clifford_to_grassmann_blade)
+            size = 1 << self.dim
+            c2g = np.zeros((size, size))
+            c2g[0, 0] = 1.0
+            for a in range(1, size):
+                low = a & -a
+                c2g[:, a] = self.left[low] @ c2g[:, a ^ low]
+            self._c2g = c2g
         return self._c2g
-
-    def _basis_matrix(self, convert) -> np.ndarray:
-        """Column b holds the expansion convert(b) of blade b."""
-        size = 1 << self.dim
-        mat = np.zeros((size, size))
-        for b in range(size):
-            for m, c in convert(b, self._g).items():
-                mat[m, b] = c
-        return mat
 
     def volume(self) -> Multivector:
         if self._volume is None:

@@ -15,7 +15,7 @@ from gafields.metric import metric_from_json, metric_to_json, new_metric
 from gafields.multivector import (CLIFFORD, GRASSMANN, MAX_TABLE_DIM,
                                   Multivector, ProductTable, basis_convert,
                                   build_product_table)
-from gafields import checks
+from gafields import checks, cli
 from gafields.cli import main
 from gafields.checks import random_metric
 
@@ -179,6 +179,27 @@ def test_mul_table_bytes_match_reference(basis, fmt, tmp_path, capsys):
         want = reference_table(metric_from_json(path.read_text()), basis, fmt)
         assert out == want
         assert out_file.read_text() == want
+
+
+@pytest.mark.parametrize("map_size", [cli.TEXT_MAP_SIZE, 3])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("basis", [GRASSMANN, CLIFFORD])
+def test_mul_table_repeated_values_match_reference(basis, fmt, map_size,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+    # a diagonal metric repeats the same values from alpha to alpha, so
+    # the writer reuses their texts; a map emptied every few values
+    # writes the same bytes
+    monkeypatch.setattr(cli, "TEXT_MAP_SIZE", map_size)
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"dim": 5,
+                                "g_upper": np.diag([1.0, 2.0, -1.0, 0.5,
+                                                    3.0]).tolist()}))
+    code, out, _ = run_cli(["mul-table", "--metric", str(path), "--basis",
+                            basis, "--format", fmt], capsys)
+    assert code == 0
+    assert out == reference_table(metric_from_json(path.read_text()),
+                                  basis, fmt)
 
 
 # input file contents: text, raw bytes, or None for a directory in place

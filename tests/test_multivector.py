@@ -103,13 +103,40 @@ def test_clifford_associativity(rng):
         assert (lhs - rhs).norm() < 1e-10 * max(1.0, lhs.norm())
 
 
+def reference_metrics(n, rng):
+    """A diagonal metric, dense ones with det g > 0 and det g < 0, and
+    for n > 2 the last of these with g^{1j} = 0 for j > 1."""
+    diag = new_metric(np.diag(rng.uniform(0.5, 2.0, n)
+                              * rng.choice([-1.0, 1.0], n)),
+                      convention="upper")
+    ms = [diag, random_metric_signed(n, rng, 1), random_metric_signed(n, rng, -1)]
+    if n > 2:
+        g = np.array(ms[-1].g_upper)
+        g[0, 1:] = g[1:, 0] = 0.0
+        ms.append(new_metric(g, convention="upper"))
+    return ms
+
+
+def clifford_to_grassmann_blade(mask, g) -> dict:
+    """Clifford monomial `mask` over Grassmann blades: the chain
+    expansion of `blades.grassmann_to_chains` with all-plus signs, which
+    is that expansion for the metric -g."""
+    return blades.grassmann_to_chains(mask, lambda i, j: -g(i, j))
+
+
 def test_structure_tensor_matches_chain_kernel(rng):
     # the blade-chain kernel of the symbolic layer is the reference
     for n in range(1, 7):
-        for sign in (1, -1):
-            m = random_metric_signed(n, rng, sign)
+        for m in reference_metrics(n, rng):
             left = build_product_table(m).left
             g = lambda i, j: float(m.g_upper[i - 1, j - 1])
+            # the generator slices are the `gen_mul` steps, bit for bit
+            for i in range(1, n + 1):
+                want = np.zeros((1 << n, 1 << n))
+                for b in range(1 << n):
+                    for c, val in blades.gen_mul(i, {b: 1.0}, g).items():
+                        want[c, b] = val
+                assert np.array_equal(left[1 << (i - 1)], want)
             for a in range(1 << n):
                 for b in range(1 << n):
                     want = np.zeros(1 << n)
@@ -119,6 +146,24 @@ def test_structure_tensor_matches_chain_kernel(rng):
                     got = left[a][:, b]  # left[a] @ e_b
                     scale = max(1.0, np.abs(want).max())
                     assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_basis_matrices_match_chain_kernel(rng):
+    for n in range(1, 7):
+        for m in reference_metrics(n, rng):
+            t = build_product_table(m)
+            g = lambda i, j: float(m.g_upper[i - 1, j - 1])
+            c2g, g2c = (t.clifford_to_grassmann_matrix(),
+                        t.grassmann_to_clifford_matrix())
+            for got, convert in ((c2g, clifford_to_grassmann_blade),
+                                 (g2c, blades.grassmann_to_chains)):
+                want = np.zeros_like(got)
+                for b in range(1 << n):
+                    for c, val in convert(b, g).items():
+                        want[c, b] = val
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(got - want).max() <= 1e-12 * scale
+            assert np.abs(g2c @ c2g - np.eye(1 << n)).max() <= 1e-12
 
 
 def test_table_dimension_guard():
