@@ -78,10 +78,6 @@ def kform_sample(n: int, k: int, z: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def random_mv(n: int, rng: np.random.Generator) -> Multivector:
-    return Multivector._of(n, mv_sample(n, rng.normal(size=2 << n)))
-
-
 def random_kform(n: int, k: int, rng: np.random.Generator) -> Multivector:
     """Complex normal coefficients on the grade-k blades, drawn real
     part then imaginary part, blade by blade in mask order."""

@@ -13,17 +13,16 @@ evaluate step.  `ResidualSystem(cfg)` builds each residual family (main,
 maxwell, yang_mills, h, curvature_link, conservation) once: symbolic
 forms plus a numeric reduction of their values to defects.  Its
 `evaluate(points)` then evaluates every form over all points in one
-vectorised pass, and `at(p)` evaluates them at one point with plain
-floats.
+vectorised pass, and `at(p)` is `evaluate` on a batch of one point.
 
 Every symbolic form of a configuration is built once: `FieldConfig` is
 immutable, and the main form, C, the L1 form, the current, the H system,
 the f and G field strengths and the residual systems are kept in a memo
 on the config the first time they are asked for.  The one-point calls
 (`main_residual`, `lagrangian_l0`, `lagrangian_l1`, `current`,
-`h_residual`, `system_residuals`, `conservation_defect`,
-`curvature_link_check`) look their forms up there and only evaluate, so
-calling them at many points builds nothing after the first.  A product
+`system_residuals`, `conservation_defect`, `curvature_link_check`) look
+their forms up there and only evaluate, so calling them at many points
+builds nothing after the first.  A product
 is built only on the blades its residuals read: the current J on grades
 0 and 2, C on the blades that pair with H into a scalar.
 """
@@ -221,22 +220,12 @@ def h_forms(cfg: FieldConfig):
     return sq, forms
 
 
-def h_residual(cfg: FieldConfig, p):
-    """Defects of the H system at a point, as multivectors."""
-    sq, forms = h_forms(cfg)
-    return sq.eval_at(p), [f.eval_at(p) for f in forms]
-
-
 # ---------------------------------------------------------------------------
 # Current and conservation.
 
 @_per_config
 def bar_psi_field(cfg: FieldConfig) -> FormField:
     return clifford_mul_fields(cfg.h, conjugate_field(cfg.psi))
-
-
-def bar_psi(cfg: FieldConfig, p) -> Multivector:
-    return bar_psi_field(cfg).eval_at(p)
 
 
 @_per_config
@@ -416,10 +405,8 @@ def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,
 # The Euler-Lagrange system.
 
 # Each family builder returns the family's output forms (FormFields, CExprs
-# or Exprs) and a reduction of their values to named defects.  The values
-# are complex arrays at a batch and Python numbers at a point of floats,
-# so one reduction serves both, and keeps the plain float arithmetic at a
-# single point.
+# or Exprs) and a reduction of their values, arrays over a batch of
+# points, to named defects.
 
 def _norm(values):
     """Max-abs norm over the blade axis, at every point."""
@@ -558,8 +545,8 @@ class ResidualSystem:
     """Build step of the coupled system: the named residual families of
     one configuration, each built once.  `families` maps a family name to
     its (output forms, reduction).  The conservation identity holds only
-    where H solves its equations, so its family is built on first use,
-    when the evaluated h defects pass somewhere."""
+    where H solves its equations, so its family is kept apart and built
+    on first use, when the evaluated h defects pass somewhere."""
 
     def __init__(self, cfg: FieldConfig, families=FAMILIES,
                  c1: float = 1.0, c2: float = 1.0):
@@ -584,47 +571,33 @@ class ResidualSystem:
         if "curvature_link" in families:
             self.families["curvature_link"] = _curvature_link_family(cfg)
         self._with_conservation = "conservation" in families
-
-    def _defects(self, point) -> dict:
-        out = {}
-        for family in self.families.values():
-            out.update(_reduce(family, point))
-        return out
-
-    def _conservation_built(self):
-        if "conservation" not in self.families:
-            self.families["conservation"] = _conservation_family(self.cfg)
-        return self.families["conservation"]
-
-    def _h_passes(self, res):
-        return np.maximum(res["h_scalar"], res["h_forms"]) <= H_TOL
+        self._conservation = None
 
     def at(self, p) -> dict:
-        """Evaluate step at one point, with plain float arithmetic:
-        output name -> defect, 'conservation' only where H passes."""
-        self.cfg.chart.check_point(p)
-        p = tuple(float(x) for x in p)
-        res = self._defects(p)
-        if self._with_conservation and self._h_passes(res):
-            res.update(_reduce(self._conservation_built(), p))
-        return {name: float(v) for name, v in res.items()}
+        """Evaluate step at one point: `evaluate` on a batch of one."""
+        return self.evaluate([p])[0]
 
     def evaluate(self, points) -> list:
         """Evaluate step over all points in one vectorised pass: one dict
-        per point, as `at` gives it."""
+        per point, output name -> defect, with 'conservation' only where
+        H passes."""
         for p in points:
             self.cfg.chart.check_point(p)
         if not points:
             return []
         xs = tuple(np.array(points, dtype=float).T)
-        res = {name: np.broadcast_to(v, len(points))
-               for name, v in self._defects(xs).items()}
+        res = {}
+        for family in self.families.values():
+            for name, v in _reduce(family, xs).items():
+                res[name] = np.broadcast_to(v, len(points))
         rows = [{name: float(v[i]) for name, v in res.items()}
                 for i in range(len(points))]
         if self._with_conservation:
-            ok = self._h_passes(res)
+            ok = np.maximum(res["h_scalar"], res["h_forms"]) <= H_TOL
             if ok.any():
-                cons = _reduce(self._conservation_built(),
+                if self._conservation is None:
+                    self._conservation = _conservation_family(self.cfg)
+                cons = _reduce(self._conservation,
                                tuple(x[ok] for x in xs))["conservation"]
                 for i, v in zip(np.flatnonzero(ok),
                                 np.broadcast_to(cons, ok.sum())):

@@ -34,8 +34,7 @@ from .expr import (
     to_str,
 )
 from .metric import ArgumentError, Metric, new_metric
-from .multivector import (GRASSMANN, Multivector, grade_masks, json_basis,
-                          term_mask)
+from .multivector import GRASSMANN, Multivector, grade_masks
 
 
 class ChartError(ValueError):
@@ -331,10 +330,17 @@ def volume_field(chart: Chart) -> FormField:
 def field_from_json(text: str, chart: Chart) -> FormField:
     data = json.loads(text)
     # the coefficients are expressions: no Clifford-basis import
-    json_basis(data, (GRASSMANN,))
+    basis = data.get("basis", GRASSMANN)
+    if basis != GRASSMANN:
+        raise ArgumentError(f"unknown basis {basis!r}; expected {GRASSMANN}")
     coeffs = {}
     for term in data["terms"]:
-        mask = term_mask(term["indices"], chart.dim)
+        idx = term["indices"]
+        if len(set(idx)) != len(idx) or not all(1 <= i <= chart.dim
+                                                for i in idx):
+            raise ArgumentError(f"blade indices {idx} are not distinct "
+                                f"values in 1..{chart.dim}")
+        mask = blades.mask_of(idx)
         re = parse(term.get("re", "0"), chart.dim)
         im = parse(term.get("im", "0"), chart.dim)
         blades.add_term(coeffs, mask, CExpr(re, im))
@@ -473,57 +479,6 @@ def delta_op(u: FormField) -> FormField:
 
 def laplace(u: FormField) -> FormField:
     return upsilon_op(upsilon_op(u))
-
-
-# ---------------------------------------------------------------------------
-# Plain tensor fields and the covariant derivative.
-
-class TensorField:
-    """Tensor field with expression components and a slot signature, a
-    string of 'u' (upper) and 'l' (lower) characters, one per index."""
-
-    __slots__ = ("chart", "slots", "comps")
-
-    def __init__(self, chart: Chart, slots: str, comps):
-        if any(s not in "ul" for s in slots):
-            raise ArgumentError(f"bad slot signature {slots!r}")
-        comps = np.asarray(comps, dtype=object)
-        if comps.shape != (chart.dim,) * len(slots):
-            raise ArgumentError(f"component shape {comps.shape} does not "
-                                f"match signature {slots!r}")
-        self.chart = chart
-        self.slots = slots
-        self.comps = comps
-
-    def eval_at(self, p) -> np.ndarray:
-        self.chart.check_point(p)
-        out = evaluate_table(self.comps, p)
-        return out if out.shape else float(out)
-
-
-def nabla(t: TensorField) -> TensorField:
-    """Covariant derivative; the new derivative index is the first slot."""
-    chart = t.chart
-    n = chart.dim
-    gm = chart.gamma_exprs()
-    rank = len(t.slots)
-    out = np.empty((n,) + t.comps.shape, dtype=object)
-    for k in range(n):
-        for idx in np.ndindex(*t.comps.shape):
-            acc = diff(lift(t.comps[idx]), k + 1)
-            for s in range(rank):
-                for j in range(n):
-                    swapped = idx[:s] + (j,) + idx[s + 1:]
-                    if t.slots[s] == "u":
-                        acc = acc + gm[idx[s]][k][j] * lift(t.comps[swapped])
-                    else:
-                        acc = acc - gm[j][k][idx[s]] * lift(t.comps[swapped])
-            out[(k,) + idx] = acc
-    return TensorField(chart, "l" + t.slots, out)
-
-
-def metric_tensor_field(chart: Chart) -> TensorField:
-    return TensorField(chart, "ll", chart.g_lower_exprs)
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,12 @@ def _validated_symmetric(g: np.ndarray, name: str) -> np.ndarray:
         raise MetricError(f"{name} is asymmetric beyond tolerance")
     with np.errstate(over="ignore", invalid="ignore"):
         g = (g + g.T) / 2.0
-        det = np.linalg.det(g)
-        ratio = abs(det) / scale ** g.shape[0]
-    if not (np.isfinite(g).all() and np.isfinite(det)):
+    if not np.isfinite(g).all():
         raise MetricError(f"{name} overflows double precision")
-    if not ratio > DEGENERACY_GATE:  # `not >` also rejects a NaN ratio
-        raise MetricError(f"{name} is singular (|det|/scale^n = "
+    # |det g| / scale^n would underflow to 0 / 0 for a small multiple of I
+    ratio = abs(np.linalg.det(g / scale))
+    if not ratio > DEGENERACY_GATE:
+        raise MetricError(f"{name} is singular (|det(g / scale)| = "
                           f"{ratio:.3e})")
     return g
 
@@ -79,8 +79,11 @@ def new_metric(g: np.ndarray, convention: str = "upper") -> Metric:
         inv = np.linalg.inv(g)
         inv = (inv + inv.T) / 2.0
         m = Metric(g, inv) if convention == "upper" else Metric(inv, g)
-    if not (np.isfinite(inv).all() and np.isfinite(m.det_lower)):
+    if not np.isfinite(inv).all():
         raise MetricError(f"the inverse of g_{convention} overflows")
+    if not 0.0 < m.abs_det < np.inf:
+        raise MetricError(f"det g_lower = {m.det_lower:.3e} is out of "
+                          f"double-precision range")
     return m
 
 
@@ -115,10 +118,6 @@ def is_isometry(m: Metric, P: np.ndarray, rtol: float = ISOMETRY_RTOL):
     scale = np.abs(m.g_upper).max()
     ok = np.abs(transformed - m.g_upper).max(axis=(-2, -1)) <= rtol * scale
     return bool(ok) if ok.ndim == 0 else ok
-
-
-def metric_to_json(m: Metric) -> str:
-    return json.dumps({"dim": m.dim, "g_upper": m.g_upper.tolist()})
 
 
 def metric_from_json(text: str) -> Metric:

@@ -1,8 +1,8 @@
 """The 2^n-dimensional exterior bialgebra over a numeric metric.
 
 Coefficients are complex doubles indexed by blade bitmask; the internal
-basis is always the Grassmann one, with a Clifford-basis convention
-available for import/export.  Every Clifford product of a metric is a
+basis is always the Grassmann one, and `basis_convert` changes to and
+from Clifford-basis coefficients.  Every Clifford product of a metric is a
 slice or a contraction of one real array, ``ProductTable.left``.  Blade
 grades and reversion signs come from ``blades.grade_array`` and
 ``blades.reversion_array``; grade projection, parity and the involutions
@@ -17,14 +17,11 @@ operand is one, else an array.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import blades
 from .metric import ArgumentError, Metric
 
-IDENTITY_RTOL = 1e-10
 MAX_TABLE_DIM = 8  # the dense structure tensor takes 128 MB at n = 8
 EXP_RTOL = 1e-16  # exp_mv stops at a term this small against the sum or 1
 EXP_MAX_TERMS = 200
@@ -546,75 +543,3 @@ def clifford_via_star(u, v, m: Metric):
         term = coeff * terms[name]()
         out = term if out is None else out + term
     return _like(n, out, u, v)
-
-
-# ---------------------------------------------------------------------------
-# Text and JSON forms.
-
-def blade_text(mask: int, basis: str = GRASSMANN) -> str:
-    idx = blades.blade_indices(mask)
-    if not idx:
-        return "e"
-    if basis == CLIFFORD:
-        return "e^{" + ",".join(str(i) for i in idx) + "}"
-    return "^".join(f"e^{i}" for i in idx)
-
-
-def parse_blade_text(text: str) -> int:
-    text = text.strip()
-    if text == "e":
-        return 0
-    if text.startswith("e^{") and text.endswith("}"):
-        idx = [int(t) for t in text[3:-1].split(",")]
-        return blades.mask_of(idx)
-    parts = text.split("^")
-    # "e^1^e^3" tokenizes as ["e", "1", "e", "3"]
-    if len(parts) % 2 == 0 and all(parts[i] == "e" for i in range(0, len(parts), 2)):
-        idx = [int(parts[i]) for i in range(1, len(parts), 2)]
-        return blades.mask_of(idx)
-    raise ArgumentError(f"cannot parse blade text {text!r}")
-
-
-def mv_to_json(u: Multivector, basis: str = GRASSMANN, m: Metric = None) -> str:
-    if basis == CLIFFORD:
-        if m is None:
-            raise ArgumentError("Clifford-basis export needs the metric")
-        u = basis_convert(u, GRASSMANN, CLIFFORD, m)
-    terms = []
-    for mask in np.nonzero(u.coeffs)[0]:
-        c = u.coeffs[mask]
-        terms.append({"indices": blades.blade_indices(int(mask)),
-                      "re": c.real, "im": c.imag})
-    return json.dumps({"basis": basis, "terms": terms})
-
-
-def json_basis(data, allowed) -> str:
-    """The `basis` of a JSON object (Grassmann if absent), one of
-    `allowed`."""
-    basis = data.get("basis", GRASSMANN)
-    if basis not in allowed:
-        raise ArgumentError(f"unknown basis {basis!r}; expected "
-                            f"{' or '.join(allowed)}")
-    return basis
-
-
-def term_mask(idx, dim: int) -> int:
-    """Blade mask of a JSON term's indices: distinct values in 1..dim."""
-    if len(set(idx)) != len(idx) or not all(1 <= i <= dim for i in idx):
-        raise ArgumentError(f"blade indices {idx} are not distinct "
-                            f"values in 1..{dim}")
-    return blades.mask_of(idx)
-
-
-def mv_from_json(text: str, dim: int, m: Metric = None) -> Multivector:
-    data = json.loads(text)
-    basis = json_basis(data, (GRASSMANN, CLIFFORD))
-    u = Multivector(dim)
-    for term in data["terms"]:
-        mask = term_mask(term["indices"], dim)
-        u.coeffs[mask] += complex(term.get("re", 0.0), term.get("im", 0.0))
-    if basis == CLIFFORD:
-        if m is None:
-            raise ArgumentError("Clifford-basis import needs the metric")
-        u = basis_convert(u, CLIFFORD, GRASSMANN, m)
-    return u

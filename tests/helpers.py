@@ -1,13 +1,20 @@
-"""Shared field-model fixtures: charts, plane waves, curvature-linked configs."""
+"""Shared fixtures: random multivectors, charts, plane waves and
+curvature-linked configs."""
 
 import numpy as np
 
-from gafields.checks import flat_minkowski_chart, random_form_field
+from gafields.checks import flat_minkowski_chart, mv_sample, random_form_field
 from gafields.expr import CExpr, ZERO, Const, parse
 from gafields.fields import FieldConfig
 from gafields.manifold import Chart, FormField, scalar_field
-from gafields.multivector import grade_masks
+from gafields.multivector import Multivector, grade_masks
 from gafields.dirac import column_embed, gamma_matrices, plane_wave_spinor
+
+
+def random_mv(n: int, rng: np.random.Generator) -> Multivector:
+    """A multivector with complex standard normal coefficients, all real
+    parts drawn first."""
+    return Multivector._of(n, mv_sample(n, rng.normal(size=2 << n)))
 
 
 # coefficient expressions of the smooth random fields on the flat chart

@@ -18,7 +18,6 @@ from gafields.checks import (
     mv_sample,
     random_form_field,
     random_metric,
-    random_mv,
     random_point,
     rep_defects,
     spin_defects,
@@ -66,6 +65,7 @@ from helpers import (
     phase_cexpr,
     plane_wave_config,
     plane_wave_spinor,
+    random_mv,
     smooth_config,
 )
 

@@ -11,7 +11,7 @@ from gafields.blades import blade_indices, mask_of
 from gafields.expr import CExpr, parse
 from gafields.fields import FieldConfig, config_to_json
 from gafields.manifold import Chart, FormField
-from gafields.metric import metric_from_json, metric_to_json, new_metric
+from gafields.metric import metric_from_json, new_metric
 from gafields.multivector import (CLIFFORD, GRASSMANN, MAX_TABLE_DIM,
                                   Multivector, ProductTable, basis_convert,
                                   build_product_table)
@@ -29,8 +29,7 @@ def run_cli(args, capsys):
 @pytest.fixture
 def metric_file(tmp_path):
     path = tmp_path / "metric.json"
-    path.write_text(metric_to_json(new_metric(np.array([[-1.0]]),
-                                              convention="upper")))
+    path.write_text(json.dumps({"g_upper": [[-1.0]]}))
     return str(path)
 
 
@@ -64,7 +63,7 @@ def test_mul_table_quaternions(tmp_path, capsys):
     # Grassmann basis of the signature (-,-): 1, e1, e2, e12 behave as
     # 1, i, j, k
     path = tmp_path / "m.json"
-    path.write_text(metric_to_json(new_metric(np.diag([-1.0, -1.0]))))
+    path.write_text(json.dumps({"g_upper": [[-1.0, 0.0], [0.0, -1.0]]}))
     code, out, _ = run_cli(["mul-table", "--metric", str(path)], capsys)
     assert code == 0
     entries = json.loads(out)["entries"]
@@ -93,7 +92,8 @@ def test_mul_table_csv(metric_file, tmp_path, capsys):
 @pytest.mark.parametrize("basis", [GRASSMANN, CLIFFORD])
 def test_mul_table_matches_products(basis, tmp_path, capsys):
     path = tmp_path / "m.json"
-    path.write_text(metric_to_json(random_metric(3, np.random.default_rng(5))))
+    metric = random_metric(3, np.random.default_rng(5))
+    path.write_text(json.dumps({"g_upper": metric.g_upper.tolist()}))
     code, out, _ = run_cli(["mul-table", "--metric", str(path),
                             "--basis", basis], capsys)
     assert code == 0
@@ -168,7 +168,7 @@ def golden_metrics():
 def test_mul_table_bytes_match_reference(basis, fmt, tmp_path, capsys):
     for idx, metric in enumerate(golden_metrics()):
         path = tmp_path / f"m{idx}.json"
-        path.write_text(metric_to_json(metric))
+        path.write_text(json.dumps({"g_upper": metric.g_upper.tolist()}))
         out_file = tmp_path / f"table{idx}.{fmt}"
         args = ["mul-table", "--metric", str(path), "--basis", basis,
                 "--format", fmt]
@@ -248,8 +248,8 @@ def test_mul_table_bad_metric_is_usage_error(name, tmp_path):
 
 @pytest.mark.parametrize("metric, basis", [
     (BAD_METRICS["singular"], GRASSMANN),
-    (metric_to_json(new_metric(np.eye(MAX_TABLE_DIM + 1))), GRASSMANN),
-    (metric_to_json(new_metric(np.eye(2))), "bogus"),
+    (json.dumps({"g_upper": np.eye(MAX_TABLE_DIM + 1).tolist()}), GRASSMANN),
+    (json.dumps({"g_upper": np.eye(2).tolist()}), "bogus"),
 ], ids=["bad_metric", "over_max_dim", "unknown_basis"])
 def test_mul_table_usage_error_leaves_out_file(metric, basis, tmp_path):
     # --out is opened only once the table is built

@@ -16,7 +16,7 @@ from gafields.dirac import (
     plane_wave_spinor,
     rep_map,
 )
-from gafields.checks import random_mv
+from helpers import random_mv
 
 
 def test_anticommutators_exact():

@@ -10,7 +10,7 @@ from gafields.fields import (
     FieldConfig,
     FieldConfigError,
     ResidualSystem,
-    bar_psi,
+    bar_psi_field,
     c_form,
     config_from_json,
     config_to_json,
@@ -20,7 +20,7 @@ from gafields.fields import (
     curvature_link_check,
     field_strengths,
     gauge_transform,
-    h_residual,
+    h_forms,
     lagrangian_l0,
     lagrangian_l1,
     lagrangian_total,
@@ -86,9 +86,9 @@ def test_config_json_round_trip(rng):
 def test_h_relations_flat(rng):
     cfg = smooth_config(rng, with_b=False)
     for p in sample_points(cfg.chart, rng, 3):
-        scal, forms = h_residual(cfg, p)
-        assert scal.norm() < 1e-12
-        assert all(f.norm() < 1e-12 for f in forms)
+        scal, forms = h_forms(cfg)
+        assert scal.eval_at(p).norm() < 1e-12
+        assert all(f.eval_at(p).norm() < 1e-12 for f in forms)
 
 
 def test_bar_psi_is_h_psi_star(rng):
@@ -98,7 +98,8 @@ def test_bar_psi_is_h_psi_star(rng):
     for p in sample_points(cfg.chart, rng, 2):
         h = cfg.h.eval_at(p)
         psi = cfg.psi.eval_at(p)
-        assert (bar_psi(cfg, p) - t.mul(h, conjugate_star(psi))).norm() < 1e-12
+        assert (bar_psi_field(cfg).eval_at(p)
+                - t.mul(h, conjugate_star(psi))).norm() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,10 @@ def test_batch_matches_one_point_wrappers(name, rng):
     batch = tuple(np.array(points).T)
 
     # every built form: the batch column equals the float-point value
-    for terms, _ in system.families.values():
+    built = list(system.families.values())
+    if system._conservation is not None:
+        built.append(system._conservation)
+    for terms, _ in built:
         for term in terms:
             values = form_value(term, batch)
             for i, p in enumerate(points):
@@ -326,6 +330,24 @@ def test_batch_matches_one_point_wrappers(name, rng):
             assert _close(row["conservation"], cons)
     if name != "smooth":  # B = 0: H = dx^4 solves its system everywhere
         assert all("conservation" in row for row in rows)
+
+
+def test_conservation_stays_where_h_passes_on_every_call(rng):
+    # B_k = x1 dx^1 ^ dx^4 does not commute with H = dx^4, so H solves its
+    # system on x1 = 0 alone; building the conservation family for the
+    # first point must not report it at the second on a later call
+    chart = flat_minkowski_chart()
+    b = [FormField(chart, {0b1001: CExpr(parse("x1", 4), ZERO)})
+         for _ in range(4)]
+    cfg = FieldConfig(chart, random_form_field(chart, rng, FLAT_POOL),
+                      [FormField(chart) for _ in range(4)], b,
+                      FormField(chart, {0b1000: CExpr.of(1.0)}), 1.0)
+    system = ResidualSystem(cfg)
+    points = [(0.0, 0.1, 0.2, 0.3), (0.5, 0.1, 0.2, 0.3)]
+    for _ in range(2):
+        rows = system.evaluate(points)
+        assert ["conservation" in row for row in rows] == [True, False]
+        assert "conservation" not in system.at(points[1])
 
 
 def test_batch_domain_error_names_an_input_point(rng):

@@ -19,7 +19,8 @@ from gafields.multivector import (
     wedge,
 )
 from gafields import blades
-from gafields.checks import random_kform, random_metric, random_mv
+from gafields.checks import random_kform, random_metric
+from helpers import random_mv
 
 
 def test_euclidean_2d_oracle():

@@ -16,7 +16,6 @@ from gafields.manifold import (
     CoordinateChange,
     DomainError,
     FormField,
-    TensorField,
     chart_from_json,
     chart_to_json,
     clifford_mul_fields,
@@ -26,8 +25,6 @@ from gafields.manifold import (
     field_from_json,
     field_to_json,
     laplace,
-    metric_tensor_field,
-    nabla,
     scalar_field,
     upsilon_k,
     upsilon_op,
@@ -370,17 +367,6 @@ def test_upsilon_decomposition(rng):
 
 
 # ---------------------------------------------------------------------------
-# tensor fields
-
-def test_metric_is_covariantly_constant(rng):
-    chart = sphere_chart()
-    g = metric_tensor_field(chart)
-    dg = nabla(g)
-    for p in random_points(chart, rng, 3):
-        assert np.abs(dg.eval_at(p)).max() < 1e-10
-
-
-# ---------------------------------------------------------------------------
 # coordinate changes
 
 def test_cartesian_to_polar_metric():
@@ -452,7 +438,7 @@ def test_field_json_bad_indices_is_argument_error(indices):
         field_from_json(text, sphere_chart())
 
 
-@pytest.mark.parametrize("basis", ["clifford", "bogus"])
+@pytest.mark.parametrize("basis", ["clifford", "bogus", None])
 def test_field_json_non_grassmann_basis_is_argument_error(basis):
     text = json.dumps({"basis": basis,
                        "terms": [{"indices": [1], "re": "1"}]})

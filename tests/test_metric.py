@@ -1,5 +1,7 @@
 """Metric container: validation, minors, isometries, JSON."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from gafields.metric import (
     MetricError,
     is_isometry,
     metric_from_json,
-    metric_to_json,
     minor,
     new_metric,
 )
@@ -45,6 +46,22 @@ def test_rejects_bad_input():
         new_metric(np.eye(2), convention="sideways")
 
 
+def test_small_multiple_of_identity_is_not_called_singular():
+    # |det g| and scale^4 both underflow for 1e-100 I_4, and their ratio
+    # would be NaN; det(g / scale) = 1 passes the gate, and what is out of
+    # range is det g_lower = 1e400
+    with pytest.raises(MetricError, match="det g_lower") as info:
+        new_metric(1e-100 * np.eye(4))
+    assert "singular" not in str(info.value)
+
+
+def test_underflowing_det_lower_is_rejected():
+    # 1e-200 I_2 is well conditioned, but det g_lower = 1e-400 would
+    # leave a Metric with abs_det = 0
+    with pytest.raises(MetricError, match="det g_lower"):
+        new_metric(1e-200 * np.eye(2), convention="lower")
+
+
 def test_minor_against_hand_determinant(rng):
     m = random_metric(4, rng)
     g = m.g_upper
@@ -79,6 +96,6 @@ def test_is_isometry_lorentz_boost():
 
 def test_json_round_trip(rng):
     m = random_metric(3, rng)
-    m2 = metric_from_json(metric_to_json(m))
+    m2 = metric_from_json(json.dumps({"g_upper": m.g_upper.tolist()}))
     assert m2.dim == 3
     assert np.allclose(m2.g_upper, m.g_upper, atol=1e-15)

@@ -1,7 +1,6 @@
-"""Multivector core: wedge, Clifford product, bases, grading, JSON."""
+"""Multivector core: wedge, Clifford product, bases, grading."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from gafields.multivector import (
     Multivector,
     NumericError,
     basis_convert,
-    blade_text,
     build_product_table,
     clifford_mul,
     clifford_via_star,
@@ -23,18 +21,16 @@ from gafields.multivector import (
     exp_mv,
     grade_masks,
     grade_project,
-    mv_from_json,
-    mv_to_json,
-    parse_blade_text,
     reversion,
     scalar_product,
     trace,
     wedge,
 )
 from gafields.checks import (constant_field, flat_minkowski_chart,
-                             random_kform, random_metric, random_mv)
+                             random_kform, random_metric)
 from gafields.manifold import conjugate_field, reversion_field
 from conftest import random_metric_signed
+from helpers import random_mv
 
 
 def blade(n, idx):
@@ -374,39 +370,7 @@ def test_exp_diverges_cleanly(rng):
 
 
 # ---------------------------------------------------------------------------
-# text and JSON
-
-def test_blade_text_round_trip():
-    for mask in (0b101, 0b1110, 0b0):
-        for basis in (GRASSMANN, CLIFFORD):
-            assert parse_blade_text(blade_text(mask, basis)) == mask
-    assert blade_text(0b101, GRASSMANN) == "e^1^e^3"
-    assert blade_text(0b101, CLIFFORD) == "e^{1,3}"
-
-
-def test_mv_json_round_trip(rng):
-    u = random_mv(3, rng)
-    w = mv_from_json(mv_to_json(u, GRASSMANN), 3)
-    assert (w - u).norm() < 1e-15
-    m = random_metric(3, rng)
-    w = mv_from_json(mv_to_json(u, CLIFFORD, m), 3, m)
-    assert (w - u).norm() < 1e-12
-
-
-@pytest.mark.parametrize("indices", [[5], [0], [1, 1]],
-                         ids=["beyond_dim", "zero", "repeated"])
-def test_mv_json_bad_indices_is_argument_error(indices):
-    text = json.dumps({"terms": [{"indices": indices, "re": 1.0}]})
-    with pytest.raises(ArgumentError):
-        mv_from_json(text, 2)
-
-
-@pytest.mark.parametrize("basis", ["bogus", "Clifford", None])
-def test_mv_json_unknown_basis_is_argument_error(basis):
-    text = json.dumps({"basis": basis, "terms": []})
-    with pytest.raises(ArgumentError, match="unknown basis"):
-        mv_from_json(text, 2)
-
+# generators and blade signs
 
 def test_random_kform_matches_per_mask_draws():
     # one batched draw gives the stream of a real-then-imaginary draw per

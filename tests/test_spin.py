@@ -22,7 +22,7 @@ from gafields.spin import (
     isometry_of,
     random_spin_element,
 )
-from gafields.checks import random_mv
+from helpers import random_mv
 
 
 def all_signatures(n):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gafields.checks import (draw_samples, kform_sample, mv_sample,
-                             random_kform, random_metric, random_mv)
+                             random_kform, random_metric)
 from gafields.dirac import gamma_matrices, multivector_from_matrix, rep_map
 from gafields.metric import ArgumentError, new_metric
 from gafields.multivector import (CLIFFORD, GRASSMANN, Multivector,
@@ -22,6 +22,7 @@ from gafields.multivector import (CLIFFORD, GRASSMANN, Multivector,
                                   scalar_product, star_inverse, wedge)
 from gafields.spin import (adjoint_action, factor_isometry, isometry_of,
                            random_spin_element, spin_sample)
+from helpers import random_mv
 
 # n = 1..6 with stacks of 1 and 3 rows, and one case with two leading axes
 SHAPES = [(n, (rows,)) for n in range(1, 7) for rows in (1, 3)] + [(3, (2, 3))]
