@@ -158,7 +158,7 @@ def curvature_commutator_defect(chart: Chart, p) -> float:
     """(Y_i Y_j - Y_j Y_i) dx^k against R^r_k of the pair (i, j) on dx^r,
     the worst over i, j, k at p."""
     n = chart.dim
-    r_mixed = chart.curvature(p).r_mixed
+    r_mixed = chart.curvature(p)
     gens = [1 << r for r in range(n)]
     defects = []
     for i, j, k in itertools.product(range(1, n + 1), repeat=3):
@@ -188,9 +188,11 @@ def form_calculus_defects(u: FormField, p) -> tuple:
 
 def gauge_defects(cfg: FieldConfig, cfg2: FieldConfig, f: Multivector,
                   v: CExpr, table, pts, c1: float, c2: float) -> tuple:
-    """At each of the points, for cfg2 the gauge transform of cfg by
-    (F, v): its main residual against R F v, and the changes of L1 and of
-    L0(c1, c2); one array over the points each."""
+    """At the points, for cfg2 the gauge transform of cfg by (F, v): its
+    main residual against R F v, and the changes of L1 and of L0(c1, c2).
+    Each form is evaluated once over all points as a batch, so each defect
+    is an array over the points (a number where both forms are
+    constant)."""
     for p in pts:
         cfg.chart.check_point(p)
     xs = tuple(np.array(pts, dtype=float).T)
@@ -198,8 +200,8 @@ def gauge_defects(cfg: FieldConfig, cfg2: FieldConfig, f: Multivector,
         * np.asarray(v.evaluate(xs))[..., None]
     return (row_norm(main_form(cfg2).eval_array(xs).T - want),
             np.abs(lagrangian_l1(cfg2, xs) - lagrangian_l1(cfg, xs)),
-            np.array([abs(lagrangian_l0(cfg2, p, c1, c2)
-                          - lagrangian_l0(cfg, p, c1, c2)) for p in pts]))
+            np.abs(lagrangian_l0(cfg2, xs, c1, c2)
+                   - lagrangian_l0(cfg, xs, c1, c2)))
 
 
 def gamma_anticommutator_defect(rep) -> float:
@@ -307,7 +309,7 @@ def suite_manifold(seed: int, count: int) -> list:
     rng = np.random.default_rng(seed)
     polar = Chart([[parse("1", 2), ZERO], [ZERO, parse("x1^2", 2)]],
                   [(0.5, 2.0), (0.1, 1.0)])
-    flat = worst(np.abs(polar.curvature(random_point(polar, rng)).r_mixed)
+    flat = worst(np.abs(polar.curvature(random_point(polar, rng)))
                  for _ in range(10))
     sphere = Chart([[parse("1", 2), ZERO], [ZERO, parse("sin(x1)^2", 2)]],
                    [(0.4, 2.7), (0.0, 3.0)])

@@ -16,15 +16,15 @@ forms plus a numeric reduction of their values to defects.  Its
 vectorised pass, and `at(p)` is `evaluate` on a batch of one point.
 
 Every symbolic form of a configuration is built once: `FieldConfig` is
-immutable, and the main form, C, the L1 form, the current, the H system,
-the f and G field strengths and the residual systems are kept in a memo
-on the config the first time they are asked for.  The one-point calls
-(`main_residual`, `lagrangian_l0`, `lagrangian_l1`, `current`,
-`system_residuals`, `conservation_defect`, `curvature_link_check`) look
-their forms up there and only evaluate, so calling them at many points
-builds nothing after the first.  A product
-is built only on the blades its residuals read: the current J on grades
-0 and 2, C on the blades that pair with H into a scalar.
+immutable, and the main form, C, the L1 form, the two scalars of L0, the
+current, the H system, the f and G field strengths and the residual
+systems are kept in a memo on the config the first time they are asked
+for; every number here is one of these forms evaluated.  So calling
+`main_residual`, `current`, `system_residuals`, `conservation_defect`,
+`curvature_link_check` or the Lagrangians (at a point or a batch) at
+many points builds nothing after the first.  A product is built only on
+the blades its residuals read: the current J on grades 0 and 2, C on the
+blades that pair with H into a scalar, L0 and L1 on the scalar blade.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .manifold import (
     upsilon_k,
 )
 from .metric import ArgumentError, MetricError
-from .multivector import Multivector, build_product_table, grade_masks
+from .multivector import Multivector, grade_masks
 from .spin import is_spin_member
 
 CHECK_TOL = 1e-8
@@ -336,17 +336,6 @@ def g_strength_fields(cfg: FieldConfig):
     return tuple(map(tuple, out))
 
 
-def field_strengths(cfg: FieldConfig, p):
-    """(f_ij, G_ij) at a point: an n x n complex array and n x n 2-form
-    Multivectors, evaluated with one memo."""
-    memo = {}
-    f = np.array([[fij.evaluate(p, memo) for fij in row]
-                  for row in f_strength_exprs(cfg)])
-    g = [[gij.eval_at(p, memo) for gij in row]
-         for row in g_strength_fields(cfg)]
-    return f, g
-
-
 @_per_config
 def _l1_form(cfg: FieldConfig) -> CExpr:
     """L1 = Tr(H (C + C*)) as a complex scalar expression."""
@@ -378,22 +367,31 @@ def _raise_pair(cfg, lower, i, j):
     return acc
 
 
+@_per_config
+def _l0_forms(cfg: FieldConfig):
+    """The complex scalars f_ij f^ij and Tr(G_ij G^ij), summed over i and
+    j, with both pairs of indices raised by g^ij."""
+    n = cfg.chart.dim
+    f_low = f_strength_exprs(cfg)
+    g_low = g_strength_fields(cfg)
+    ff, gg = CZERO, FormField(cfg.chart)
+    for i in range(n):
+        for j in range(n):
+            ff = ff + f_low[i][j] * _raise_pair(cfg, f_low, i, j)
+            gg = gg + clifford_mul_fields(g_low[i][j],
+                                          _raise_pair(cfg, g_low, i, j),
+                                          keep={0})
+    return ff, trace_field(gg)
+
+
 def lagrangian_l0(cfg: FieldConfig, p, c1: float = 1.0,
                   c2: float = 1.0) -> complex:
-    """sqrt|g| (c1 f_ij f^ij + c2 Tr(G_ij G^ij)), with both pairs of
-    indices raised by g^ij."""
-    sqrtg = evaluate(cfg.chart.sqrt_abs_det, p)
-    f_low, g_fields = field_strengths(cfg, p)
-    metric = cfg.chart.metric_at(p)
-    gu = metric.g_upper
-    f_up = gu @ f_low @ gu.T
-    g_low = np.array([[gij.coeffs for gij in row] for row in g_fields])
-    g_up = np.einsum("ir,js,rsa->ija", gu, gu, g_low)
-    # scalar[a, b]: the trace of e_a e_b
-    scalar = build_product_table(metric).left[:, 0, :]
-    return complex(c1 * sqrtg * np.sum(f_low * f_up)
-                   + c2 * sqrtg * np.einsum("ija,ab,ijb->", g_low, scalar,
-                                            g_up))
+    """sqrt|g| (c1 f_ij f^ij + c2 Tr(G_ij G^ij)) at a point or a batch,
+    evaluated with one memo."""
+    ff, gg = _l0_forms(cfg)
+    memo = {}
+    return evaluate(cfg.chart.sqrt_abs_det, p, memo) * (
+        c1 * ff.evaluate(p, memo) + c2 * gg.evaluate(p, memo))
 
 
 def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,
@@ -650,9 +648,11 @@ def covariance_check(cfg: FieldConfig, change: CoordinateChange,
     res_old = main_form(cfg)
     res_old_t = change.transform_form(res_old, new_chart)
     res_new = main_form(cfg2)
-    worst = 0.0
     for p in points:
-        memo = {}
-        d = (res_new.eval_at(p, memo) - res_old_t.eval_at(p, memo)).norm()
-        worst = max(worst, d)
-    return worst
+        new_chart.check_point(p)
+    if not points:
+        return 0.0
+    xs = tuple(np.array(points, dtype=float).T)
+    memo = {}
+    return float(np.abs(res_new.eval_array(xs, memo)
+                        - res_old_t.eval_array(xs, memo)).max())

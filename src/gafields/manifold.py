@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,13 +80,6 @@ def _structure_constant(x):
     if isinstance(re, Const) and abs(re.val) == 1.0:
         return int(re.val)
     return re
-
-
-@dataclass
-class CurvatureData:
-    r_mixed: np.ndarray    # r_mixed[i, j, r, k] = R^{...k}_{ij,r}
-    r_lower: np.ndarray    # r_lower[i, j, r, l] = R_{ij,rl}
-    d_forms: list          # d_forms[r][l] = D_{rl} as a 2-form Multivector
 
 
 class Chart:
@@ -194,29 +186,16 @@ class Chart:
             self._riemann = riem
         return self._riemann
 
-    def christoffel(self, p) -> np.ndarray:
+    def curvature(self, p) -> np.ndarray:
+        """The mixed Riemann tensor R^k_{ij,r} at p, as [i, j, r, k]."""
         self.check_point(p)
-        return evaluate_table(self.gamma_exprs(), p)
-
-    def curvature(self, p) -> CurvatureData:
-        self.check_point(p)
-        n = self.dim
         upper = evaluate_table(self.riemann_exprs(), p)
-        r_mixed = upper - upper.swapaxes(0, 1)
-        r_lower = np.einsum("ijrk,kl->ijrl", r_mixed,
-                            self.metric_at(p).g_lower)
-        i, j = np.triu_indices(n, 1)
-        coeffs = np.zeros((n, n, 1 << n), dtype=complex)
-        coeffs[:, :, (1 << i) | (1 << j)] = r_lower[i, j].transpose(1, 2, 0)
-        d_forms = [[Multivector._of(n, coeffs[r, l]) for l in range(n)]
-                   for r in range(n)]
-        return CurvatureData(r_mixed, r_lower, d_forms)
+        return upper - upper.swapaxes(0, 1)
 
 
 def curvature_forms(chart: Chart):
     """The curvature 2-forms D_rl as symbolic fields, [r][l]: the
-    Riemann table of `Chart.riemann_exprs` lowered with g_kl, which
-    `Chart.curvature` evaluates and lowers at one point."""
+    Riemann table of `Chart.riemann_exprs` lowered with g_kl."""
     n = chart.dim
     riem = chart.riemann_exprs()
     g = chart.g_lower_exprs
@@ -336,8 +315,9 @@ def field_from_json(text: str, chart: Chart) -> FormField:
     coeffs = {}
     for term in data["terms"]:
         idx = term["indices"]
-        if len(set(idx)) != len(idx) or not all(1 <= i <= chart.dim
-                                                for i in idx):
+        # a JSON true is a Python int too, and 1.0 is no blade index
+        if len(set(idx)) != len(idx) or not all(
+                type(i) is int and 1 <= i <= chart.dim for i in idx):
             raise ArgumentError(f"blade indices {idx} are not distinct "
                                 f"values in 1..{chart.dim}")
         mask = blades.mask_of(idx)

@@ -60,10 +60,6 @@ class Multivector:
         return out
 
     @classmethod
-    def zero(cls, dim: int) -> "Multivector":
-        return cls(dim)
-
-    @classmethod
     def unit(cls, dim: int) -> "Multivector":
         return cls.scalar(dim, 1.0)
 
@@ -82,13 +78,6 @@ class Multivector:
         u.coeffs[0] = value
         return u
 
-    @classmethod
-    def from_dict(cls, dim: int, d: dict) -> "Multivector":
-        u = cls(dim)
-        for mask, c in d.items():
-            u.coeffs[mask] += c
-        return u
-
     # -- structure ---------------------------------------------------------
     def norm(self) -> float:
         """Max-abs coefficient norm, the identity-test yardstick."""
@@ -96,9 +85,6 @@ class Multivector:
 
     def grades(self):
         return _grades(self.coeffs)
-
-    def grade(self) -> int:
-        return _grade(self.coeffs)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         scale = max(self.norm(), 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 from gafields.checks import flat_minkowski_chart, mv_sample, random_form_field
 from gafields.expr import CExpr, ZERO, Const, parse
 from gafields.fields import FieldConfig
-from gafields.manifold import Chart, FormField, scalar_field
+from gafields.manifold import Chart, FormField, curvature_forms, scalar_field
 from gafields.multivector import Multivector, grade_masks
 from gafields.dirac import column_embed, gamma_matrices, plane_wave_spinor
 
@@ -90,7 +90,8 @@ def curvature_linked_config():
     the chart midpoint: B_j = sum_i (x^i - p0^i) C_ij with C = -D/4."""
     chart = curved_link_chart()
     p0 = chart.midpoint()
-    cd = chart.curvature(p0)
+    d = [[form.eval_array(p0) for form in row]
+         for row in curvature_forms(chart)]
     n = chart.dim
     b = []
     for j in range(n):
@@ -98,7 +99,7 @@ def curvature_linked_config():
         for mask in grade_masks(n, 2):
             expr = None
             for i in range(n):
-                c = -0.25 * cd.d_forms[i][j].coeffs[mask].real
+                c = -0.25 * d[i][j][mask].real
                 if c == 0.0:
                     continue
                 term = Const(c) * (parse(f"x{i + 1}", n) - Const(p0[i]))

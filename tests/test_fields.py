@@ -18,7 +18,6 @@ from gafields.fields import (
     covariance_check,
     current,
     curvature_link_check,
-    field_strengths,
     gauge_transform,
     h_forms,
     lagrangian_l0,
@@ -28,7 +27,7 @@ from gafields.fields import (
     system_residuals,
     transform_config,
 )
-from gafields import fields, multivector
+from gafields import fields, manifold, multivector
 from gafields.fields import _value as form_value
 from gafields.manifold import CoordinateChange, FormField, scalar_field
 from gafields.multivector import Multivector, build_product_table, trace
@@ -213,7 +212,8 @@ def test_lagrangian_l0_gauge_part_with_noncommuting_b(rng):
     cfg2 = gauge_transform(cfg, constant_field(cfg.chart, f), CExpr.of(1.0))
     pairs = list(itertools.product(range(4), repeat=2))
     for p in sample_points(cfg.chart, rng, 3):
-        _, g = field_strengths(cfg, p)
+        g = [[gij.eval_at(p) for gij in row]
+             for row in fields.g_strength_fields(cfg)]
         want = 0.0
         for i, j in pairs:
             g_up = Multivector(4)
@@ -239,7 +239,10 @@ def test_lagrangian_l1_real(rng):
 def test_field_strength_antisymmetry(rng):
     cfg = smooth_config(rng)
     for p in sample_points(cfg.chart, rng, 2):
-        f_ij, g_ij = field_strengths(cfg, p)
+        f_ij = [[fij.evaluate(p) for fij in row]
+                for row in fields.f_strength_exprs(cfg)]
+        g_ij = [[gij.eval_at(p) for gij in row]
+                for row in fields.g_strength_fields(cfg)]
         for i in range(4):
             for j in range(4):
                 assert abs(f_ij[i][j] + f_ij[j][i]) < 1e-12
@@ -450,12 +453,38 @@ def test_config_is_immutable(rng):
 
 
 def test_constant_chart_builds_one_product_table(rng, monkeypatch):
+    # the chart keeps its Metric while the metric's values repeat, and the
+    # Metric keeps its product table
     cfg = smooth_config(rng)
     tables = count_calls(monkeypatch, multivector.ProductTable, "__init__")
     p, q = sample_points(cfg.chart, rng, 2)
     for point in (p, q, p):
-        lagrangian_l0(cfg, point)
+        multivector.build_product_table(cfg.chart.metric_at(point))
     assert len(tables) == 1
+
+
+def test_lagrangian_l0_builds_no_metric_and_no_table(rng, monkeypatch):
+    # L0 is a form evaluated: on a curved chart, where every point has a
+    # metric of its own, it builds no Metric and no product table
+    cfg, _ = curvature_linked_config()
+    metrics = count_calls(monkeypatch, manifold, "new_metric")
+    tables = count_calls(monkeypatch, multivector.ProductTable, "__init__")
+    points = sample_points(cfg.chart, rng, 3)
+    values = [lagrangian_l0(cfg, p, 0.7, 1.3) for p in points]
+    assert min(abs(v) for v in values) > 0.0
+    lagrangian_l0(cfg, tuple(np.array(points).T))
+    assert metrics == [] and tables == []
+
+
+def test_lagrangian_l0_batch_matches_points(rng):
+    for cfg in (smooth_config(rng), noncommuting_b_config(rng),
+                curvature_linked_config()[0]):
+        points = sample_points(cfg.chart, rng, 4)
+        batch = lagrangian_l0(cfg, tuple(np.array(points).T), 0.7, 1.3)
+        assert batch.shape == (4,)
+        for p, got in zip(points, batch):
+            want = lagrangian_l0(cfg, p, 0.7, 1.3)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 # ---------------------------------------------------------------------------

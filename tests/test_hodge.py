@@ -128,7 +128,7 @@ def test_blocks_match_scalar_pairing(rng):
         block = exterior_metric_block(m, k)
         for a, ma in enumerate(masks):
             for b, mb in enumerate(masks):
-                ta = Multivector.from_dict(n, {ma: 1.0})
-                tb = Multivector.from_dict(n, {mb: 1.0})
+                ta = Multivector.blade(n, blades.blade_indices(ma), 1.0)
+                tb = Multivector.blade(n, blades.blade_indices(mb), 1.0)
                 got = t.mul(ta, conjugate_star(tb)).coeffs[0]
                 assert abs(got - block[a, b]) < 1e-11

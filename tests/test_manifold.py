@@ -9,7 +9,7 @@ from gafields import blades
 from gafields.checks import (curvature_commutator_defect,
                              flat_minkowski_chart, form_calculus_defects,
                              random_form_field, random_point)
-from gafields.expr import CExpr, ZERO, parse
+from gafields.expr import CExpr, ZERO, evaluate_table, parse
 from gafields.manifold import (
     Chart,
     ChartError,
@@ -50,6 +50,11 @@ def random_points(chart, rng, count):
     return [random_point(chart, rng) for _ in range(count)]
 
 
+def christoffel(chart, p):
+    """Gamma^k_{ij} at p as a [k, i, j] array."""
+    return evaluate_table(chart.gamma_exprs(), p)
+
+
 # coefficient expressions of the random fields on the 2-charts
 POOL = ("x1*x2", "sin(x1)", "cos(x2)", "x1^2", "x2 + 1", "sin(x2)*x1")
 
@@ -62,7 +67,7 @@ def test_polar_christoffels_oracle(rng):
     chart = polar_chart()
     for p in random_points(chart, rng, 5):
         r = p[0]
-        gamma = chart.christoffel(p)
+        gamma = christoffel(chart, p)
         want = np.zeros((2, 2, 2))
         want[0, 1, 1] = -r
         want[1, 0, 1] = want[1, 1, 0] = 1.0 / r
@@ -100,24 +105,25 @@ def test_christoffel_finite_difference(rng):
                 want[k, i, j] = 0.5 * sum(
                     g_up[k, l] * (dg[i, l, j] + dg[j, i, l] - dg[l, i, j])
                     for l in range(2))
-    assert np.allclose(chart.christoffel(p), want, atol=1e-5)
+    assert np.allclose(christoffel(chart, p), want, atol=1e-5)
 
 
 def test_flat_chart_curvature_vanishes(rng):
     chart = polar_chart()
+    d_forms = curvature_forms(chart)
     for p in random_points(chart, rng, 10):
-        cd = chart.curvature(p)
-        assert np.abs(cd.r_mixed).max() < 1e-10
-        assert np.abs(cd.r_lower).max() < 1e-10
+        assert np.abs(chart.curvature(p)).max() < 1e-10
+        assert max(form.eval_at(p).norm() for row in d_forms
+                   for form in row) < 1e-10
 
 
 def test_sphere_curvature_oracle(rng):
-    # unit sphere: R_{12,12} = sin^2(x1)
+    # unit sphere: R_{12,12} = sin^2(x1), the dx^1 ^ dx^2 part of D_12
     chart = sphere_chart()
+    d12 = curvature_forms(chart)[0][1]
     for p in random_points(chart, rng, 5):
-        cd = chart.curvature(p)
-        assert cd.r_lower[0, 1, 0, 1] == pytest.approx(np.sin(p[0]) ** 2,
-                                                       rel=1e-9)
+        assert d12.eval_at(p).coeffs[0b11] == pytest.approx(
+            np.sin(p[0]) ** 2, rel=1e-9)
 
 
 def test_commutator_curvature_identity(rng):
@@ -129,10 +135,11 @@ def test_commutator_curvature_identity(rng):
 def test_curvature_forms_antisymmetry(rng):
     chart = sphere_chart()
     p = random_point(chart, rng)
-    cd = chart.curvature(p)
+    d_forms = curvature_forms(chart)
     for r in range(2):
         for l in range(2):
-            assert (cd.d_forms[r][l] + cd.d_forms[l][r]).norm() < 1e-12
+            assert (d_forms[r][l].eval_at(p)
+                    + d_forms[l][r].eval_at(p)).norm() < 1e-12
 
 
 def riemann_by_differences(chart, p, h=1e-5):
@@ -140,12 +147,12 @@ def riemann_by_differences(chart, p, h=1e-5):
     - G^k_{mj} G^m_{ir}), [i, j, r, k], from central differences of the
     Christoffel symbols G."""
     n = chart.dim
-    gam = chart.christoffel(p)
+    gam = christoffel(chart, p)
     dgam = np.zeros((n, n, n, n))  # dgam[i, k, j, r] = d_i G^k_{jr}
     for i in range(n):
         step = h * np.eye(n)[i]
-        dgam[i] = (chart.christoffel(tuple(p + step))
-                   - chart.christoffel(tuple(p - step))) / (2 * h)
+        dgam[i] = (christoffel(chart, tuple(p + step))
+                   - christoffel(chart, tuple(p - step))) / (2 * h)
     d = np.einsum("ikjr->ijrk", dgam)
     quad = np.einsum("kmi,mjr->ijrk", gam, gam)
     return -(d - d.swapaxes(0, 1) + quad - quad.swapaxes(0, 1))
@@ -162,16 +169,23 @@ def test_symbolic_curvature_forms_match_numeric(rng):
     for p in points:
         want = riemann_by_differences(chart, np.array(p))
         assert np.abs(want).max() > 0.1
-        assert np.allclose(chart.curvature(p).r_mixed, want, atol=1e-7)
+        assert np.allclose(chart.curvature(p), want, atol=1e-7)
     batch = tuple(np.array(points).T)
+    pairs = np.triu_indices(3, 1)
+    masks = (1 << pairs[0]) | (1 << pairs[1])
     for r in range(3):
         for l in range(3):
             at_batch = forms[r][l].eval_array(batch)
             assert at_batch.shape == (8, 4)
             for i, p in enumerate(points):
-                want = chart.curvature(p).d_forms[r][l]
-                assert (forms[r][l].eval_at(p) - want).norm() < 1e-12
-                assert np.abs(at_batch[:, i] - want.coeffs).max() < 1e-12
+                # the numeric oracle: R_{ij,rl} = R^k_{ij,r} g_kl on the
+                # blade dx^i ^ dx^j, i < j
+                r_lower = chart.curvature(p) @ chart.metric_at(p).g_lower
+                want = np.zeros(8, dtype=complex)
+                want[masks] = r_lower[pairs[0], pairs[1], r, l]
+                assert np.abs(forms[r][l].eval_at(p).coeffs
+                              - want).max() < 1e-12
+                assert np.abs(at_batch[:, i] - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +427,7 @@ def test_volume_form_pullback(rng):
 def test_domain_guard():
     chart = polar_chart()
     with pytest.raises(DomainError):
-        chart.christoffel((5.0, 0.5))
+        chart.curvature((5.0, 0.5))
 
 
 def test_degenerate_chart_rejected():
@@ -430,8 +444,9 @@ def test_chart_json_round_trip(rng):
                        chart.metric_at(p).g_lower, atol=1e-15)
 
 
-@pytest.mark.parametrize("indices", [[3], [0], [1, 1]],
-                         ids=["beyond_dim", "zero", "repeated"])
+@pytest.mark.parametrize("indices", [[3], [0], [1, 1], [True, 2], [1.0, 2]],
+                         ids=["beyond_dim", "zero", "repeated", "bool",
+                              "float"])
 def test_field_json_bad_indices_is_argument_error(indices):
     text = json.dumps({"terms": [{"indices": indices, "re": "1"}]})
     with pytest.raises(ArgumentError, match="not distinct values in 1..2"):

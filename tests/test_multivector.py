@@ -214,7 +214,7 @@ def test_basis_round_trip(rng):
     for n in range(1, 7):
         m = random_metric(n, rng)
         for mask in range(1 << n):
-            u = Multivector.from_dict(n, {mask: 1.0})
+            u = Multivector.blade(n, blades.blade_indices(mask), 1.0)
             back = basis_convert(basis_convert(u, CLIFFORD, GRASSMANN, m),
                                  GRASSMANN, CLIFFORD, m)
             assert (back - u).norm() < 1e-12
@@ -260,7 +260,7 @@ def test_grade_decomposition(rng):
             total = total + part
         assert (total - u).norm() == 0.0
         for mask in range(1 << n):
-            e = Multivector.from_dict(n, {mask: 1.0 + 2.0j})
+            e = Multivector.blade(n, blades.blade_indices(mask), 1.0 + 2.0j)
             assert e.grades() == [ref_grade(mask)]
             assert e.is_even() == (ref_grade(mask) % 2 == 0)
 
@@ -270,10 +270,11 @@ def test_reversion_signs(rng):
     signs = [1, 1, -1, -1, 1]  # (-1)^{k(k-1)/2} read off by grade
     for k in range(n + 1):
         masks = grade_masks(n, k)
-        u = Multivector.from_dict(n, {masks[0]: 1.0 + 2.0j})
+        u = Multivector.blade(n, blades.blade_indices(masks[0]), 1.0 + 2.0j)
         assert (reversion(u) - signs[k] * u).norm() == 0.0
         got = conjugate_star(u)
-        want = signs[k] * Multivector.from_dict(n, {masks[0]: 1.0 - 2.0j})
+        want = signs[k] * Multivector.blade(
+            n, blades.blade_indices(masks[0]), 1.0 - 2.0j)
         assert (got - want).norm() == 0.0
     # every mask to n = 8 against the per-mask rule
     for n in range(9):
@@ -392,8 +393,8 @@ def test_random_kform_matches_per_mask_draws():
 def test_wedge_blade_signs_exhaustive(a, b, c):
     # pairwise wedge of basis blades in n=3: nonzero iff disjoint masks
     n = 3
-    u = Multivector.from_dict(n, {a: 1.0})
-    v = Multivector.from_dict(n, {b: 1.0})
+    u = Multivector.blade(n, blades.blade_indices(a), 1.0)
+    v = Multivector.blade(n, blades.blade_indices(b), 1.0)
     w = wedge(u, v)
     if a & b:
         assert w.norm() == 0.0
