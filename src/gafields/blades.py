@@ -3,21 +3,17 @@
 Multivectors at this level are sparse dicts {bitmask: scalar}; bit i-1 of
 the mask set means generator e^i is present, and a mask stands for the
 Grassmann blade with its indices in ascending order.  The scalars only
-need +, -, * (with floats on either side) and an is-zero test, so the
-same routines serve complex numbers and symbolic expression pairs.
+need +, -, * (with numbers on either side) and an is-zero test, so the
+same routines serve numbers, real expressions and expression pairs.
 
-The Clifford product of Grassmann blades goes in three steps: expand
-the left blade into Clifford generator chains
-(the alternating-sign index-pair contraction), then fold each generator
-into the right factor, one wedge-plus-contraction step at a time.
-
-The symbolic layer (fields of expression pairs) takes its products from
-here: `wedge_dicts` directly, and the Clifford product through a chart's
-blade-product table, whose entries `blade_clifford_mul` builds.  The
-chain kernel over whole dicts, `clifford_mul_dicts`, is the reference the
-tests check the numeric structure tensor and the chart's table against.
-The numeric layer takes no product or basis change from here: its
-structure tensor and basis matrices are array recurrences of their own.
+`gen_mul` is the one Clifford step: e^i W = e^i ^ W + e^i _| W, a
+generator times a multivector, the wedge plus the metric contraction.
+A Grassmann blade a = e^i ^ B with lowest index i follows from
+Chevalley's identity e^i ^ B = e^i B - e^i _| B, so the product of two
+blades is a recurrence over `gen_mul` steps.  The symbolic layer builds
+a chart's blade-product table by that recurrence (`Chart.blade_product`)
+and takes `wedge_dicts` from here directly; the numeric `ProductTable`
+runs the same recurrence over whole arrays.
 
 This module is also the one place that knows blade grades and signs:
 `grade_array(n)`, `reversion_array(n)` and the exterior product's sign
@@ -30,7 +26,6 @@ parities, involutions and wedge products off these arrays.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
@@ -180,67 +175,4 @@ def gen_mul(i: int, w: dict, g) -> dict:
                              term if pos % 2 == 1 else -term)
             mm >>= 1
             j += 1
-    return out
-
-
-def grassmann_to_chains(mask: int, g) -> dict:
-    """Expand a Grassmann blade over Clifford generator chains.
-
-    Returns {chain_mask: scalar} with e^{i1}^...^e^{ik} =
-    sum_r (-1)^r/r! Q^r applied to the generator chain; every chain keeps
-    ascending indices, so chain masks are Clifford basis monomials.
-    """
-    k = popcount(mask)
-    acc = {mask: 1.0}
-    cur = {tuple(blade_indices(mask)): 1.0}
-    for r in range(1, k // 2 + 1):
-        cur = _q_step(cur, g)
-        factor = (-1.0) ** r / factorial(r)
-        for chain, coeff in cur.items():
-            if is_zero(coeff):
-                continue
-            add_term(acc, mask_of(chain), coeff * factor)
-    return {m: c for m, c in acc.items() if not is_zero(c)}
-
-
-def _q_step(chains: dict, g) -> dict:
-    out: dict = {}
-    for chain, coeff in chains.items():
-        k = len(chain)
-        for p in range(k):
-            for q in range(p + 1, k):
-                gpq = g(chain[p], chain[q])
-                if is_zero(gpq):
-                    continue
-                reduced = chain[:p] + chain[p + 1:q] + chain[q + 1:]
-                term = gpq * coeff
-                if (q - p - 1) % 2 == 1:
-                    term = -term
-                cur = out.get(reduced)
-                out[reduced] = term if cur is None else cur + term
-    return out
-
-
-def blade_clifford_mul(mask: int, v: dict, g) -> dict:
-    """Clifford product (Grassmann blade `mask`) * V."""
-    out: dict = {}
-    for chain_mask, coeff in grassmann_to_chains(mask, g).items():
-        w = v
-        for i in reversed(blade_indices(chain_mask)):
-            w = gen_mul(i, w, g)
-        for b, c in w.items():
-            if not is_zero(c):
-                add_term(out, b, coeff * c)
-    return out
-
-
-def clifford_mul_dicts(u: dict, v: dict, g) -> dict:
-    out: dict = {}
-    for a, ca in u.items():
-        if is_zero(ca):
-            continue
-        part = blade_clifford_mul(a, v, g)
-        for b, cb in part.items():
-            if not is_zero(cb):
-                add_term(out, b, ca * cb)
     return out

@@ -109,6 +109,19 @@ def flat_minkowski_chart(lo: float = -1.0, hi: float = 1.0) -> Chart:
                   for i in range(4)], [(lo, hi)] * 4)
 
 
+def polar_chart(domain) -> Chart:
+    """The flat plane in polar coordinates, dr^2 + r^2 dphi^2, on the box
+    `domain` of (r, phi)."""
+    return Chart([[parse("1", 2), ZERO], [ZERO, parse("x1^2", 2)]], domain)
+
+
+def sphere_chart(domain) -> Chart:
+    """The unit sphere, dtheta^2 + sin^2(theta) dphi^2, on the box `domain`
+    of (theta, phi)."""
+    return Chart([[parse("1", 2), ZERO], [ZERO, parse("sin(x1)^2", 2)]],
+                 domain)
+
+
 def constant_field(chart: Chart, u: Multivector) -> FormField:
     """The constant field whose coefficients are those of U."""
     return FormField(chart, {int(mk): CExpr.of(complex(u.coeffs[mk]))
@@ -191,13 +204,12 @@ def gauge_defects(cfg: FieldConfig, cfg2: FieldConfig, f: Multivector,
     """At the points, for cfg2 the gauge transform of cfg by (F, v): its
     main residual against R F v, and the changes of L1 and of L0(c1, c2).
     Each form is evaluated once over all points as a batch, so each defect
-    is an array over the points (a number where both forms are
-    constant)."""
+    is an array over the points."""
     for p in pts:
         cfg.chart.check_point(p)
     xs = tuple(np.array(pts, dtype=float).T)
     want = table.mul(main_form(cfg).eval_array(xs).T, f) \
-        * np.asarray(v.evaluate(xs))[..., None]
+        * v.evaluate(xs)[:, None]
     return (row_norm(main_form(cfg2).eval_array(xs).T - want),
             np.abs(lagrangian_l1(cfg2, xs) - lagrangian_l1(cfg, xs)),
             np.abs(lagrangian_l0(cfg2, xs, c1, c2)
@@ -307,12 +319,10 @@ def suite_spin(seed: int, count: int) -> list:
 
 def suite_manifold(seed: int, count: int) -> list:
     rng = np.random.default_rng(seed)
-    polar = Chart([[parse("1", 2), ZERO], [ZERO, parse("x1^2", 2)]],
-                  [(0.5, 2.0), (0.1, 1.0)])
+    polar = polar_chart([(0.5, 2.0), (0.1, 1.0)])
     flat = worst(np.abs(polar.curvature(random_point(polar, rng)))
                  for _ in range(10))
-    sphere = Chart([[parse("1", 2), ZERO], [ZERO, parse("sin(x1)^2", 2)]],
-                   [(0.4, 2.7), (0.0, 3.0)])
+    sphere = sphere_chart([(0.4, 2.7), (0.0, 3.0)])
     comm = curvature_commutator_defect(sphere, random_point(sphere, rng))
     ops, vol = [], []
     for _ in range(max(count // 10, 3)):

@@ -348,7 +348,8 @@ def _check_coordinates(point) -> None:
 
 def evaluate(e: Expr, point, memo=None):
     """Evaluate at a point of floats (a float) or at a batch of coordinate
-    arrays (an array of values, or a float where `e` is constant)."""
+    arrays (an array of one value per point, also where `e` is
+    constant)."""
     _check_coordinates(point)
     return _evaluate(e, point, {} if memo is None else memo)
 
@@ -360,13 +361,19 @@ def _evaluate(e: Expr, point, memo):
             # every value that leaves the domain raises EvalDomainError, so
             # numpy's warnings say nothing more
             with np.errstate(all="ignore"):
-                v = _eval(e, point, memo)
+                v = _per_point(_eval(e, point, memo), point)
         else:
             v = _eval(e, point, memo)
     except RecursionError:
         raise ExprDepthError("evaluate") from None
     check_finite(v, point)
     return v
+
+
+def _per_point(v, point):
+    """A value at a batch as an array over its points: a constant
+    evaluates to a number, which fills one."""
+    return v if isinstance(v, np.ndarray) else np.full(np.shape(point[0]), v)
 
 
 def evaluate_table(table, point) -> np.ndarray:
@@ -877,7 +884,7 @@ class CExpr:
 
     def evaluate(self, point, memo=None):
         """A complex number at a point of floats; at a batch, a complex
-        array (or a complex number where both parts are constant)."""
+        array of one value per point."""
         _check_coordinates(point)
         return self._evaluate(point, {} if memo is None else memo)
 
@@ -897,7 +904,7 @@ class CExpr:
             raise ExprDepthError("evaluate") from None
         check_finite(re, point)
         check_finite(im, point)
-        return re + 1j * im
+        return _per_point(re + 1j * im, point)
 
     def __repr__(self):
         return f"CExpr({to_str(self.re)}, {to_str(self.im)})"

@@ -586,8 +586,7 @@ class ResidualSystem:
         xs = tuple(np.array(points, dtype=float).T)
         res = {}
         for family in self.families.values():
-            for name, v in _reduce(family, xs).items():
-                res[name] = np.broadcast_to(v, len(points))
+            res.update(_reduce(family, xs))
         rows = [{name: float(v[i]) for name, v in res.items()}
                 for i in range(len(points))]
         if self._with_conservation:
@@ -597,8 +596,7 @@ class ResidualSystem:
                     self._conservation = _conservation_family(self.cfg)
                 cons = _reduce(self._conservation,
                                tuple(x[ok] for x in xs))["conservation"]
-                for i, v in zip(np.flatnonzero(ok),
-                                np.broadcast_to(cons, ok.sum())):
+                for i, v in zip(np.flatnonzero(ok), cons):
                     rows[i]["conservation"] = float(v)
         return rows
 

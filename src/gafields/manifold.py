@@ -74,12 +74,12 @@ def _sym_inverse(mat):
 
 
 def _structure_constant(x):
-    """A Clifford structure constant (a number or a real CExpr) as +-1 or
-    as a real expression."""
-    re = CExpr.of(x).re  # the g^ij are real, so no imaginary part
-    if isinstance(re, Const) and abs(re.val) == 1.0:
-        return int(re.val)
-    return re
+    """A Clifford structure constant (a number or a real expression) as
+    +-1 or as a real expression."""
+    x = lift(x)
+    if isinstance(x, Const) and abs(x.val) == 1.0:
+        return int(x.val)
+    return x
 
 
 class Chart:
@@ -129,18 +129,33 @@ class Chart:
             self._metric_key = key
         return self._metric
 
-    def g_upper_cexpr(self, i: int, j: int) -> CExpr:
-        return CExpr(self.g_upper_exprs[i - 1][j - 1])
-
     def blade_product(self, a: int, b: int):
-        """The Clifford product of the Grassmann blades a and b, e_a e_b =
+        r"""The Clifford product of the Grassmann blades a and b, e_a e_b =
         sum_c C^c_ab e_c, as (c, C) pairs: C is +1 or -1 where the term is
-        a signed blade, else a real expression in the g^ij.  Built by the
-        chain kernel on first use and kept."""
+        a signed blade, else a real expression in the g^ij.  Built on
+        first use by the recurrence of `ProductTable`, and kept along with
+        every entry it reads: for a = e^i ^ B with lowest index i,
+
+            e_a e_b = e^i (e_B e_b)
+                      - sum_{j in B} (-1)^(pos_j - 1) g^{ij} e_{B \ j} e_b."""
         key = (a, b)
         terms = self._blade_products.get(key)
         if terms is None:
-            prod = blades.blade_clifford_mul(a, {b: 1}, self.g_upper_cexpr)
+            prod = {b: 1}
+            if a:
+                rest = a & (a - 1)
+                i = (a ^ rest).bit_length()
+                gu = self.g_upper_exprs
+                prod = blades.gen_mul(i, dict(self.blade_product(rest, b)),
+                                      lambda p, q: gu[p - 1][q - 1])
+                for pos, j in enumerate(blades.blade_indices(rest)):
+                    gij = gu[i - 1][j - 1]
+                    if gij.is_zero():
+                        continue
+                    for c, k in self.blade_product(rest ^ (1 << (j - 1)), b):
+                        term = gij * k
+                        blades.add_term(prod, c, -term if pos % 2 == 0
+                                        else term)
             terms = self._blade_products[key] = tuple(
                 (c, _structure_constant(x)) for c, x in prod.items()
                 if not blades.is_zero(x))

@@ -1,7 +1,14 @@
 """Shared fixtures: random multivectors, charts, plane waves and
-curvature-linked configs."""
+curvature-linked configs, and the blade-chain Clifford kernel that the
+numeric structure tensor and the charts' blade products are checked
+against."""
+
+from math import factorial
 
 import numpy as np
+
+from gafields.blades import (add_term, blade_indices, gen_mul, is_zero,
+                             mask_of, popcount)
 
 from gafields.checks import flat_minkowski_chart, mv_sample, random_form_field
 from gafields.expr import CExpr, ZERO, Const, parse
@@ -22,9 +29,11 @@ FLAT_POOL = ("x1*x2", "sin(x1)", "cos(x2)*x3", "x4^2", "x3 + 1",
              "sin(x4)*x1", "exp(0.2*x2)", "x1 - x3")
 
 
-def smooth_config(rng, with_b=True):
-    """Flat-background configuration with smooth psi, imaginary a, real B."""
-    chart = flat_minkowski_chart()
+def smooth_config(rng, with_b=True, chart=None):
+    """Configuration with smooth psi, imaginary a and real B, on the flat
+    Minkowski chart unless a 4-chart is given."""
+    if chart is None:
+        chart = flat_minkowski_chart()
     psi = random_form_field(chart, rng, FLAT_POOL)
     a = [scalar_field(chart, CExpr(ZERO, parse(src, 4)))
          for src in ("0.3*x2", "x1*x3", "0.1*x4", "x1 + x2")]
@@ -85,6 +94,23 @@ def curved_link_chart():
                  [(0.5, 2.6), (0.1, 3.0), (-1.0, 1.0), (-1.0, 1.0)])
 
 
+def skew_chart(n, sign):
+    """A curved n-chart whose metric has every off-diagonal entry nonzero
+    and, for sign -1, a negative last diagonal entry."""
+    def entry(i, j):
+        if i != j:
+            return f"0.2*sin(x{i + 1} + x{j + 1})"
+        return "-3 + x1*x2" if sign < 0 and i == n - 1 else f"3 + x{i + 1}^2"
+    return Chart([[parse(entry(i, j), n) for j in range(n)] for i in range(n)],
+                 [(0.1, 0.9)] * n)
+
+
+def skew_config(rng):
+    """`smooth_config` on `skew_chart(4, -1)`: every g^{ij} is nonzero, so
+    the chart's blade products take their contraction terms."""
+    return smooth_config(rng, chart=skew_chart(4, -1))
+
+
 def curvature_linked_config():
     """Config whose gravitational strength matches the curvature forms at
     the chart midpoint: B_j = sum_i (x^i - p0^i) C_ij with C = -D/4."""
@@ -111,3 +137,71 @@ def curvature_linked_config():
     a = [FormField(chart) for _ in range(n)]
     h = FormField(chart, {0b1000: CExpr.of(1.0)})
     return FieldConfig(chart, psi, a, b, h, 1.0), p0
+
+
+# ---------------------------------------------------------------------------
+# The blade-chain Clifford kernel: an algorithm of its own (chain expansion
+# with 1/r! factors, then one generator at a time), so it is an independent
+# reference for the Chevalley recurrence the library builds products with.
+
+def grassmann_to_chains(mask: int, g) -> dict:
+    """Expand a Grassmann blade over Clifford generator chains.
+
+    Returns {chain_mask: scalar} with e^{i1}^...^e^{ik} =
+    sum_r (-1)^r/r! Q^r applied to the generator chain; every chain keeps
+    ascending indices, so chain masks are Clifford basis monomials.
+    """
+    k = popcount(mask)
+    acc = {mask: 1.0}
+    cur = {tuple(blade_indices(mask)): 1.0}
+    for r in range(1, k // 2 + 1):
+        cur = _q_step(cur, g)
+        factor = (-1.0) ** r / factorial(r)
+        for chain, coeff in cur.items():
+            if is_zero(coeff):
+                continue
+            add_term(acc, mask_of(chain), coeff * factor)
+    return {m: c for m, c in acc.items() if not is_zero(c)}
+
+
+def _q_step(chains: dict, g) -> dict:
+    out: dict = {}
+    for chain, coeff in chains.items():
+        k = len(chain)
+        for p in range(k):
+            for q in range(p + 1, k):
+                gpq = g(chain[p], chain[q])
+                if is_zero(gpq):
+                    continue
+                reduced = chain[:p] + chain[p + 1:q] + chain[q + 1:]
+                term = gpq * coeff
+                if (q - p - 1) % 2 == 1:
+                    term = -term
+                cur = out.get(reduced)
+                out[reduced] = term if cur is None else cur + term
+    return out
+
+
+def blade_clifford_mul(mask: int, v: dict, g) -> dict:
+    """Clifford product (Grassmann blade `mask`) * V."""
+    out: dict = {}
+    for chain_mask, coeff in grassmann_to_chains(mask, g).items():
+        w = v
+        for i in reversed(blade_indices(chain_mask)):
+            w = gen_mul(i, w, g)
+        for b, c in w.items():
+            if not is_zero(c):
+                add_term(out, b, coeff * c)
+    return out
+
+
+def clifford_mul_dicts(u: dict, v: dict, g) -> dict:
+    out: dict = {}
+    for a, ca in u.items():
+        if is_zero(ca):
+            continue
+        part = blade_clifford_mul(a, v, g)
+        for b, cb in part.items():
+            if not is_zero(cb):
+                add_term(out, b, ca * cb)
+    return out

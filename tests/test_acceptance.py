@@ -16,10 +16,12 @@ from gafields.checks import (
     hodge_defects,
     kform_sample,
     mv_sample,
+    polar_chart,
     random_form_field,
     random_metric,
     random_point,
     rep_defects,
+    sphere_chart,
     spin_defects,
     worst,
 )
@@ -41,7 +43,7 @@ from gafields.multivector import (
     wedge,
 )
 from gafields.spin import adjoint_action, random_spin_element, spin_sample
-from gafields.manifold import Chart, FormField, laplace, scalar_field
+from gafields.manifold import FormField, laplace, scalar_field
 from gafields.fields import (
     FieldConfig,
     conservation_defect,
@@ -289,14 +291,12 @@ def test_criterion_07_manifold_suite():
     t0 = time.monotonic()
     rng = np.random.default_rng(SEED + 7)
 
-    polar = Chart([[parse("1", 2), ZERO], [ZERO, parse("x1^2", 2)]],
-                  [(0.5, 2.0), (0.2, 1.2)])
+    polar = polar_chart([(0.5, 2.0), (0.2, 1.2)])
     flat = worst([np.abs(polar.curvature(random_point(polar, rng)))
                   for _ in range(20)])
     assert flat < 1e-9, f"flat-chart curvature defect {flat:.3e}"
 
-    sphere = Chart([[parse("1", 2), ZERO], [ZERO, parse("sin(x1)^2", 2)]],
-                   [(0.5, 2.6), (0.1, 3.0)])
+    sphere = sphere_chart([(0.5, 2.6), (0.1, 3.0)])
     comm = curvature_commutator_defect(sphere, random_point(sphere, rng))
     assert comm < 1e-8, f"commutator-curvature defect {comm:.3e}"
 

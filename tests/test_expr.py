@@ -108,8 +108,8 @@ def test_batch_matches_float_points():
         assert v == pytest.approx(evaluate(e, p), rel=1e-14)
     z = CExpr(e, parse("x1*x2", 2)).evaluate(batch)
     assert z.dtype == complex and np.array_equal(z.real, got)
-    # a constant stays a number that broadcasts over the batch
-    assert evaluate(parse("2*3", 2), batch) == 6.0
+    # a constant gives one value per point too
+    assert np.array_equal(evaluate(parse("2*3", 2), batch), np.full(9, 6.0))
 
 
 def test_every_node_type_has_an_evaluator():

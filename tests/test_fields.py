@@ -314,8 +314,7 @@ def test_batch_matches_one_point_wrappers(name, rng):
             values = form_value(term, batch)
             for i, p in enumerate(points):
                 want = np.asarray(form_value(term, p))
-                got = np.asarray(values)[..., i] if np.ndim(values) else values
-                assert np.abs(got - want).max() \
+                assert np.abs(values[..., i] - want).max() \
                     <= 1e-12 * np.abs(want).max()
 
     # every defect: the batch row equals the one-point wrappers
@@ -485,6 +484,23 @@ def test_lagrangian_l0_batch_matches_points(rng):
         for p, got in zip(points, batch):
             want = lagrangian_l0(cfg, p, 0.7, 1.3)
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_lagrangians_of_constant_forms_give_one_value_per_point(rng):
+    # a_1 = 0.3i x2 alone on the flat chart: f_ij f^ij and L1 are both
+    # constant forms, and a batch of N points still gives N values
+    chart = flat_minkowski_chart()
+    a = [scalar_field(chart, CExpr(ZERO, parse("0.3*x2", 4)))]
+    a += [FormField(chart) for _ in range(3)]
+    cfg = FieldConfig(chart, FormField(chart), a,
+                      [FormField(chart) for _ in range(4)],
+                      FormField(chart, {0b1000: CExpr.of(1.0)}), 1.0)
+    points = sample_points(chart, rng, 5)
+    for lagrangian in (lagrangian_l0, lagrangian_l1):
+        batch = lagrangian(cfg, tuple(np.array(points).T))
+        assert batch.shape == (5,)
+        assert [complex(z) for z in batch] == [lagrangian(cfg, p)
+                                               for p in points]
 
 
 # ---------------------------------------------------------------------------

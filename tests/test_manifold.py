@@ -8,7 +8,8 @@ import pytest
 from gafields import blades
 from gafields.checks import (curvature_commutator_defect,
                              flat_minkowski_chart, form_calculus_defects,
-                             random_form_field, random_point)
+                             polar_chart, random_form_field, random_point,
+                             sphere_chart)
 from gafields.expr import CExpr, ZERO, evaluate_table, parse
 from gafields.manifold import (
     Chart,
@@ -33,17 +34,12 @@ from gafields.manifold import (
 )
 from gafields.metric import ArgumentError
 from gafields.multivector import grade_masks
-from helpers import curved_link_chart
+from helpers import clifford_mul_dicts, curved_link_chart, skew_chart
 
 
-def polar_chart():
-    return Chart([[parse("1", 2), ZERO], [ZERO, parse("x1^2", 2)]],
-                 [(0.5, 2.0), (0.2, 1.2)])
-
-
-def sphere_chart():
-    return Chart([[parse("1", 2), ZERO], [ZERO, parse("sin(x1)^2", 2)]],
-                 [(0.5, 2.6), (0.1, 3.0)])
+# the (r, phi) and (theta, phi) boxes of the polar and sphere charts
+POLAR_BOX = [(0.5, 2.0), (0.2, 1.2)]
+SPHERE_BOX = [(0.5, 2.6), (0.1, 3.0)]
 
 
 def random_points(chart, rng, count):
@@ -64,7 +60,7 @@ POOL = ("x1*x2", "sin(x1)", "cos(x2)", "x1^2", "x2 + 1", "sin(x2)*x1")
 
 def test_polar_christoffels_oracle(rng):
     # hand values: Gamma^1_{22} = -r, Gamma^2_{12} = Gamma^2_{21} = 1/r
-    chart = polar_chart()
+    chart = polar_chart(POLAR_BOX)
     for p in random_points(chart, rng, 5):
         r = p[0]
         gamma = christoffel(chart, p)
@@ -109,7 +105,7 @@ def test_christoffel_finite_difference(rng):
 
 
 def test_flat_chart_curvature_vanishes(rng):
-    chart = polar_chart()
+    chart = polar_chart(POLAR_BOX)
     d_forms = curvature_forms(chart)
     for p in random_points(chart, rng, 10):
         assert np.abs(chart.curvature(p)).max() < 1e-10
@@ -119,7 +115,7 @@ def test_flat_chart_curvature_vanishes(rng):
 
 def test_sphere_curvature_oracle(rng):
     # unit sphere: R_{12,12} = sin^2(x1), the dx^1 ^ dx^2 part of D_12
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     d12 = curvature_forms(chart)[0][1]
     for p in random_points(chart, rng, 5):
         assert d12.eval_at(p).coeffs[0b11] == pytest.approx(
@@ -128,12 +124,12 @@ def test_sphere_curvature_oracle(rng):
 
 def test_commutator_curvature_identity(rng):
     # (Y_i Y_j - Y_j Y_i) dx^k = R^{...k}_{ij,r} dx^r
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     assert curvature_commutator_defect(chart, random_point(chart, rng)) < 1e-9
 
 
 def test_curvature_forms_antisymmetry(rng):
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     p = random_point(chart, rng)
     d_forms = curvature_forms(chart)
     for r in range(2):
@@ -191,17 +187,6 @@ def test_symbolic_curvature_forms_match_numeric(rng):
 # ---------------------------------------------------------------------------
 # the chart's blade-product table
 
-def skew_chart(n, sign):
-    """A curved n-chart whose metric has every off-diagonal entry nonzero
-    and, for sign -1, a negative last diagonal entry."""
-    def entry(i, j):
-        if i != j:
-            return f"0.2*sin(x{i + 1} + x{j + 1})"
-        return "-3 + x1*x2" if sign < 0 and i == n - 1 else f"3 + x{i + 1}^2"
-    return Chart([[parse(entry(i, j), n) for j in range(n)] for i in range(n)],
-                 [(0.1, 0.9)] * n)
-
-
 def sparse_field(chart, rng, pool, terms):
     """A field on `terms` random blades, its coefficients drawn from the
     expression sources in `pool`."""
@@ -236,8 +221,9 @@ def test_clifford_mul_fields_matches_chain_kernel(chart, rng):
         u = sparse_field(chart, rng, POOL, min(6, 1 << n))
         v = sparse_field(chart, rng, POOL, min(6, 1 << n))
         got = clifford_mul_fields(u, v)
-        want = FormField(chart, blades.clifford_mul_dicts(
-            u.coeffs, v.coeffs, chart.g_upper_cexpr))
+        want = FormField(chart, clifford_mul_dicts(
+            u.coeffs, v.coeffs,
+            lambda i, j: CExpr(chart.g_upper_exprs[i - 1][j - 1])))
         kept = [clifford_mul_fields(u, v, keep=keep) for keep in keeps]
         assert kept[-1].coeffs == {}
         for keep, part in zip(keeps, kept):
@@ -251,33 +237,45 @@ def test_clifford_mul_fields_matches_chain_kernel(chart, rng):
 
 
 def test_blade_products_are_built_once_per_chart(rng, monkeypatch):
+    # each entry of a nonzero left blade takes one `gen_mul` step when it
+    # is built, and the recurrence reads only entries (r, b) with r a
+    # subset of the left blade
     chart = skew_chart(3, 1)
-    built = []
-    kernel = blades.blade_clifford_mul
+    steps = []
+    kernel = blades.gen_mul
 
-    def counted(mask, v, g):
-        built.append((mask, *v))
-        return kernel(mask, v, g)
+    def counted(i, w, g):
+        steps.append(i)
+        return kernel(i, w, g)
 
-    monkeypatch.setattr(blades, "blade_clifford_mul", counted)
+    def built(before=()):
+        new = set(chart._blade_products) - set(before)
+        assert len(steps) == sum(1 for a, _ in new if a)
+        del steps[:]
+        return new
+
+    monkeypatch.setattr(blades, "gen_mul", counted)
     u, v = (sparse_field(chart, rng, POOL, 5) for _ in range(2))
     clifford_mul_fields(u, v)
-    first = set(built)
-    assert len(first) == len(built) == len(u.coeffs) * len(v.coeffs)
-    del built[:]
+    first = dict(chart._blade_products)
+    assert {(a, b) for a in u.coeffs for b in v.coeffs} <= built()
     clifford_mul_fields(u, v)
-    assert built == []
+    assert not built(first) and chart._blade_products == first
     w = sparse_field(chart, rng, POOL, 5)
     clifford_mul_fields(u, w)
-    assert built and not first & set(built)
-    assert len(set(built)) == len(built)
+    new = built(first)
+    assert {(a, b) for a in u.coeffs for b in w.coeffs} - set(first) <= new
+    assert all(b in w.coeffs and any(r & ~a == 0 for a in u.coeffs)
+               for r, b in new)
+    assert all(chart._blade_products[key] is terms
+               for key, terms in first.items())
 
 
 # ---------------------------------------------------------------------------
 # differential operators
 
 def test_upsilon_leibniz(rng):
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     u = random_form_field(chart, rng, POOL)
     v = random_form_field(chart, rng, POOL)
     p = random_points(chart, rng, 2)
@@ -290,7 +288,7 @@ def test_upsilon_leibniz(rng):
 
 
 def test_upsilon_kills_metric_volume(rng):
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     vol = volume_field(chart)
     for p in random_points(chart, rng, 3):
         for k in (1, 2):
@@ -298,7 +296,7 @@ def test_upsilon_kills_metric_volume(rng):
 
 
 def test_d_squared_and_delta_squared(rng):
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     for _ in range(5):
         u = random_form_field(chart, rng, POOL)
         p = random_point(chart, rng)
@@ -307,7 +305,7 @@ def test_d_squared_and_delta_squared(rng):
 
 
 def test_d_is_exterior_derivative_on_scalars(rng):
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     f = parse("sin(x1)*x2", 2)
     u = scalar_field(chart, CExpr(f, ZERO))
     from gafields.expr import diff, evaluate
@@ -320,7 +318,7 @@ def test_d_is_exterior_derivative_on_scalars(rng):
 
 def test_delta_via_star_conjugation(rng):
     # delta = (-1)^k star^{-1} d star on homogeneous k-form fields
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     for _ in range(4):
         u = random_form_field(chart, rng, POOL)
         p = random_point(chart, rng)
@@ -341,7 +339,7 @@ def test_scalar_laplacian_oracle(rng):
 
 def test_scalar_laplacian_divergence_form(rng):
     # Delta f = (1/sqrt g) d_k (sqrt g g^{kl} d_l f), checked on the sphere
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     f = parse("sin(x1)*cos(x2) + x1", 2)
     u = scalar_field(chart, CExpr(f, ZERO))
     from gafields.expr import diff, evaluate
@@ -371,7 +369,7 @@ def test_scalar_laplacian_divergence_form(rng):
 
 def test_upsilon_decomposition(rng):
     # d - delta = Upsilon (the Clifford derivative dx^k . Y_k)
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     u = random_form_field(chart, rng, POOL)
     p = random_points(chart, rng, 2)
     for q in p:
@@ -425,7 +423,7 @@ def test_volume_form_pullback(rng):
 # validation and serialization
 
 def test_domain_guard():
-    chart = polar_chart()
+    chart = polar_chart(POLAR_BOX)
     with pytest.raises(DomainError):
         chart.curvature((5.0, 0.5))
 
@@ -437,7 +435,7 @@ def test_degenerate_chart_rejected():
 
 
 def test_chart_json_round_trip(rng):
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     again = chart_from_json(chart_to_json(chart))
     p = (1.0, 0.8)
     assert np.allclose(again.metric_at(p).g_lower,
@@ -450,7 +448,7 @@ def test_chart_json_round_trip(rng):
 def test_field_json_bad_indices_is_argument_error(indices):
     text = json.dumps({"terms": [{"indices": indices, "re": "1"}]})
     with pytest.raises(ArgumentError, match="not distinct values in 1..2"):
-        field_from_json(text, sphere_chart())
+        field_from_json(text, sphere_chart(SPHERE_BOX))
 
 
 @pytest.mark.parametrize("basis", ["clifford", "bogus", None])
@@ -458,11 +456,11 @@ def test_field_json_non_grassmann_basis_is_argument_error(basis):
     text = json.dumps({"basis": basis,
                        "terms": [{"indices": [1], "re": "1"}]})
     with pytest.raises(ArgumentError, match="unknown basis"):
-        field_from_json(text, sphere_chart())
+        field_from_json(text, sphere_chart(SPHERE_BOX))
 
 
 def test_field_json_round_trip(rng):
-    chart = sphere_chart()
+    chart = sphere_chart(SPHERE_BOX)
     u = random_form_field(chart, rng, POOL)
     again = field_from_json(field_to_json(u), chart)
     p = (1.0, 0.8)

@@ -30,7 +30,7 @@ from gafields.checks import (constant_field, flat_minkowski_chart,
                              random_kform, random_metric)
 from gafields.manifold import conjugate_field, reversion_field
 from conftest import random_metric_signed
-from helpers import random_mv
+from helpers import clifford_mul_dicts, grassmann_to_chains, random_mv
 
 
 def blade(n, idx):
@@ -115,9 +115,9 @@ def reference_metrics(n, rng):
 
 def clifford_to_grassmann_blade(mask, g) -> dict:
     """Clifford monomial `mask` over Grassmann blades: the chain
-    expansion of `blades.grassmann_to_chains` with all-plus signs, which
+    expansion of `grassmann_to_chains` with all-plus signs, which
     is that expansion for the metric -g."""
-    return blades.grassmann_to_chains(mask, lambda i, j: -g(i, j))
+    return grassmann_to_chains(mask, lambda i, j: -g(i, j))
 
 
 def test_structure_tensor_matches_chain_kernel(rng):
@@ -136,7 +136,7 @@ def test_structure_tensor_matches_chain_kernel(rng):
             for a in range(1 << n):
                 for b in range(1 << n):
                     want = np.zeros(1 << n)
-                    for c, val in blades.clifford_mul_dicts(
+                    for c, val in clifford_mul_dicts(
                             {a: 1.0}, {b: 1.0}, g).items():
                         want[c] += val
                     got = left[a][:, b]  # left[a] @ e_b
@@ -152,7 +152,7 @@ def test_basis_matrices_match_chain_kernel(rng):
             c2g, g2c = (t.clifford_to_grassmann_matrix(),
                         t.grassmann_to_clifford_matrix())
             for got, convert in ((c2g, clifford_to_grassmann_blade),
-                                 (g2c, blades.grassmann_to_chains)):
+                                 (g2c, grassmann_to_chains)):
                 want = np.zeros_like(got)
                 for b in range(1 << n):
                     for c, val in convert(b, g).items():

@@ -30,9 +30,6 @@ KEEP = {
                "current through it",
     "curvature_link_check": "acceptance criterion 8 checks the curvature "
                             "link at one point through it",
-    "clifford_mul_dicts": "the reference the symbolic blade products are "
-                          "tested against; perfbench's tracer names it, "
-                          "so it moves into the tests with the tracer",
     "covariance_check": "becomes a verify case with the Spin-isometric "
                         "coordinate-change checks",
     "lagrangian_total": "becomes part of the variational-consistency "
