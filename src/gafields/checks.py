@@ -174,10 +174,11 @@ def curvature_commutator_defect(chart: Chart, p) -> float:
     r_mixed = chart.curvature(p)
     gens = [1 << r for r in range(n)]
     defects = []
+    memo = {}  # every form is evaluated at p, so they share one memo
     for i, j, k in itertools.product(range(1, n + 1), repeat=3):
         f = dx(chart, k)
         got = (upsilon_k(upsilon_k(f, j), i)
-               - upsilon_k(upsilon_k(f, i), j)).eval_at(p)
+               - upsilon_k(upsilon_k(f, i), j)).eval_at(p, memo)
         want = Multivector(n)
         want.coeffs[gens] = r_mixed[i - 1, j - 1, :, k - 1]
         defects.append((got - want).norm())
@@ -188,15 +189,16 @@ def form_calculus_defects(u: FormField, p) -> tuple:
     """At p: d d U, delta delta U, and delta W against (-1)^k *^-1 d * W
     on each grade k part W of U, the worst over k."""
     via_star = []
+    memo = {}  # every form is evaluated at p, so they share one memo
     for k in range(u.chart.dim + 1):
         w = grade_project_field(u, k)
-        lhs = delta_op(w).eval_at(p)
-        rhs = star_inverse_field(d_op(hodge_field(w))).eval_at(p)
+        lhs = delta_op(w).eval_at(p, memo)
+        rhs = star_inverse_field(d_op(hodge_field(w))).eval_at(p, memo)
         if k % 2 == 1:
             rhs = -rhs
         via_star.append((lhs - rhs).norm())
-    return (d_op(d_op(u)).eval_at(p).norm(),
-            delta_op(delta_op(u)).eval_at(p).norm(), worst(via_star))
+    return (d_op(d_op(u)).eval_at(p, memo).norm(),
+            delta_op(delta_op(u)).eval_at(p, memo).norm(), worst(via_star))
 
 
 def gauge_defects(cfg: FieldConfig, cfg2: FieldConfig, f: Multivector,

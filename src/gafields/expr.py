@@ -9,11 +9,12 @@ per node: each node keeps its derivative in each variable the first time
 it is differentiated, so a subtree shared by many expressions (a DAG) is
 differentiated once, and its derivative is again one shared node.
 
-A point is either a sequence of floats (x1 = point[0]), evaluated with
-Python floats and the `math` functions, or a batch: one 1-D float array
-per coordinate, evaluated with one numpy operation per node for all the
-points at once.  Both raise `EvalDomainError` naming a point where a
-value leaves the domain or stops being finite.
+A point is either a sequence of floats (x1 = point[0]) or a batch: one
+1-D float array per coordinate.  Evaluation has one arithmetic, numpy's:
+a point of floats is a batch of one, whose value comes back as a float,
+and each node is one numpy operation for all the points at once.  It
+raises `EvalDomainError` naming a point where a value leaves the domain
+or stops being finite.  `math` only folds constants while parsing.
 
 Parsing, printing, differentiation, substitution and evaluation recurse
 once per nesting level; an expression nested deeper than Python's
@@ -22,6 +23,7 @@ recursion limit raises `ExprDepthError` instead of a bare `RecursionError`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -306,125 +308,114 @@ def call(fn: str, a: Expr) -> Expr:
     return Call(fn, a)
 
 
-def _is_batch(point) -> bool:
-    """True for a batch of points given as coordinate arrays."""
-    return len(point) > 0 and isinstance(point[0], np.ndarray)
+def _batch(point) -> np.ndarray:
+    """The point as a float array with one row per coordinate: n rows of
+    N values for a batch of N points, and n numpy scalars for a point of
+    floats, a batch of one.  Evaluation checks the coordinates here,
+    once, where a point enters it, and raises `EvalDomainError` naming
+    the first point with an inf or NaN coordinate; the variable nodes
+    then only read them."""
+    xs = np.array(point, dtype=float)
+    _domain_check(~np.isfinite(xs).all(axis=0), "non-finite coordinate", xs)
+    return xs
 
 
-def _point_at(point, i: int = 0) -> tuple:
-    """Point i of a batch as a tuple of floats; a float point is itself."""
-    return tuple(float(x[i]) for x in point) if _is_batch(point) \
-        else tuple(point)
+def _point_at(xs, i: int = 0) -> tuple:
+    """Point i of a batch as a tuple of floats."""
+    return tuple(float(np.ravel(x)[i]) for x in xs)
 
 
-def _domain_check(bad: np.ndarray, message: str, point) -> None:
+def _domain_check(bad, message: str, xs) -> None:
     """Raise `EvalDomainError` naming the first batch point where `bad`
-    holds."""
-    if bad.any():
-        raise EvalDomainError(message, _point_at(point, int(np.argmax(bad))))
+    holds; a `bad` that is one boolean, from a constant, names the first
+    point.  Every node that can leave the domain runs this test, and
+    `np.count_nonzero` costs less than `bad.any()` on an array or a
+    scalar."""
+    if np.count_nonzero(bad):
+        raise EvalDomainError(message, _point_at(xs, int(np.argmax(bad))))
 
 
-def check_finite(v, point, what: str = "value") -> None:
-    """Raise `EvalDomainError` at a point where a value is inf or NaN."""
-    if isinstance(v, np.ndarray):
-        _domain_check(~np.isfinite(v), f"non-finite {what}", point)
-    elif not math.isfinite(v):
-        raise EvalDomainError(f"non-finite {what}", point)
+def check_finite(v, xs, what: str = "value") -> None:
+    """Raise `EvalDomainError` at a batch point where a value is inf or
+    NaN."""
+    _domain_check(~np.isfinite(v), f"non-finite {what}", xs)
 
 
-def _check_coordinates(point) -> None:
-    """Raise `EvalDomainError` naming the first point of a batch, or the
-    point of floats, with an inf or NaN coordinate.  Evaluation checks
-    the coordinates here, once, where a point enters it; the variable
-    nodes then only read them."""
-    if _is_batch(point):
-        bad = False
-        for x in point:
-            bad = bad | ~np.isfinite(x)
-        _domain_check(np.asarray(bad), "non-finite coordinate", point)
-    elif not all(math.isfinite(float(x)) for x in point):
-        raise EvalDomainError("non-finite coordinate", point)
+@contextlib.contextmanager
+def _evaluating():
+    """Every value that leaves the domain raises `EvalDomainError`, so
+    numpy's warnings say nothing more; a tree nested deeper than the
+    recursion limit raises `ExprDepthError`."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except RecursionError:
+        raise ExprDepthError("evaluate") from None
 
 
 def evaluate(e: Expr, point, memo=None):
     """Evaluate at a point of floats (a float) or at a batch of coordinate
     arrays (an array of one value per point, also where `e` is
     constant)."""
-    _check_coordinates(point)
-    return _evaluate(e, point, {} if memo is None else memo)
+    xs = _batch(point)
+    with _evaluating():
+        v = _EVAL[type(e)](e, xs, {} if memo is None else memo)
+        check_finite(v, xs)
+    return float(v) if xs.ndim == 1 else _per_point(v, xs)
 
 
-def _evaluate(e: Expr, point, memo):
-    """`evaluate` at a point whose coordinates are checked."""
-    try:
-        if _is_batch(point):
-            # every value that leaves the domain raises EvalDomainError, so
-            # numpy's warnings say nothing more
-            with np.errstate(all="ignore"):
-                v = _per_point(_eval(e, point, memo), point)
-        else:
-            v = _eval(e, point, memo)
-    except RecursionError:
-        raise ExprDepthError("evaluate") from None
-    check_finite(v, point)
-    return v
-
-
-def _per_point(v, point):
+def _per_point(v, xs) -> np.ndarray:
     """A value at a batch as an array over its points: a constant
     evaluates to a number, which fills one."""
-    return v if isinstance(v, np.ndarray) else np.full(np.shape(point[0]), v)
+    return v if isinstance(v, np.ndarray) else np.full(xs.shape[1:], v)
 
 
 def evaluate_table(table, point) -> np.ndarray:
     """A nested table (lists or an object array) of real expressions or
-    numbers at a point of floats, as a float array of the table's shape;
-    every entry shares one memo."""
-    _check_coordinates(point)
+    numbers at a point of floats, as a float array of the table's shape,
+    or at a batch, with one more axis over its points; every entry shares
+    one memo, and one check covers the finiteness of them all."""
+    xs = _batch(point)
     memo = {}
     exprs = np.asarray(table, dtype=object)
-    out = np.empty(exprs.shape)
-    for idx, e in np.ndenumerate(exprs):
-        out[idx] = _evaluate(lift(e), point, memo)
+    out = np.empty(exprs.shape + xs.shape[1:])
+    with _evaluating():
+        for idx, e in np.ndenumerate(exprs):
+            e = lift(e)
+            out[idx] = _EVAL[type(e)](e, xs, memo)
+    finite = np.isfinite(out).reshape((-1,) + xs.shape[1:]).all(axis=0)
+    _domain_check(~finite, "non-finite value", xs)
     return out
 
 
 def evaluate_many(cexprs, point, memo=None) -> list:
     """`CExpr.evaluate` of each complex expression at one point or batch,
     all sharing one memo."""
-    _check_coordinates(point)
+    xs = _batch(point)
     memo = {} if memo is None else memo
-    return [c._evaluate(point, memo) for c in cexprs]
-
-
-def _eval(e: Expr, point, memo):
-    return _EVAL[type(e)](e, point, memo)
+    with _evaluating():
+        values = [c._evaluate(xs, memo) for c in cexprs]
+    return [complex(v) if xs.ndim == 1 else _per_point(v, xs) for v in values]
 
 
 # One evaluator per node type in `_EVAL`, dispatched on type(e).  Each
 # evaluates its children through the table itself, so evaluation takes
-# one Python frame per nesting level, and keeps its own memo entry.  The
-# entry pins the node: id() keys are only unique while the object is
-# alive, and shared memos outlive temporary subtrees.  A float takes
-# Python arithmetic and `math` (which raise on overflow), an array of
-# batch values numpy (which returns inf or NaN instead).
+# one Python frame per nesting level; a node with children keeps its own
+# memo entry, which pins the node: id() keys are only unique while the
+# object is alive, and shared memos outlive temporary subtrees.  Every
+# point is a batch, so one numpy operation per node serves all its
+# points; a constant subtree yields a number, so the domain checks use
+# numpy operations that take a number or an array alike.
 
 def _eval_const(e, point, memo):
     return e.val
 
 
 def _eval_var(e, point, memo):
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
     if e.index > len(point):
         raise EvalDomainError(f"variable x{e.index} beyond point "
                               "dimension", _point_at(point))
-    x = point[e.index - 1]
-    v = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) \
-        else float(x)
-    memo[id(e)] = (e, v)
-    return v
+    return point[e.index - 1]
 
 
 def _eval_add(e, point, memo):
@@ -463,10 +454,7 @@ def _eval_div(e, point, memo):
         return hit[1]
     a, b = e.a, e.b
     den = _EVAL[type(b)](b, point, memo)
-    if isinstance(den, np.ndarray):
-        _domain_check(den == 0.0, "division by zero", point)
-    elif den == 0.0:
-        raise EvalDomainError("division by zero", point)
+    _domain_check(np.equal(den, 0.0), "division by zero", point)
     v = _EVAL[type(a)](a, point, memo) / den
     memo[id(e)] = (e, v)
     return v
@@ -487,19 +475,12 @@ def _eval_pow(e, point, memo):
     if hit is not None:
         return hit[1]
     base = e.base
-    x = _EVAL[type(base)](base, point, memo)
-    if isinstance(x, np.ndarray):
-        if e.exponent < 0:
-            _domain_check(x == 0.0, "division by zero", point)
-        v = x ** e.exponent
-        check_finite(v, point, "power")
-    else:
-        if e.exponent < 0 and x == 0.0:
-            raise EvalDomainError("division by zero", point)
-        try:
-            v = x ** e.exponent
-        except OverflowError as exc:
-            raise EvalDomainError("non-finite power", point) from exc
+    # a float base would take Python's power, which raises on overflow
+    x = np.asarray(_EVAL[type(base)](base, point, memo), dtype=float)
+    if e.exponent < 0:
+        _domain_check(np.equal(x, 0.0), "division by zero", point)
+    v = x ** e.exponent
+    check_finite(v, point, "power")
     memo[id(e)] = (e, v)
     return v
 
@@ -510,23 +491,13 @@ def _eval_call(e, point, memo):
         return hit[1]
     arg = e.arg
     x = _EVAL[type(arg)](arg, point, memo)
-    if isinstance(x, np.ndarray):
-        if e.fn == "log":
-            _domain_check(x <= 0.0, "log of non-positive value", point)
-        elif e.fn == "sqrt":
-            _domain_check(x < 0.0, "sqrt of negative value", point)
-        v = _UFUNCS[e.fn](x)
-        check_finite(v, point, e.fn)
-    else:
-        if e.fn == "log" and x <= 0.0:
-            raise EvalDomainError("log of non-positive value", point)
-        if e.fn == "sqrt" and x < 0.0:
-            raise EvalDomainError("sqrt of negative value", point)
-        # math raises on exp overflow and on sin or cos of inf
-        try:
-            v = _FUNCS[e.fn](x)
-        except (OverflowError, ValueError) as exc:
-            raise EvalDomainError(f"non-finite {e.fn}", point) from exc
+    if e.fn == "log":
+        _domain_check(np.less_equal(x, 0.0), "log of non-positive value",
+                      point)
+    elif e.fn == "sqrt":
+        _domain_check(np.less(x, 0.0), "sqrt of negative value", point)
+    v = _UFUNCS[e.fn](x)
+    check_finite(v, point, e.fn)
     memo[id(e)] = (e, v)
     return v
 
@@ -885,26 +856,17 @@ class CExpr:
     def evaluate(self, point, memo=None):
         """A complex number at a point of floats; at a batch, a complex
         array of one value per point."""
-        _check_coordinates(point)
-        return self._evaluate(point, {} if memo is None else memo)
+        return evaluate_many((self,), point, memo)[0]
 
-    def _evaluate(self, point, memo):
-        """`evaluate` at a point whose coordinates are checked."""
-        try:
-            if not _is_batch(point):
-                z = complex(_eval(self.re, point, memo),
-                            _eval(self.im, point, memo))
-                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    raise EvalDomainError("non-finite value", point)
-                return z
-            with np.errstate(all="ignore"):
-                re = _eval(self.re, point, memo)
-                im = _eval(self.im, point, memo)
-        except RecursionError:
-            raise ExprDepthError("evaluate") from None
-        check_finite(re, point)
-        check_finite(im, point)
-        return _per_point(re + 1j * im, point)
+    def _evaluate(self, xs, memo):
+        """The value at a checked batch, inside `_evaluating`: an array,
+        or a number where both parts are constant.  A complex value is
+        finite where both parts are, so one check covers them."""
+        re, im = self.re, self.im
+        z = _EVAL[type(re)](re, xs, memo) \
+            + 1j * _EVAL[type(im)](im, xs, memo)
+        check_finite(z, xs)
+        return z
 
     def __repr__(self):
         return f"CExpr({to_str(self.re)}, {to_str(self.im)})"

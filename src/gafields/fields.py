@@ -30,6 +30,7 @@ blades that pair with H into a scalar, L0 and L1 on the scalar blade.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -324,15 +325,22 @@ def f_strength_exprs(cfg: FieldConfig):
 
 @_per_config
 def g_strength_fields(cfg: FieldConfig):
-    """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] as 2-form fields."""
-    n = cfg.chart.dim
+    """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] as 2-form fields, built for
+    i < j: G_ji = -G_ij, and G_ii is the zero field."""
     b = cfg.b
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = upsilon_k(b[j], i + 1) - upsilon_k(b[i], j + 1) \
-                + clifford_mul_fields(b[i], b[j]) \
-                - clifford_mul_fields(b[j], b[i])
+    return _antisymmetric(cfg.chart, lambda i, j: upsilon_k(b[j], i + 1)
+                          - upsilon_k(b[i], j + 1)
+                          + clifford_mul_fields(b[i], b[j])
+                          - clifford_mul_fields(b[j], b[i]))
+
+
+def _antisymmetric(chart, build):
+    """The n x n table of fields X_ij = build(i, j) for i < j, with
+    X_ji = -X_ij and X_ii the zero field."""
+    out = [[FormField(chart)] * chart.dim for _ in range(chart.dim)]
+    for i, j in itertools.combinations(range(chart.dim), 2):
+        out[i][j] = build(i, j)
+        out[j][i] = -out[i][j]
     return tuple(map(tuple, out))
 
 
@@ -453,8 +461,8 @@ def _yang_mills_family(cfg, j_fields, c2):
     sqrtg = chart.sqrt_abs_det
     gm = chart.gamma_exprs()
     g_fields = g_strength_fields(cfg)
-    g_upper = [[_raise_pair(cfg, g_fields, i, j) for j in range(n)]
-               for i in range(n)]
+    g_upper = _antisymmetric(chart,
+                             lambda i, j: _raise_pair(cfg, g_fields, i, j))
     lhs = []
     for j in range(n):
         acc = FormField(chart)
@@ -491,11 +499,11 @@ def _h_family(cfg):
 
 
 def _curvature_link_family(cfg):
-    """G_ij + (1/2) D_ij over all index pairs."""
-    n = cfg.chart.dim
+    """G_ij + (1/2) D_ij over the index pairs i < j; both sides are
+    antisymmetric in (i, j)."""
     g_fields = g_strength_fields(cfg)
     d_forms = curvature_forms(cfg.chart)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
+    pairs = list(itertools.combinations(range(cfg.chart.dim), 2))
     terms = [g_fields[i][j] for i, j in pairs] + [d_forms[i][j]
                                                   for i, j in pairs]
     k = len(pairs)

@@ -1,7 +1,8 @@
 """Shared fixtures: random multivectors, charts, plane waves and
-curvature-linked configs, and the blade-chain Clifford kernel that the
+curvature-linked configs; the blade-chain Clifford kernel that the
 numeric structure tensor and the charts' blade products are checked
-against."""
+against; and the ordered-pair Yang-Mills left sides that the residual
+family is checked against."""
 
 from math import factorial
 
@@ -12,8 +13,9 @@ from gafields.blades import (add_term, blade_indices, gen_mul, is_zero,
 
 from gafields.checks import flat_minkowski_chart, mv_sample, random_form_field
 from gafields.expr import CExpr, ZERO, Const, parse
-from gafields.fields import FieldConfig
-from gafields.manifold import Chart, FormField, curvature_forms, scalar_field
+from gafields.fields import FieldConfig, _raise_pair
+from gafields.manifold import (Chart, FormField, clifford_mul_fields,
+                               curvature_forms, scalar_field, upsilon_k)
 from gafields.multivector import Multivector, grade_masks
 from gafields.dirac import column_embed, gamma_matrices, plane_wave_spinor
 
@@ -205,3 +207,41 @@ def clifford_mul_dicts(u: dict, v: dict, g) -> dict:
             if not is_zero(cb):
                 add_term(out, b, ca * cb)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The Yang-Mills left sides with every ordered index pair built on its own,
+# G_ii and G_ji included: the reference for the library, which builds each
+# antisymmetric pair once.
+
+def ordered_pair_g_strength(cfg):
+    """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] for all n^2 pairs (i, j)."""
+    n, b = cfg.chart.dim, cfg.b
+    return [[upsilon_k(b[j], i + 1) - upsilon_k(b[i], j + 1)
+             + clifford_mul_fields(b[i], b[j])
+             - clifford_mul_fields(b[j], b[i]) for j in range(n)]
+            for i in range(n)]
+
+
+def ordered_pair_yang_mills_lhs(cfg):
+    """For each j, sum over i of Y_i(sqrt|g| G^ij), the Christoffel terms
+    sqrt|g| Gamma^j_is G^is, and -sqrt|g| [G^ij, B_i]."""
+    chart = cfg.chart
+    n = chart.dim
+    sqrtg = chart.sqrt_abs_det
+    gm = chart.gamma_exprs()
+    g_low = ordered_pair_g_strength(cfg)
+    g_up = [[_raise_pair(cfg, g_low, i, j) for j in range(n)]
+            for i in range(n)]
+    lhs = []
+    for j in range(n):
+        acc = FormField(chart)
+        for i in range(n):
+            acc = acc + upsilon_k(g_up[i][j].scale(CExpr(sqrtg)), i + 1)
+            for s in range(n):
+                acc = acc + g_up[i][s].scale(CExpr(sqrtg * gm[j][i][s]))
+            comm = clifford_mul_fields(g_up[i][j], cfg.b[i]) \
+                - clifford_mul_fields(cfg.b[i], g_up[i][j])
+            acc = acc - comm.scale(CExpr(sqrtg))
+        lhs.append(acc)
+    return lhs

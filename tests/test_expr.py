@@ -11,6 +11,7 @@ from gafields import expr as expr_module
 from gafields.expr import (
     Add,
     CExpr,
+    Call,
     Const,
     Div,
     EvalDomainError,
@@ -94,6 +95,21 @@ def test_domain_errors_are_typed(src, x):
     assert info.value.point == (x,) or math.isnan(info.value.point[0])
     with pytest.raises(EvalDomainError):
         CExpr(parse("x1", 1), e).evaluate(batch)
+
+
+@pytest.mark.parametrize("e", [
+    Div(Var(1), Sub(Const(2.0), Const(2.0))),
+    Pow(Const(10.0), 400),
+    Call("exp", Const(1000.0)),
+    Call("log", Sub(Const(1.0), Const(2.0))),
+], ids=["div", "pow", "exp", "log"])
+def test_domain_error_in_a_constant_subtree_names_one_point(e):
+    # built without the folding constructors, so the constant reaches
+    # evaluation; at a batch its error names the first point, not the batch
+    for point in ((0.5,), (np.array([0.5, 0.7]),)):
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(e, point)
+        assert info.value.point == (0.5,)
 
 
 def test_batch_matches_float_points():

@@ -37,7 +37,11 @@ from gafields.checks import (constant_field, flat_minkowski_chart,
 from helpers import (
     FLAT_POOL,
     curvature_linked_config,
+    curved_link_chart,
+    ordered_pair_g_strength,
+    ordered_pair_yang_mills_lhs,
     plane_wave_config,
+    skew_chart,
     smooth_config,
 )
 
@@ -270,6 +274,30 @@ def test_plane_wave_maxwell_source_consistency(rng):
     assert res["main"] < 1e-10
     assert res["maxwell"] < 1e-10
     assert res["yang_mills"] < 1e-10
+
+
+@pytest.mark.parametrize("make_chart", [curved_link_chart,
+                                        lambda: skew_chart(4, -1)],
+                         ids=["sphere_times_flat", "skew"])
+def test_yang_mills_left_sides_match_ordered_pairs(make_chart):
+    # the family builds G_ij and G^ij for i < j only; on a curved chart
+    # with B != 0 every Christoffel term of the i == j pass counts
+    cfg = smooth_config(np.random.default_rng(11), chart=make_chart())
+    n = cfg.chart.dim
+    xs = tuple(np.array(sample_points(cfg.chart, np.random.default_rng(12)),
+                        dtype=float).T)
+    g = [[f.eval_array(xs) for f in row]
+         for row in fields.g_strength_fields(cfg)]
+    ref = np.array([[f.eval_array(xs) for f in row]
+                    for row in ordered_pair_g_strength(cfg)])
+    for i, j in itertools.product(range(n), repeat=2):
+        assert np.array_equal(g[i][j], -g[j][i])
+    assert np.abs(np.array(g) - ref).max() <= 1e-12 * np.abs(ref).max()
+    lhs = ResidualSystem(cfg, ("yang_mills",)).families["yang_mills"][0]
+    for got, want in zip(lhs[1:n + 1], ordered_pair_yang_mills_lhs(cfg)):
+        got, want = got.eval_array(xs), want.eval_array(xs)
+        assert np.abs(want).max() > 1e-3
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_curvature_link_on_constructed_config():
