@@ -24,7 +24,7 @@ from .dirac import (MINKOWSKI_DIAG, gamma_matrices, minkowski_metric,
 from .expr import CExpr, ZERO, call, parse
 from .fields import (FieldConfig, _require_h, _system, gauge_transform,
                      lagrangian_l0, lagrangian_l1, main_form)
-from .manifold import (Chart, FormField, d_op, delta_op, dx,
+from .manifold import (Chart, FormField, d_op, delta_op, dx, eval_fields,
                        grade_project_field, hodge_field, scalar_field,
                        star_inverse_field, upsilon_k, volume_field)
 from .metric import Metric, is_isometry, new_metric
@@ -171,34 +171,31 @@ def curvature_commutator_defect(chart: Chart, p) -> float:
     """(Y_i Y_j - Y_j Y_i) dx^k against R^r_k of the pair (i, j) on dx^r,
     the worst over i, j, k at p."""
     n = chart.dim
-    r_mixed = chart.curvature(p)
+    r_mixed = chart.curvature(p)  # checks that p lies in the chart
+    triples = list(itertools.product(range(1, n + 1), repeat=3))
+    # every form is read at p, so one call evaluates them all
+    got = eval_fields([upsilon_k(upsilon_k(dx(chart, k), j), i)
+                       - upsilon_k(upsilon_k(dx(chart, k), i), j)
+                       for i, j, k in triples], p)
     gens = [1 << r for r in range(n)]
-    defects = []
-    memo = {}  # every form is evaluated at p, so they share one memo
-    for i, j, k in itertools.product(range(1, n + 1), repeat=3):
-        f = dx(chart, k)
-        got = (upsilon_k(upsilon_k(f, j), i)
-               - upsilon_k(upsilon_k(f, i), j)).eval_at(p, memo)
-        want = Multivector(n)
-        want.coeffs[gens] = r_mixed[i - 1, j - 1, :, k - 1]
-        defects.append((got - want).norm())
-    return worst(defects)
+    for (i, j, k), g in zip(triples, got):
+        g[gens] -= r_mixed[i - 1, j - 1, :, k - 1]
+    return worst(map(row_norm, got))
 
 
 def form_calculus_defects(u: FormField, p) -> tuple:
     """At p: d d U, delta delta U, and delta W against (-1)^k *^-1 d * W
     on each grade k part W of U, the worst over k."""
-    via_star = []
-    memo = {}  # every form is evaluated at p, so they share one memo
+    u.chart.check_point(p)
+    forms = [d_op(d_op(u)), delta_op(delta_op(u))]
     for k in range(u.chart.dim + 1):
         w = grade_project_field(u, k)
-        lhs = delta_op(w).eval_at(p, memo)
-        rhs = star_inverse_field(d_op(hodge_field(w))).eval_at(p, memo)
-        if k % 2 == 1:
-            rhs = -rhs
-        via_star.append((lhs - rhs).norm())
-    return (d_op(d_op(u)).eval_at(p, memo).norm(),
-            delta_op(delta_op(u)).eval_at(p, memo).norm(), worst(via_star))
+        forms += [delta_op(w), star_inverse_field(d_op(hodge_field(w)))]
+    # every form is read at p, so one call evaluates them all
+    dd, deldel, *sides = eval_fields(forms, p)
+    via_star = [row_norm(lhs - (-rhs if k % 2 == 1 else rhs))
+                for k, (lhs, rhs) in enumerate(zip(sides[::2], sides[1::2]))]
+    return (float(row_norm(dd)), float(row_norm(deldel)), worst(via_star))
 
 
 def gauge_defects(cfg: FieldConfig, cfg2: FieldConfig, f: Multivector,
@@ -326,13 +323,15 @@ def suite_manifold(seed: int, count: int) -> list:
                  for _ in range(10))
     sphere = sphere_chart([(0.4, 2.7), (0.0, 3.0)])
     comm = curvature_commutator_defect(sphere, random_point(sphere, rng))
-    ops, vol = [], []
+    ops, pts = [], []
     for _ in range(max(count // 10, 3)):
         u = random_form_field(sphere, rng, _POOL)
-        p = random_point(sphere, rng)
-        ops.append(form_calculus_defects(u, p))
-        for j in (1, 2):
-            vol.append(upsilon_k(volume_field(sphere), j).eval_at(p).norm())
+        pts.append(random_point(sphere, rng))
+        ops.append(form_calculus_defects(u, pts[-1]))
+    # Y_j of the volume form at every point the loop drew, as one batch
+    vol = [row_norm(v.T) for v in eval_fields(
+        [upsilon_k(volume_field(sphere), j) for j in (1, 2)],
+        tuple(np.array(pts).T))]
     return [("flat_chart_curvature", flat, 1e-9),
             ("curvature_commutator", comm, 1e-8),
             ("d_squared", worst(d[0] for d in ops), 1e-8),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import blades
-from .expr import CExpr
+from .expr import CExpr, evaluate_many
 from .metric import ArgumentError, Metric, new_metric
 from .multivector import Multivector, coeffs_of
 
@@ -111,14 +111,16 @@ def dirac_residual(theta_exprs, a_exprs, m: float, p, rep: GammaRep = None):
     """
     if rep is None:
         rep = gamma_matrices()
-    memo = {}
-    theta = np.array([CExpr.of(t).evaluate(p, memo) for t in theta_exprs])
+    theta_exprs = [CExpr.of(t) for t in theta_exprs]
+    # theta, its 16 derivatives and the 4 potentials in one call
+    vals = evaluate_many(theta_exprs + [t.diff(k) for k in range(1, 5)
+                                        for t in theta_exprs]
+                         + [CExpr.of(a) for a in a_exprs[:4]], p)
+    theta = np.array(vals[:4])
     out = -m * theta
     for k in range(4):
-        dtheta = np.array([CExpr.of(t).diff(k + 1).evaluate(p, memo)
-                           for t in theta_exprs])
-        ak = CExpr.of(a_exprs[k]).evaluate(p, memo)
-        out = out + 1j * rep.gammas[k] @ (dtheta - ak * theta)
+        dtheta = np.array(vals[4 + 4 * k:8 + 4 * k])
+        out = out + 1j * rep.gammas[k] @ (dtheta - vals[20 + k] * theta)
     return out
 
 

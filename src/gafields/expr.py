@@ -4,7 +4,8 @@ Expressions are ASTs over coordinate variables x1..xn, real literals and
 the operators + - * / unary-minus, integer powers and the functions
 sin, cos, exp, log, sqrt.  Differentiation is exact and symbolic;
 evaluation is plain IEEE double arithmetic.  Nodes compare by identity,
-which lets evaluation memoize shared subtrees.  Derivatives are memoised
+so one `evaluate_many` call evaluates a subtree its items share once,
+with a memo that lives for that call alone.  Derivatives are memoised
 per node: each node keeps its derivative in each variable the first time
 it is differentiated, so a subtree shared by many expressions (a DAG) is
 differentiated once, and its derivative is again one shared node.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 
 import numpy as np
 
@@ -353,56 +355,47 @@ def _evaluating():
         raise ExprDepthError("evaluate") from None
 
 
-def evaluate(e: Expr, point, memo=None):
-    """Evaluate at a point of floats (a float) or at a batch of coordinate
-    arrays (an array of one value per point, also where `e` is
-    constant)."""
-    xs = _batch(point)
-    with _evaluating():
-        v = _EVAL[type(e)](e, xs, {} if memo is None else memo)
-        check_finite(v, xs)
-    return float(v) if xs.ndim == 1 else _per_point(v, xs)
+def evaluate(e, point):
+    """Evaluate a real expression (or a number) at a point of floats (a
+    float) or at a batch of coordinate arrays (an array of one value per
+    point, also where `e` is constant)."""
+    return evaluate_many((e,), point)[0]
 
 
-def _per_point(v, xs) -> np.ndarray:
-    """A value at a batch as an array over its points: a constant
-    evaluates to a number, which fills one."""
-    return v if isinstance(v, np.ndarray) else np.full(xs.shape[1:], v)
-
-
-def evaluate_table(table, point) -> np.ndarray:
-    """A nested table (lists or an object array) of real expressions or
-    numbers at a point of floats, as a float array of the table's shape,
-    or at a batch, with one more axis over its points; every entry shares
-    one memo, and one check covers the finiteness of them all."""
+def evaluate_many(items, point) -> list:
+    """Evaluate real items (an `Expr` or a number) and complex items (a
+    `CExpr`) at one point of floats or one batch.  At a point, a real item
+    gives a float and a complex item a complex; at a batch, each gives an
+    array of one value per point.  All items share one memo, which lives
+    for this call only: the items are held in a list for the whole call,
+    so no node in the memo is freed and no id() in it is reused."""
+    items = [x if type(x) is CExpr else lift(x) for x in items]
     xs = _batch(point)
     memo = {}
-    exprs = np.asarray(table, dtype=object)
-    out = np.empty(exprs.shape + xs.shape[1:])
+    values = []
     with _evaluating():
-        for idx, e in np.ndenumerate(exprs):
-            e = lift(e)
-            out[idx] = _EVAL[type(e)](e, xs, memo)
-    finite = np.isfinite(out).reshape((-1,) + xs.shape[1:]).all(axis=0)
-    _domain_check(~finite, "non-finite value", xs)
-    return out
-
-
-def evaluate_many(cexprs, point, memo=None) -> list:
-    """`CExpr.evaluate` of each complex expression at one point or batch,
-    all sharing one memo."""
-    xs = _batch(point)
-    memo = {} if memo is None else memo
-    with _evaluating():
-        values = [c._evaluate(xs, memo) for c in cexprs]
-    return [complex(v) if xs.ndim == 1 else _per_point(v, xs) for v in values]
+        for x in items:
+            if type(x) is CExpr:
+                # a complex value is finite where both parts are, so one
+                # check covers them
+                re, im = x.re, x.im
+                v = _EVAL[type(re)](re, xs, memo) \
+                    + 1j * _EVAL[type(im)](im, xs, memo)
+            else:
+                v = _EVAL[type(x)](x, xs, memo)
+            check_finite(v, xs)
+            values.append(v)
+    if xs.ndim > 1:  # a constant gives a number, which fills an array
+        return [v if isinstance(v, np.ndarray) else np.full(xs.shape[1:], v)
+                for v in values]
+    return [complex(v) if type(x) is CExpr else float(v)
+            for x, v in zip(items, values)]
 
 
 # One evaluator per node type in `_EVAL`, dispatched on type(e).  Each
 # evaluates its children through the table itself, so evaluation takes
-# one Python frame per nesting level; a node with children keeps its own
-# memo entry, which pins the node: id() keys are only unique while the
-# object is alive, and shared memos outlive temporary subtrees.  Every
+# one Python frame per nesting level, and a node with children keeps its
+# value in the memo of the `evaluate_many` call, keyed by id().  Every
 # point is a batch, so one numpy operation per node serves all its
 # points; a constant subtree yields a number, so the domain checks use
 # numpy operations that take a number or an array alike.
@@ -418,62 +411,45 @@ def _eval_var(e, point, memo):
     return point[e.index - 1]
 
 
-def _eval_add(e, point, memo):
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    a, b = e.a, e.b
-    v = _EVAL[type(a)](a, point, memo) + _EVAL[type(b)](b, point, memo)
-    memo[id(e)] = (e, v)
-    return v
-
-
-def _eval_sub(e, point, memo):
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    a, b = e.a, e.b
-    v = _EVAL[type(a)](a, point, memo) - _EVAL[type(b)](b, point, memo)
-    memo[id(e)] = (e, v)
-    return v
-
-
-def _eval_mul(e, point, memo):
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    a, b = e.a, e.b
-    v = _EVAL[type(a)](a, point, memo) * _EVAL[type(b)](b, point, memo)
-    memo[id(e)] = (e, v)
-    return v
+def _eval_arith(op):
+    """The evaluator of a node whose value is op(value of a, value of b)."""
+    def eval_node(e, point, memo):
+        hit = memo.get(id(e))
+        if hit is not None:
+            return hit
+        a, b = e.a, e.b
+        v = memo[id(e)] = op(_EVAL[type(a)](a, point, memo),
+                             _EVAL[type(b)](b, point, memo))
+        return v
+    return eval_node
 
 
 def _eval_div(e, point, memo):
     hit = memo.get(id(e))
     if hit is not None:
-        return hit[1]
+        return hit
     a, b = e.a, e.b
     den = _EVAL[type(b)](b, point, memo)
     _domain_check(np.equal(den, 0.0), "division by zero", point)
     v = _EVAL[type(a)](a, point, memo) / den
-    memo[id(e)] = (e, v)
+    memo[id(e)] = v
     return v
 
 
 def _eval_neg(e, point, memo):
     hit = memo.get(id(e))
     if hit is not None:
-        return hit[1]
+        return hit
     a = e.a
     v = -_EVAL[type(a)](a, point, memo)
-    memo[id(e)] = (e, v)
+    memo[id(e)] = v
     return v
 
 
 def _eval_pow(e, point, memo):
     hit = memo.get(id(e))
     if hit is not None:
-        return hit[1]
+        return hit
     base = e.base
     # a float base would take Python's power, which raises on overflow
     x = np.asarray(_EVAL[type(base)](base, point, memo), dtype=float)
@@ -481,14 +457,14 @@ def _eval_pow(e, point, memo):
         _domain_check(np.equal(x, 0.0), "division by zero", point)
     v = x ** e.exponent
     check_finite(v, point, "power")
-    memo[id(e)] = (e, v)
+    memo[id(e)] = v
     return v
 
 
 def _eval_call(e, point, memo):
     hit = memo.get(id(e))
     if hit is not None:
-        return hit[1]
+        return hit
     arg = e.arg
     x = _EVAL[type(arg)](arg, point, memo)
     if e.fn == "log":
@@ -498,13 +474,13 @@ def _eval_call(e, point, memo):
         _domain_check(np.less(x, 0.0), "sqrt of negative value", point)
     v = _UFUNCS[e.fn](x)
     check_finite(v, point, e.fn)
-    memo[id(e)] = (e, v)
+    memo[id(e)] = v
     return v
 
 
-_EVAL = {Const: _eval_const, Var: _eval_var, Add: _eval_add, Sub: _eval_sub,
-         Mul: _eval_mul, Div: _eval_div, Neg: _eval_neg, Pow: _eval_pow,
-         Call: _eval_call}
+_EVAL = {Const: _eval_const, Var: _eval_var, Add: _eval_arith(operator.add),
+         Sub: _eval_arith(operator.sub), Mul: _eval_arith(operator.mul),
+         Div: _eval_div, Neg: _eval_neg, Pow: _eval_pow, Call: _eval_call}
 
 
 def diff(e: Expr, var: int) -> Expr:
@@ -853,20 +829,10 @@ class CExpr:
     def diff(self, var: int) -> "CExpr":
         return CExpr(diff(self.re, var), diff(self.im, var))
 
-    def evaluate(self, point, memo=None):
+    def evaluate(self, point):
         """A complex number at a point of floats; at a batch, a complex
         array of one value per point."""
-        return evaluate_many((self,), point, memo)[0]
-
-    def _evaluate(self, xs, memo):
-        """The value at a checked batch, inside `_evaluating`: an array,
-        or a number where both parts are constant.  A complex value is
-        finite where both parts are, so one check covers them."""
-        re, im = self.re, self.im
-        z = _EVAL[type(re)](re, xs, memo) \
-            + 1j * _EVAL[type(im)](im, xs, memo)
-        check_finite(z, xs)
-        return z
+        return evaluate_many((self,), point)[0]
 
     def __repr__(self):
         return f"CExpr({to_str(self.re)}, {to_str(self.im)})"

@@ -14,6 +14,10 @@ maxwell, yang_mills, h, curvature_link, conservation) once: symbolic
 forms plus a numeric reduction of their values to defects.  Its
 `evaluate(points)` then evaluates every form over all points in one
 vectorised pass, and `at(p)` is `evaluate` on a batch of one point.
+Each output form is evaluated in a call of its own, so the values of one
+form's subtrees are held at a time.  Elsewhere, forms that are read
+together are evaluated together, in one `evaluate_many` or `eval_fields`
+call, and a subtree they share is evaluated once.
 
 Every symbolic form of a configuration is built once: `FieldConfig` is
 immutable, and the main form, C, the L1 form, the two scalars of L0, the
@@ -36,7 +40,8 @@ import json
 import numpy as np
 
 from .blades import popcount
-from .expr import CExpr, CZERO, ExprError, check_finite, diff, evaluate
+from .expr import (CExpr, CZERO, ExprError, check_finite, diff, evaluate,
+                   evaluate_many)
 from .manifold import (
     Chart,
     ChartError,
@@ -48,6 +53,7 @@ from .manifold import (
     conjugate_field,
     curvature_forms,
     dx,
+    eval_fields,
     field_from_json,
     field_to_json,
     scalar_field,
@@ -68,12 +74,11 @@ class FieldConfigError(ValueError):
 
 def _check_shape(name: str, f: FormField, grades, real: bool,
                  imaginary: bool, p) -> None:
-    memo = {}
-    for mask, c in f.coeffs.items():
+    for mask in f.coeffs:
         if popcount(mask) not in grades:
             raise FieldConfigError(f"{name} has a grade-{popcount(mask)} "
                                    f"component, expected grades {grades}")
-        z = c.evaluate(p, memo)
+    for z in evaluate_many(f.coeffs.values(), p):
         if real and abs(z.imag) > CHECK_TOL * max(1.0, abs(z)):
             raise FieldConfigError(f"{name} is not real at {tuple(p)}")
         if imaginary and abs(z.real) > CHECK_TOL * max(1.0, abs(z)):
@@ -93,13 +98,16 @@ class FieldConfig:
         n = chart.dim
         if len(a) != n or len(b) != n:
             raise FieldConfigError(f"need {n} components for a and B")
+        m = float(m)
+        if not np.isfinite(m):
+            raise FieldConfigError(f"mass m = {m} is not finite")
         init = super().__setattr__
         init("chart", chart)
         init("psi", psi)
         init("a", tuple(a))
         init("b", tuple(b))
         init("h", h)
-        init("m", float(m))
+        init("m", m)
         init("_built", {})
         if validate:
             p = chart.midpoint()
@@ -149,7 +157,7 @@ def config_from_json(text: str) -> FieldConfig:
         a = [field_from_json(json.dumps(blk), chart) for blk in data["a"]]
         b = [field_from_json(json.dumps(blk), chart) for blk in data["b"]]
         h = field_from_json(json.dumps(data["h"]), chart)
-        m = float(data["m"])
+        m = data["m"]
     except (ArgumentError, ChartError, ExprError, MetricError):
         raise
     except KeyError as exc:
@@ -157,6 +165,8 @@ def config_from_json(text: str) -> FieldConfig:
     except (AttributeError, TypeError, ValueError) as exc:
         # wrong JSON types: a number where a list or object belongs, ...
         raise FieldConfigError(f"malformed config: {exc}") from exc
+    if type(m) not in (int, float):  # a JSON true is a Python int too
+        raise FieldConfigError(f"mass m must be a number, got {m!r}")
     return FieldConfig(chart, psi, a, b, h, m)
 
 
@@ -253,8 +263,7 @@ def current_exprs(cfg: FieldConfig):
 
 def current(cfg: FieldConfig, p) -> np.ndarray:
     _require_h(_system(cfg, ("h",)).at(p), p)
-    memo = {}
-    vals = [c.evaluate(p, memo) for c in current_exprs(cfg)]
+    vals = evaluate_many(current_exprs(cfg), p)
     worst = max(abs(z.imag) for z in vals)
     if worst > CHECK_TOL * max(1.0, max(abs(z) for z in vals)):
         raise FieldConfigError(f"current has imaginary part {worst:.3e}")
@@ -281,14 +290,14 @@ def conservation_defect(cfg: FieldConfig, p) -> float:
 # Gauge transformation.
 
 def _check_gauge_pair(cfg: FieldConfig, u: FormField, v: CExpr):
-    p = cfg.chart.midpoint()
-    memo = {}
-    vv = v.evaluate(p, memo)
-    if abs(abs(vv) - 1.0) > CHECK_TOL:
-        raise FieldConfigError(f"|v| = {abs(vv):.6f} at {tuple(p)}, "
+    chart = cfg.chart
+    p = chart.midpoint()
+    v_at, u_at = eval_fields((scalar_field(chart, v), u), p)
+    if abs(abs(v_at[0]) - 1.0) > CHECK_TOL:
+        raise FieldConfigError(f"|v| = {abs(v_at[0]):.6f} at {tuple(p)}, "
                                f"expected 1")
-    metric = cfg.chart.metric_at(p)
-    if not is_spin_member(u.eval_at(p, memo), metric, tol=1e-7):
+    if not is_spin_member(Multivector._of(chart.dim, u_at),
+                          chart.metric_at(p), tol=1e-7):
         raise FieldConfigError("U is not spin-valued at the chart midpoint")
 
 
@@ -353,7 +362,7 @@ def _l1_form(cfg: FieldConfig) -> CExpr:
 
 
 def lagrangian_l1(cfg: FieldConfig, p) -> complex:
-    return _l1_form(cfg).evaluate(p, {})
+    return _l1_form(cfg).evaluate(p)
 
 
 def _raise_pair(cfg, lower, i, j):
@@ -395,11 +404,9 @@ def _l0_forms(cfg: FieldConfig):
 def lagrangian_l0(cfg: FieldConfig, p, c1: float = 1.0,
                   c2: float = 1.0) -> complex:
     """sqrt|g| (c1 f_ij f^ij + c2 Tr(G_ij G^ij)) at a point or a batch,
-    evaluated with one memo."""
-    ff, gg = _l0_forms(cfg)
-    memo = {}
-    return evaluate(cfg.chart.sqrt_abs_det, p, memo) * (
-        c1 * ff.evaluate(p, memo) + c2 * gg.evaluate(p, memo))
+    its three scalars evaluated in one call."""
+    s, ff, gg = evaluate_many((cfg.chart.sqrt_abs_det, *_l0_forms(cfg)), p)
+    return s * (c1 * ff + c2 * gg)
 
 
 def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,
@@ -529,7 +536,8 @@ SYSTEM_FAMILIES = FAMILIES[:-1]
 
 
 def _value(term, point):
-    """One output form at a point or batch, with a memo of its own."""
+    """One output form at a point or batch, in an evaluation call of its
+    own: no memo holds the values of all of a system's forms at once."""
     if isinstance(term, FormField):
         return term.eval_array(point)
     if isinstance(term, CExpr):
@@ -658,7 +666,6 @@ def covariance_check(cfg: FieldConfig, change: CoordinateChange,
         new_chart.check_point(p)
     if not points:
         return 0.0
-    xs = tuple(np.array(points, dtype=float).T)
-    memo = {}
-    return float(np.abs(res_new.eval_array(xs, memo)
-                        - res_old_t.eval_array(xs, memo)).max())
+    new, old = eval_fields((res_new, res_old_t),
+                           tuple(np.array(points, dtype=float).T))
+    return float(np.abs(new - old).max())

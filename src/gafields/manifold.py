@@ -25,7 +25,6 @@ from .expr import (
     call,
     diff,
     evaluate_many,
-    evaluate_table,
     lift,
     mul,
     parse,
@@ -122,7 +121,8 @@ class Chart:
         """The metric at p.  The chart keeps the last Metric it built and
         returns it again while the metric's exact values repeat, so a
         constant chart has one Metric and one product table."""
-        g = evaluate_table(self.g_lower_exprs, p)
+        g = np.reshape(evaluate_many(itertools.chain(*self.g_lower_exprs), p),
+                       (self.dim,) * 2)
         key = g.tobytes()
         if key != self._metric_key:
             self._metric = new_metric(g, convention="lower")
@@ -202,9 +202,15 @@ class Chart:
         return self._riemann
 
     def curvature(self, p) -> np.ndarray:
-        """The mixed Riemann tensor R^k_{ij,r} at p, as [i, j, r, k]."""
+        """The mixed Riemann tensor R^k_{ij,r} at p, as [i, j, r, k]: the
+        entries i < j are evaluated, the rest follow by antisymmetry."""
         self.check_point(p)
-        upper = evaluate_table(self.riemann_exprs(), p)
+        n, riem = self.dim, self.riemann_exprs()
+        i, j = np.triu_indices(n, 1)
+        upper = np.zeros((n,) * 4)
+        upper[i, j] = np.reshape(evaluate_many(
+            [e for a, b in zip(i, j) for row in riem[a][b] for e in row], p),
+            (len(i), n, n))
         return upper - upper.swapaxes(0, 1)
 
 
@@ -228,8 +234,11 @@ def curvature_forms(chart: Chart):
 
 def chart_from_json(text: str) -> Chart:
     data = json.loads(text)
-    n = int(data["dim"])
-    rows = data["g_lower"]
+    n, rows = data["dim"], data["g_lower"]
+    # a JSON true is a Python int too, and 2.0 is no dimension
+    if type(n) is not int or n != len(rows):
+        raise ChartError(f"dim must be an integer equal to the number of "
+                         f"metric rows, {len(rows)}; got {n!r}")
     exprs = [[parse(src, n) for src in row] for row in rows]
     return Chart(exprs, data["domain"])
 
@@ -283,26 +292,37 @@ class FormField:
         z = CExpr.of(z)
         return FormField(self.chart, {m: z * c for m, c in self.coeffs.items()})
 
-    def eval_at(self, p, memo=None) -> Multivector:
+    def eval_at(self, p) -> Multivector:
         self.chart.check_point(p)
-        return Multivector._of(self.chart.dim, self.eval_array(p, memo))
+        return Multivector._of(self.chart.dim, self.eval_array(p))
 
-    def eval_array(self, point, memo=None) -> np.ndarray:
-        """Coefficient array at a point of floats, shape (2^n,), or at a
-        batch of N points given as n coordinate arrays, shape (2^n, N).
-        The caller checks that the points lie in the chart."""
-        shape = (1 << self.chart.dim,) + np.shape(point[0])
-        out = np.zeros(shape, dtype=complex)
-        values = evaluate_many(self.coeffs.values(), point, memo)
-        for mask, v in zip(self.coeffs, values):
-            out[mask] = v
-        return out
+    def eval_array(self, point) -> np.ndarray:
+        """`eval_fields` of this field alone."""
+        return eval_fields((self,), point)[0]
 
     def grades(self):
         return sorted({blades.popcount(m) for m in self.coeffs})
 
     def __repr__(self):
         return f"FormField({len(self.coeffs)} terms on {self.chart.dim}-chart)"
+
+
+def eval_fields(fields, point) -> list:
+    """The coefficient array of each field at a point of floats, shape
+    (2^n,), or at a batch of N points given as n coordinate arrays, shape
+    (2^n, N), from one `evaluate_many` call: a subtree the fields share
+    is evaluated once.  The caller checks that the points lie in the
+    chart."""
+    fields = list(fields)
+    values = iter(evaluate_many(
+        [c for f in fields for c in f.coeffs.values()], point))
+    out = []
+    for f in fields:
+        arr = np.zeros((1 << f.chart.dim,) + np.shape(point[0]), dtype=complex)
+        for mask in f.coeffs:
+            arr[mask] = next(values)
+        out.append(arr)
+    return out
 
 
 def scalar_field(chart: Chart, c) -> FormField:
@@ -491,7 +511,7 @@ class CoordinateChange:
                           for a in range(self.dim)] for i in range(self.dim)]
 
     def old_point(self, p_new):
-        return tuple(evaluate_table(self.old_exprs, p_new).tolist())
+        return tuple(evaluate_many(self.old_exprs, p_new))
 
     def _subst_map(self):
         return {i + 1: self.old_exprs[i] for i in range(self.dim)}

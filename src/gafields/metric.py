@@ -139,7 +139,9 @@ def metric_from_json(text: str) -> Metric:
         raise MetricError(f"metric components must be a rectangular array "
                           f"of numbers: {exc}") from exc
     m = new_metric(g, conv)
-    if "dim" in data and data["dim"] != m.dim:
-        raise MetricError(f"declared dim {data['dim']} does not match matrix "
-                          f"shape {g.shape}")
+    # a JSON true is a Python int too, and 2.0 is no dimension
+    if "dim" in data and (type(data["dim"]) is not int
+                          or data["dim"] != m.dim):
+        raise MetricError(f"declared dim {data['dim']!r} is not the integer "
+                          f"size of matrix shape {g.shape}")
     return m

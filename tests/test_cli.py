@@ -214,6 +214,9 @@ BAD_METRICS = {
     "inverse_overflow": '{"g_upper": [[1e-155, 0], [0, 1e-155]]}',
     "directory": None,
     "not_utf8": b'{"g_upper": [[1.0]]} \xff\xfe',
+    # a declared dim is a JSON integer: 2.0 and true are not
+    "dim_float": '{"dim": 2.0, "g_upper": [[1, 0], [0, 1]]}',
+    "dim_true": '{"dim": true, "g_upper": [[1.0]]}',
 }
 
 
@@ -310,6 +313,14 @@ BAD_CONFIGS = {
     # JSON true is no blade index, though Python reads it as 1
     "bool_index": field_config(psi={"basis": "grassmann", "terms": [
         {"indices": [True, 2], "re": "1", "im": "0"}]}),
+    # the chart's dim must be the integer size of its metric
+    "chart_dim_3": field_config(chart={**json.loads(field_config())["chart"],
+                                       "dim": 3}),
+    "chart_dim_true": field_config(chart={
+        **json.loads(field_config())["chart"], "dim": True}),
+    # the mass is a finite JSON number
+    "m_nan": field_config(m=float("nan")),
+    "m_true": field_config(m=True),
 }
 
 

@@ -31,6 +31,7 @@ from gafields.expr import (
     diff,
     div,
     evaluate,
+    evaluate_many,
     mul,
     neg,
     parse,
@@ -269,17 +270,30 @@ def test_subst_composition():
     assert evaluate(s, (x,)) == pytest.approx(math.sin(x) ** 2 + x + 1)
 
 
-def test_memo_shared_across_evaluations():
-    # a shared memo must pin nodes so recycled ids cannot alias new subtrees
-    memo = {}
+def test_evaluate_many_holds_every_item_for_the_call():
+    # items from a generator are parsed as they are drawn; the call holds
+    # them all, so no memo entry outlives its node and no recycled id()
+    # aliases a newer subtree
     p = (0.6, 1.1)
-    vals = []
-    for k in range(200):
-        e = parse(f"sin(x1)*{k} + x2", 2)
-        vals.append(evaluate(e, p, memo))
-        del e
+    vals = evaluate_many((parse(f"sin(x1)*{k} + x2", 2) for k in range(200)),
+                         p)
+    assert len(vals) == 200
     for k, v in enumerate(vals):
         assert v == pytest.approx(math.sin(0.6) * k + 1.1, rel=1e-14)
+
+
+def test_evaluate_many_mixes_real_and_complex_items():
+    x = parse("x1*x2", 2)
+    p = (0.5, 3.0)
+    r, z, c = evaluate_many([x, CExpr(x, parse("x2", 2)), 2], p)
+    assert type(r) is float and r == 1.5
+    assert type(z) is complex and z == 1.5 + 3.0j
+    assert type(c) is float and c == 2.0
+    batch = (np.array([0.5, 1.0]), np.array([3.0, 2.0]))
+    r, z, c = evaluate_many([x, CExpr(x, parse("x2", 2)), 2], batch)
+    assert r.dtype == float and np.array_equal(r, [1.5, 2.0])
+    assert z.dtype == complex and np.array_equal(z, [1.5 + 3.0j, 2.0 + 2.0j])
+    assert np.array_equal(c, [2.0, 2.0])
 
 
 def test_cexpr_arithmetic():

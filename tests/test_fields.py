@@ -1,6 +1,7 @@
 """Gauge field model: main equation, conservation, gauge symmetry, sources."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -74,6 +75,23 @@ def test_config_shape_checks(rng):
     bad_h = FormField(chart, {0b0011: CExpr.of(1.0)})
     with pytest.raises(FieldConfigError):
         FieldConfig(chart, psi, zero, zero, bad_h, 1.0)
+
+
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_config_mass_must_be_finite(m, rng):
+    cfg = smooth_config(rng)
+    with pytest.raises(FieldConfigError, match="not finite"):
+        FieldConfig(cfg.chart, cfg.psi, cfg.a, cfg.b, cfg.h, m)
+
+
+@pytest.mark.parametrize("m", [True, "1.0", None, [1.0]],
+                         ids=["true", "string", "null", "list"])
+def test_config_json_mass_must_be_a_number(m, rng):
+    data = json.loads(config_to_json(smooth_config(rng)))
+    data["m"] = m
+    with pytest.raises(FieldConfigError, match="mass m must be a number"):
+        config_from_json(json.dumps(data))
 
 
 def test_config_json_round_trip(rng):

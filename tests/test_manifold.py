@@ -10,7 +10,7 @@ from gafields.checks import (curvature_commutator_defect,
                              flat_minkowski_chart, form_calculus_defects,
                              polar_chart, random_form_field, random_point,
                              sphere_chart)
-from gafields.expr import CExpr, ZERO, evaluate_table, parse
+from gafields.expr import CExpr, ZERO, evaluate_many, parse
 from gafields.manifold import (
     Chart,
     ChartError,
@@ -23,6 +23,7 @@ from gafields.manifold import (
     curvature_forms,
     d_op,
     delta_op,
+    eval_fields,
     field_from_json,
     field_to_json,
     laplace,
@@ -48,11 +49,30 @@ def random_points(chart, rng, count):
 
 def christoffel(chart, p):
     """Gamma^k_{ij} at p as a [k, i, j] array."""
-    return evaluate_table(chart.gamma_exprs(), p)
+    n = chart.dim
+    return np.reshape(evaluate_many([e for plane in chart.gamma_exprs()
+                                     for row in plane for e in row], p),
+                      (n, n, n))
 
 
 # coefficient expressions of the random fields on the 2-charts
 POOL = ("x1*x2", "sin(x1)", "cos(x2)", "x1^2", "x2 + 1", "sin(x2)*x1")
+
+
+def test_eval_fields_matches_each_field_alone(rng):
+    # the forms share subtrees (u is inside v and w), which one call
+    # evaluates once; every value must be the one each field gets alone
+    chart = sphere_chart(SPHERE_BOX)
+    u = random_form_field(chart, rng, POOL)
+    forms = [u, upsilon_k(u, 1), d_op(u), FormField(chart)]
+    points = random_points(chart, rng, 5)
+    for point in (points[0], tuple(np.array(points).T)):
+        together = eval_fields(forms, point)
+        assert len(together) == len(forms)
+        for f, got in zip(forms, together):
+            alone = f.eval_array(point)
+            assert got.shape == alone.shape
+            assert np.array_equal(got, alone)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +460,17 @@ def test_chart_json_round_trip(rng):
     p = (1.0, 0.8)
     assert np.allclose(again.metric_at(p).g_lower,
                        chart.metric_at(p).g_lower, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [5, 3, 0, True, 1.5, 2.0, "2", None],
+                         ids=["5", "3", "0", "true", "1.5", "2.0", "string",
+                              "null"])
+def test_chart_json_dim_must_be_the_matrix_size(dim):
+    # a JSON true is a Python int, and 2.0 == 2 in Python
+    data = json.loads(chart_to_json(sphere_chart(SPHERE_BOX)))
+    data["dim"] = dim
+    with pytest.raises(ChartError, match="dim must be an integer"):
+        chart_from_json(json.dumps(data))
 
 
 @pytest.mark.parametrize("indices", [[3], [0], [1, 1], [True, 2], [1.0, 2]],

@@ -94,6 +94,14 @@ def test_is_isometry_lorentz_boost():
     assert is_isometry(m, boost)
 
 
+@pytest.mark.parametrize("dim, size", [(3, 2), (2.0, 2), (True, 1), ("1", 1)],
+                         ids=["mismatch", "float", "true", "string"])
+def test_json_dim_must_be_the_integer_matrix_size(dim, size):
+    text = json.dumps({"dim": dim, "g_upper": np.eye(size).tolist()})
+    with pytest.raises(MetricError, match="declared dim"):
+        metric_from_json(text)
+
+
 def test_json_round_trip(rng):
     m = random_metric(3, rng)
     m2 = metric_from_json(json.dumps({"g_upper": m.g_upper.tolist()}))
