@@ -186,7 +186,6 @@ def curvature_commutator_defect(chart: Chart, p) -> float:
 def form_calculus_defects(u: FormField, p) -> tuple:
     """At p: d d U, delta delta U, and delta W against (-1)^k *^-1 d * W
     on each grade k part W of U, the worst over k."""
-    u.chart.check_point(p)
     forms = [d_op(d_op(u)), delta_op(delta_op(u))]
     for k in range(u.chart.dim + 1):
         w = grade_project_field(u, k)
@@ -204,15 +203,12 @@ def gauge_defects(cfg: FieldConfig, cfg2: FieldConfig, f: Multivector,
     main residual against R F v, and the changes of L1 and of L0(c1, c2).
     Each form is evaluated once over all points as a batch, so each defect
     is an array over the points."""
-    for p in pts:
-        cfg.chart.check_point(p)
-    xs = tuple(np.array(pts, dtype=float).T)
-    want = table.mul(main_form(cfg).eval_array(xs).T, f) \
-        * v.evaluate(xs)[:, None]
-    return (row_norm(main_form(cfg2).eval_array(xs).T - want),
-            np.abs(lagrangian_l1(cfg2, xs) - lagrangian_l1(cfg, xs)),
-            np.abs(lagrangian_l0(cfg2, xs, c1, c2)
-                   - lagrangian_l0(cfg, xs, c1, c2)))
+    want = table.mul(main_form(cfg).eval_array(pts), f) \
+        * v.evaluate(pts)[:, None]
+    return (row_norm(main_form(cfg2).eval_array(pts) - want),
+            np.abs(lagrangian_l1(cfg2, pts) - lagrangian_l1(cfg, pts)),
+            np.abs(lagrangian_l0(cfg2, pts, c1, c2)
+                   - lagrangian_l0(cfg, pts, c1, c2)))
 
 
 def gamma_anticommutator_defect(rep) -> float:
@@ -329,9 +325,8 @@ def suite_manifold(seed: int, count: int) -> list:
         pts.append(random_point(sphere, rng))
         ops.append(form_calculus_defects(u, pts[-1]))
     # Y_j of the volume form at every point the loop drew, as one batch
-    vol = [row_norm(v.T) for v in eval_fields(
-        [upsilon_k(volume_field(sphere), j) for j in (1, 2)],
-        tuple(np.array(pts).T))]
+    vol = [row_norm(v) for v in eval_fields(
+        [upsilon_k(volume_field(sphere), j) for j in (1, 2)], pts)]
     return [("flat_chart_curvature", flat, 1e-9),
             ("curvature_commutator", comm, 1e-8),
             ("d_squared", worst(d[0] for d in ops), 1e-8),
@@ -356,7 +351,7 @@ def suite_field(seed: int, count: int) -> list:
     for row, p in zip(res, pts):
         _require_h(row, p)
     cons = worst(row["conservation"] for row in res)
-    real = worst(np.abs(np.imag(lagrangian_l1(cfg, tuple(np.array(pts).T)))))
+    real = worst(np.abs(np.imag(lagrangian_l1(cfg, pts))))
 
     mref = chart.metric_at(chart.midpoint())
     f = random_spin_element(mref, rng, 0.4)

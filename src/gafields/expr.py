@@ -10,9 +10,12 @@ per node: each node keeps its derivative in each variable the first time
 it is differentiated, so a subtree shared by many expressions (a DAG) is
 differentiated once, and its derivative is again one shared node.
 
-A point is either a sequence of floats (x1 = point[0]) or a batch: one
-1-D float array per coordinate.  Evaluation has one arithmetic, numpy's:
-a point of floats is a batch of one, whose value comes back as a float,
+A point is a sequence of n floats (x1 = point[0]) and a batch is a
+sequence of N points, shape (N, n) to `np.asarray`.  An expression has
+no dimension, so it cannot tell n coordinate rows of N values from n
+points of N coordinates: the chart-aware callers reject a point whose
+length is not the chart's.  Evaluation has one arithmetic, numpy's: a
+point of floats is a batch of one, whose value comes back as a float,
 and each node is one numpy operation for all the points at once.  It
 raises `EvalDomainError` naming a point where a value leaves the domain
 or stops being finite.  `math` only folds constants while parsing.
@@ -311,36 +314,35 @@ def call(fn: str, a: Expr) -> Expr:
 
 
 def _batch(point) -> np.ndarray:
-    """The point as a float array with one row per coordinate: n rows of
-    N values for a batch of N points, and n numpy scalars for a point of
-    floats, a batch of one.  Evaluation checks the coordinates here,
-    once, where a point enters it, and raises `EvalDomainError` naming
-    the first point with an inf or NaN coordinate; the variable nodes
-    then only read them."""
-    xs = np.array(point, dtype=float)
+    """A point (n,) or a batch (N, n) as contiguous float rows, one per
+    coordinate, the layout the evaluators read: n rows of N values, or n
+    numpy scalars for a point of floats.  The coordinates are checked
+    here, once, where a point enters evaluation: `EvalDomainError` names
+    the first point with an inf or NaN coordinate."""
+    xs = np.ascontiguousarray(np.asarray(point, dtype=float).T)
     _domain_check(~np.isfinite(xs).all(axis=0), "non-finite coordinate", xs)
     return xs
 
 
 def _point_at(xs, i: int = 0) -> tuple:
-    """Point i of a batch as a tuple of floats."""
+    """Point i of the rows of `_batch` as a tuple of floats."""
     return tuple(float(np.ravel(x)[i]) for x in xs)
 
 
 def _domain_check(bad, message: str, xs) -> None:
-    """Raise `EvalDomainError` naming the first batch point where `bad`
-    holds; a `bad` that is one boolean, from a constant, names the first
-    point.  Every node that can leave the domain runs this test, and
-    `np.count_nonzero` costs less than `bad.any()` on an array or a
-    scalar."""
+    """Raise `EvalDomainError` naming the first point of the rows `xs`
+    where `bad` holds, or the first point where `bad` is one boolean,
+    from a constant.  Every node that can leave the domain runs this
+    test, and `np.count_nonzero` costs less than `bad.any()` on an array
+    or a scalar."""
     if np.count_nonzero(bad):
         raise EvalDomainError(message, _point_at(xs, int(np.argmax(bad))))
 
 
-def check_finite(v, xs, what: str = "value") -> None:
-    """Raise `EvalDomainError` at a batch point where a value is inf or
-    NaN."""
-    _domain_check(~np.isfinite(v), f"non-finite {what}", xs)
+def check_finite(v, point, what: str = "value") -> None:
+    """Raise `EvalDomainError` naming the first point, of a point or a
+    batch as evaluation takes them, where a value is inf or NaN."""
+    _domain_check(~np.isfinite(v), f"non-finite {what}", _batch(point))
 
 
 @contextlib.contextmanager
@@ -357,8 +359,8 @@ def _evaluating():
 
 def evaluate(e, point):
     """Evaluate a real expression (or a number) at a point of floats (a
-    float) or at a batch of coordinate arrays (an array of one value per
-    point, also where `e` is constant)."""
+    float) or at a batch of N points (an array of N values, also where
+    `e` is constant)."""
     return evaluate_many((e,), point)[0]
 
 
@@ -383,7 +385,7 @@ def evaluate_many(items, point) -> list:
                     + 1j * _EVAL[type(im)](im, xs, memo)
             else:
                 v = _EVAL[type(x)](x, xs, memo)
-            check_finite(v, xs)
+            _domain_check(~np.isfinite(v), "non-finite value", xs)
             values.append(v)
     if xs.ndim > 1:  # a constant gives a number, which fills an array
         return [v if isinstance(v, np.ndarray) else np.full(xs.shape[1:], v)
@@ -456,7 +458,7 @@ def _eval_pow(e, point, memo):
     if e.exponent < 0:
         _domain_check(np.equal(x, 0.0), "division by zero", point)
     v = x ** e.exponent
-    check_finite(v, point, "power")
+    _domain_check(~np.isfinite(v), "non-finite power", point)
     memo[id(e)] = v
     return v
 
@@ -473,7 +475,7 @@ def _eval_call(e, point, memo):
     elif e.fn == "sqrt":
         _domain_check(np.less(x, 0.0), "sqrt of negative value", point)
     v = _UFUNCS[e.fn](x)
-    check_finite(v, point, e.fn)
+    _domain_check(~np.isfinite(v), f"non-finite {e.fn}", point)
     memo[id(e)] = v
     return v
 

@@ -14,6 +14,8 @@ maxwell, yang_mills, h, curvature_link, conservation) once: symbolic
 forms plus a numeric reduction of their values to defects.  Its
 `evaluate(points)` then evaluates every form over all points in one
 vectorised pass, and `at(p)` is `evaluate` on a batch of one point.
+A batch is a sequence of N points, shape (N, n) to `np.asarray`, and a
+field's values at it are one row per point, shape (N, 2^n).
 Each output form is evaluated in a call of its own, so the values of one
 form's subtrees are held at a time.  Elsewhere, forms that are read
 together are evaluated together, in one `evaluate_many` or `eval_fields`
@@ -39,9 +41,8 @@ import json
 
 import numpy as np
 
-from .blades import popcount
-from .expr import (CExpr, CZERO, ExprError, check_finite, diff, evaluate,
-                   evaluate_many)
+from .blades import grade_array, popcount
+from .expr import CExpr, CZERO, ExprError, check_finite, diff, evaluate_many
 from .manifold import (
     Chart,
     ChartError,
@@ -61,7 +62,7 @@ from .manifold import (
     upsilon_k,
 )
 from .metric import ArgumentError, MetricError
-from .multivector import Multivector, grade_masks
+from .multivector import Multivector, grade_masks, row_norm
 from .spin import is_spin_member
 
 CHECK_TOL = 1e-8
@@ -362,6 +363,8 @@ def _l1_form(cfg: FieldConfig) -> CExpr:
 
 
 def lagrangian_l1(cfg: FieldConfig, p) -> complex:
+    """L1 at a point or a batch."""
+    cfg.chart.check_point(p)
     return _l1_form(cfg).evaluate(p)
 
 
@@ -405,6 +408,7 @@ def lagrangian_l0(cfg: FieldConfig, p, c1: float = 1.0,
                   c2: float = 1.0) -> complex:
     """sqrt|g| (c1 f_ij f^ij + c2 Tr(G_ij G^ij)) at a point or a batch,
     its three scalars evaluated in one call."""
+    cfg.chart.check_point(p)
     s, ff, gg = evaluate_many((cfg.chart.sqrt_abs_det, *_l0_forms(cfg)), p)
     return s * (c1 * ff + c2 * gg)
 
@@ -418,24 +422,16 @@ def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,
 # The Euler-Lagrange system.
 
 # Each family builder returns the family's output forms (FormFields, CExprs
-# or Exprs) and a reduction of their values, arrays over a batch of
-# points, to named defects.
-
-def _norm(values):
-    """Max-abs norm over the blade axis, at every point."""
-    return np.abs(values).max(axis=0)
-
+# or Exprs) and a reduction of their values at a batch of points, arrays
+# with one row per point, to named defects.
 
 def _worst(defects):
     """Pointwise maximum of a sequence of defects (0 when empty)."""
-    out = 0.0
-    for d in defects:
-        out = np.maximum(out, d)
-    return out
+    return functools.reduce(np.maximum, defects, 0.0)
 
 
 def _main_family(cfg):
-    return [main_form(cfg)], lambda v: {"main": _norm(v[0])}
+    return [main_form(cfg)], lambda v: {"main": row_norm(v[0])}
 
 
 def _maxwell_family(cfg, j_fields, c1):
@@ -486,23 +482,20 @@ def _yang_mills_family(cfg, j_fields, c2):
                 - clifford_mul_fields(cfg.b[i], g_upper[i][j])
             acc = acc + term - comm.scale(CExpr(sqrtg))
         lhs.append(acc)
-    two = grade_masks(n, 2)
+    two = grade_array(n) == 2
 
     def reduce(v):
         s, div, src = v[0], v[1:n + 1], v[n + 1:]
-        worst = 0.0
-        for d, jj in zip(div, src):
-            rhs = np.zeros_like(d)
-            rhs[two] = jj[two].real / c2
-            worst = np.maximum(worst, _norm(d * (1.0 / s) - rhs))
-        return {"yang_mills": worst}
+        return {"yang_mills": _worst(
+            row_norm(d * (1.0 / s)[:, None] - np.where(two, jj.real / c2, 0.0))
+            for d, jj in zip(div, src))}
     return [sqrtg] + lhs + list(j_fields), reduce
 
 
 def _h_family(cfg):
     sq, forms = h_forms(cfg)
-    return [sq, *forms], lambda v: {"h_scalar": _norm(v[0]),
-                                    "h_forms": _worst(map(_norm, v[1:]))}
+    return [sq, *forms], lambda v: {"h_scalar": row_norm(v[0]),
+                                    "h_forms": _worst(map(row_norm, v[1:]))}
 
 
 def _curvature_link_family(cfg):
@@ -515,7 +508,7 @@ def _curvature_link_family(cfg):
                                                   for i, j in pairs]
     k = len(pairs)
     return terms, lambda v: {"curvature_link": _worst(
-        _norm(g + 0.5 * d) for g, d in zip(v[:k], v[k:]))}
+        row_norm(g + 0.5 * d) for g, d in zip(v[:k], v[k:]))}
 
 
 def _conservation_family(cfg):
@@ -540,19 +533,20 @@ def _value(term, point):
     own: no memo holds the values of all of a system's forms at once."""
     if isinstance(term, FormField):
         return term.eval_array(point)
-    if isinstance(term, CExpr):
-        return term.evaluate(point)
-    return evaluate(term, point)
+    return evaluate_many((term,), point)[0]
 
 
-def _reduce(family, point) -> dict:
+def _reduce(family, points) -> dict:
+    """A family's named defects at a batch of points, one per point; a
+    reduction over no forms, such as the curvature link on a 1-chart,
+    which has no index pairs, gives 0 at every point."""
     terms, reduce = family
-    values = [_value(t, point) for t in terms]
+    values = [_value(t, points) for t in terms]
     with np.errstate(all="ignore"):  # a non-finite defect raises below
         out = reduce(values)
     for v in out.values():
-        check_finite(v, point, "defect")
-    return out
+        check_finite(v, points, "defect")
+    return {name: np.broadcast_to(v, len(points)) for name, v in out.items()}
 
 
 class ResidualSystem:
@@ -594,15 +588,16 @@ class ResidualSystem:
     def evaluate(self, points) -> list:
         """Evaluate step over all points in one vectorised pass: one dict
         per point, output name -> defect, with 'conservation' only where
-        H passes."""
-        for p in points:
-            self.cfg.chart.check_point(p)
-        if not points:
+        H passes.  A flat sequence of floats reads as points of one
+        coordinate, which the chart check rejects unless n = 1."""
+        if len(points) == 0:
             return []
-        xs = tuple(np.array(points, dtype=float).T)
+        points = np.reshape(np.asarray(points, dtype=float),
+                            (len(points), -1))
+        self.cfg.chart.check_point(points)
         res = {}
         for family in self.families.values():
-            res.update(_reduce(family, xs))
+            res.update(_reduce(family, points))
         rows = [{name: float(v[i]) for name, v in res.items()}
                 for i in range(len(points))]
         if self._with_conservation:
@@ -611,7 +606,7 @@ class ResidualSystem:
                 if self._conservation is None:
                     self._conservation = _conservation_family(self.cfg)
                 cons = _reduce(self._conservation,
-                               tuple(x[ok] for x in xs))["conservation"]
+                               points[ok])["conservation"]
                 for i, v in zip(np.flatnonzero(ok), cons):
                     rows[i]["conservation"] = float(v)
         return rows
@@ -662,10 +657,7 @@ def covariance_check(cfg: FieldConfig, change: CoordinateChange,
     res_old = main_form(cfg)
     res_old_t = change.transform_form(res_old, new_chart)
     res_new = main_form(cfg2)
-    for p in points:
-        new_chart.check_point(p)
-    if not points:
+    if len(points) == 0:
         return 0.0
-    new, old = eval_fields((res_new, res_old_t),
-                           tuple(np.array(points, dtype=float).T))
+    new, old = eval_fields((res_new, res_old_t), points)
     return float(np.abs(new - old).max())

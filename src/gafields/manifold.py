@@ -109,13 +109,20 @@ class Chart:
     def midpoint(self):
         return tuple((lo + hi) / 2 for lo, hi in self.domain)
 
-    def contains(self, p) -> bool:
-        return len(p) == self.dim and all(
-            lo <= x <= hi for x, (lo, hi) in zip(p, self.domain))
-
     def check_point(self, p):
-        if not self.contains(p):
-            raise DomainError(f"point {tuple(p)} outside chart domain")
+        """Raise `DomainError` unless p is a point of `dim` coordinates in
+        the domain box, or a batch (N, dim) of such points; the error
+        names the first point outside."""
+        x = np.asarray(p, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise DomainError(f"a point of this chart has {self.dim} "
+                              f"coordinates; got shape {x.shape}")
+        lo, hi = np.array(self.domain).T
+        out = ~((lo <= x) & (x <= hi)).all(axis=-1)
+        if np.count_nonzero(out):
+            bad = x[np.argmax(out)] if x.ndim == 2 else x
+            raise DomainError(f"point {tuple(bad.tolist())} outside chart "
+                              f"domain")
 
     def metric_at(self, p) -> Metric:
         """The metric at p.  The chart keeps the last Metric it built and
@@ -293,7 +300,6 @@ class FormField:
         return FormField(self.chart, {m: z * c for m, c in self.coeffs.items()})
 
     def eval_at(self, p) -> Multivector:
-        self.chart.check_point(p)
         return Multivector._of(self.chart.dim, self.eval_array(p))
 
     def eval_array(self, point) -> np.ndarray:
@@ -309,18 +315,22 @@ class FormField:
 
 def eval_fields(fields, point) -> list:
     """The coefficient array of each field at a point of floats, shape
-    (2^n,), or at a batch of N points given as n coordinate arrays, shape
-    (2^n, N), from one `evaluate_many` call: a subtree the fields share
-    is evaluated once.  The caller checks that the points lie in the
-    chart."""
+    (2^n,), or at a batch of N points, shape (N, 2^n): one row per point,
+    blade last, as `ProductTable.mul` and `row_norm` take them.  The
+    points are checked against each chart once, then every coefficient
+    is evaluated in one `evaluate_many` call, so a subtree the fields
+    share is evaluated once."""
     fields = list(fields)
+    for chart in dict.fromkeys(f.chart for f in fields):
+        chart.check_point(point)
     values = iter(evaluate_many(
         [c for f in fields for c in f.coeffs.values()], point))
+    rows = np.shape(point)[:-1]
     out = []
     for f in fields:
-        arr = np.zeros((1 << f.chart.dim,) + np.shape(point[0]), dtype=complex)
+        arr = np.zeros(rows + (1 << f.chart.dim,), dtype=complex)
         for mask in f.coeffs:
-            arr[mask] = next(values)
+            arr[..., mask] = next(values)
         out.append(arr)
     return out
 

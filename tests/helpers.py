@@ -113,6 +113,17 @@ def skew_config(rng):
     return smooth_config(rng, chart=skew_chart(4, -1))
 
 
+def line_config():
+    """A config on a 1-chart, which has no index pair i < j: the
+    curvature link holds vacuously there, 0 at every point."""
+    chart = Chart([[parse("1 + x1^2", 1)]], [(0.0, 1.0)])
+    psi = FormField(chart, {0: CExpr(parse("x1", 1)),
+                            1: CExpr(ZERO, parse("x1^2", 1))})
+    a = [FormField(chart, {0: CExpr(ZERO, parse("x1", 1))})]
+    return FieldConfig(chart, psi, a, [FormField(chart)],
+                       FormField(chart, {1: CExpr.of(1.0)}), 1.0)
+
+
 def curvature_linked_config():
     """Config whose gravitational strength matches the curvature forms at
     the chart midpoint: B_j = sum_i (x^i - p0^i) C_ij with C = -D/4."""

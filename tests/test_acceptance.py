@@ -442,12 +442,11 @@ def test_criterion_10_variational():
     n_grid = 3
     grid = list(itertools.product(*[[i * two_pi / n_grid
                                      for i in range(n_grid)]] * 4))
-    grid_batch = tuple(np.array(grid).T)
     weight = (two_pi / n_grid) ** 4
 
     def action(psi, mass):
         c = FieldConfig(chart, psi, cfg.a, cfg.b, cfg.h, mass, validate=False)
-        return lagrangian_l1(c, grid_batch).real.sum() * weight
+        return lagrangian_l1(c, grid).real.sum() * weight
 
     phase = phase_cexpr(k_vec)
     eps = 0.5

@@ -18,6 +18,7 @@ from gafields.multivector import (CLIFFORD, GRASSMANN, MAX_TABLE_DIM,
 from gafields import checks, cli
 from gafields.cli import main
 from gafields.checks import random_metric
+from helpers import line_config
 
 
 def run_cli(args, capsys):
@@ -350,6 +351,22 @@ def test_field_check_good_config_file(tmp_path, capsys):
                             "--count", "20"], capsys)
     assert code in (0, 1)
     assert len(json.loads(out)["cases"]) == 20 * 7
+
+
+def test_field_check_on_a_1_chart_reports(tmp_path):
+    # the curvature link has no index pairs there: it reduces over no
+    # forms and must still give one defect, 0, per point
+    path = tmp_path / "line.json"
+    path.write_text(config_to_json(line_config()))
+    proc = subprocess.run([sys.executable, "-m", "gafields.cli",
+                           "field-check", "--config", str(path),
+                           "--count", "3"], capture_output=True, text=True)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    cases = {c["id"]: c["max_defect"]
+             for c in json.loads(proc.stdout)["cases"]}
+    assert len(cases) == 3 * 6
+    assert [cases[f"point{i}_curvature_link"] for i in range(3)] == [0.0] * 3
 
 
 @pytest.mark.parametrize("suite", ["algebra", "hodge", "spin", "manifold",

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from gafields.expr import CExpr, EvalDomainError, ZERO, call, evaluate, parse
+from gafields.expr import (CExpr, EvalDomainError, ZERO, call, check_finite,
+                           evaluate, parse)
 from gafields.fields import (
     FieldConfig,
     FieldConfigError,
@@ -30,11 +31,12 @@ from gafields.fields import (
 )
 from gafields import fields, manifold, multivector
 from gafields.fields import _value as form_value
-from gafields.manifold import CoordinateChange, FormField, scalar_field
+from gafields.manifold import (CoordinateChange, DomainError, FormField,
+                               scalar_field)
 from gafields.multivector import Multivector, build_product_table, trace
 from gafields.spin import random_spin_element
 from gafields.checks import (constant_field, flat_minkowski_chart,
-                             random_form_field)
+                             gauge_defects, random_form_field)
 from helpers import (
     FLAT_POOL,
     curvature_linked_config,
@@ -302,8 +304,7 @@ def test_yang_mills_left_sides_match_ordered_pairs(make_chart):
     # with B != 0 every Christoffel term of the i == j pass counts
     cfg = smooth_config(np.random.default_rng(11), chart=make_chart())
     n = cfg.chart.dim
-    xs = tuple(np.array(sample_points(cfg.chart, np.random.default_rng(12)),
-                        dtype=float).T)
+    xs = sample_points(cfg.chart, np.random.default_rng(12))
     g = [[f.eval_array(xs) for f in row]
          for row in fields.g_strength_fields(cfg)]
     ref = np.array([[f.eval_array(xs) for f in row]
@@ -349,18 +350,17 @@ def test_batch_matches_one_point_wrappers(name, rng):
     points = sample_points(cfg.chart, rng, 8)
     system = ResidualSystem(cfg)
     rows = system.evaluate(points)
-    batch = tuple(np.array(points).T)
 
-    # every built form: the batch column equals the float-point value
+    # every built form: the batch row equals the float-point value
     built = list(system.families.values())
     if system._conservation is not None:
         built.append(system._conservation)
     for terms, _ in built:
         for term in terms:
-            values = form_value(term, batch)
+            values = form_value(term, points)
             for i, p in enumerate(points):
                 want = np.asarray(form_value(term, p))
-                assert np.abs(values[..., i] - want).max() \
+                assert np.abs(values[i] - want).max() \
                     <= 1e-12 * np.abs(want).max()
 
     # every defect: the batch row equals the one-point wrappers
@@ -410,6 +410,10 @@ def test_batch_domain_error_names_an_input_point(rng):
     assert info.value.point in points and info.value.point[2] <= 0.0
     with pytest.raises(EvalDomainError):
         system_residuals(cfg, points[2])
+    # a non-finite defect names its point of the batch the family read
+    with pytest.raises(EvalDomainError) as info:
+        check_finite(np.array([0.0, 0.0, np.inf, 0.0, 0.0]), points, "defect")
+    assert info.value.point == points[2]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +521,7 @@ def test_lagrangian_l0_builds_no_metric_and_no_table(rng, monkeypatch):
     points = sample_points(cfg.chart, rng, 3)
     values = [lagrangian_l0(cfg, p, 0.7, 1.3) for p in points]
     assert min(abs(v) for v in values) > 0.0
-    lagrangian_l0(cfg, tuple(np.array(points).T))
+    lagrangian_l0(cfg, points)
     assert metrics == [] and tables == []
 
 
@@ -525,7 +529,7 @@ def test_lagrangian_l0_batch_matches_points(rng):
     for cfg in (smooth_config(rng), noncommuting_b_config(rng),
                 curvature_linked_config()[0]):
         points = sample_points(cfg.chart, rng, 4)
-        batch = lagrangian_l0(cfg, tuple(np.array(points).T), 0.7, 1.3)
+        batch = lagrangian_l0(cfg, points, 0.7, 1.3)
         assert batch.shape == (4,)
         for p, got in zip(points, batch):
             want = lagrangian_l0(cfg, p, 0.7, 1.3)
@@ -543,10 +547,48 @@ def test_lagrangians_of_constant_forms_give_one_value_per_point(rng):
                       FormField(chart, {0b1000: CExpr.of(1.0)}), 1.0)
     points = sample_points(chart, rng, 5)
     for lagrangian in (lagrangian_l0, lagrangian_l1):
-        batch = lagrangian(cfg, tuple(np.array(points).T))
+        batch = lagrangian(cfg, points)
         assert batch.shape == (5,)
         assert [complex(z) for z in batch] == [lagrangian(cfg, p)
                                                for p in points]
+
+
+def identity_change(chart):
+    return CoordinateChange([parse(f"x{k}", chart.dim)
+                             for k in range(1, chart.dim + 1)], chart.domain)
+
+
+# each entry that takes points on a config's chart, called at a batch
+CHART_AWARE = {
+    "residual_system": lambda cfg, pts: ResidualSystem(cfg).evaluate(pts),
+    "lagrangian_l0": lagrangian_l0,
+    "lagrangian_l1": lagrangian_l1,
+    "lagrangian_total": lagrangian_total,
+    "covariance_check": lambda cfg, pts: covariance_check(
+        cfg, identity_change(cfg.chart), pts),
+    "gauge_defects": lambda cfg, pts: gauge_defects(
+        cfg, cfg, Multivector.scalar(4, 1.0), CExpr.of(1.0),
+        build_product_table(cfg.chart.metric_at(cfg.chart.midpoint())),
+        pts, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(CHART_AWARE))
+def test_chart_aware_entries_reject_points_off_the_chart(name):
+    entry = CHART_AWARE[name]
+    cfg = smooth_config(np.random.default_rng(0))  # on [-1, 1]^4
+    inside = sample_points(cfg.chart, np.random.default_rng(1), 3)
+    entry(cfg, inside)
+    outside = (6.0, 6.0, 6.0, 6.0)
+    with pytest.raises(DomainError):
+        entry(cfg, outside)
+    for points in ([outside], inside + [outside]):
+        with pytest.raises(DomainError, match=r"point \(6\.0, 6\.0, 6\.0, "
+                                              r"6\.0\) outside chart domain"):
+            entry(cfg, points)
+    # the 3 points as 4 coordinate rows of 3 values are no batch
+    with pytest.raises(DomainError, match="has 4 coordinates"):
+        entry(cfg, np.transpose(inside))
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,22 @@ def test_eval_fields_matches_each_field_alone(rng):
     u = random_form_field(chart, rng, POOL)
     forms = [u, upsilon_k(u, 1), d_op(u), FormField(chart)]
     points = random_points(chart, rng, 5)
-    for point in (points[0], tuple(np.array(points).T)):
+    for point in (points[0], points):
         together = eval_fields(forms, point)
         assert len(together) == len(forms)
         for f, got in zip(forms, together):
             alone = f.eval_array(point)
             assert got.shape == alone.shape
             assert np.array_equal(got, alone)
+    # a batch of N points gives one row per point, blade last, and each
+    # row is that point's value
+    for f, got in zip(forms, eval_fields(forms, points)):
+        assert got.shape == (5, 4)
+        for p, row in zip(points, got):
+            assert np.array_equal(row, f.eval_array(p))
+    # the same points as 2 coordinate rows of 5 values are no batch
+    with pytest.raises(DomainError):
+        eval_fields(forms, np.transpose(points))
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +195,12 @@ def test_symbolic_curvature_forms_match_numeric(rng):
         want = riemann_by_differences(chart, np.array(p))
         assert np.abs(want).max() > 0.1
         assert np.allclose(chart.curvature(p), want, atol=1e-7)
-    batch = tuple(np.array(points).T)
     pairs = np.triu_indices(3, 1)
     masks = (1 << pairs[0]) | (1 << pairs[1])
     for r in range(3):
         for l in range(3):
-            at_batch = forms[r][l].eval_array(batch)
-            assert at_batch.shape == (8, 4)
+            at_batch = forms[r][l].eval_array(points)
+            assert at_batch.shape == (4, 8)
             for i, p in enumerate(points):
                 # the numeric oracle: R_{ij,rl} = R^k_{ij,r} g_kl on the
                 # blade dx^i ^ dx^j, i < j
@@ -201,7 +209,7 @@ def test_symbolic_curvature_forms_match_numeric(rng):
                 want[masks] = r_lower[pairs[0], pairs[1], r, l]
                 assert np.abs(forms[r][l].eval_at(p).coeffs
                               - want).max() < 1e-12
-                assert np.abs(at_batch[:, i] - want).max() < 1e-12
+                assert np.abs(at_batch[i] - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
