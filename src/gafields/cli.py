@@ -12,7 +12,7 @@ import numpy as np
 
 from . import blades, checks
 from .expr import ExprError
-from .fields import FieldConfigError, ResidualSystem, config_from_json
+from .fields import FieldConfigError, config_from_json, residuals
 from .manifold import ChartError
 from .metric import ArgumentError, MetricError, metric_from_json
 from .multivector import CLIFFORD, GRASSMANN, MAX_TABLE_DIM, build_product_table
@@ -163,7 +163,7 @@ def cmd_field_check(args) -> int:
     # build every residual form once, then evaluate them at all points
     # together; the conservation case appears where H passes its system
     try:
-        per_point = ResidualSystem(cfg).evaluate(points)
+        per_point = residuals(cfg, points)
     except input_errors as exc:
         raise _UsageError(f"cannot evaluate the field equations: "
                           f"{exc}") from exc

@@ -542,33 +542,43 @@ def _diff(e: Expr, var: int) -> Expr:
 
 
 def subst(e: Expr, mapping) -> Expr:
-    """Substitute variables: mapping is {index: Expr}."""
+    """Substitute variables: mapping is {index: Expr}.  A subtree shared
+    in e is substituted once, so the result shares it too: the memo is
+    keyed by id() and lives for this call, while e holds every node
+    under it, so no id() in it is reused."""
+    memo = {}
+
+    def walk(e: Expr) -> Expr:
+        if isinstance(e, Const):
+            return e
+        if isinstance(e, Var):
+            return mapping.get(e.index, e)
+        out = memo.get(id(e))
+        if out is not None:
+            return out
+        if isinstance(e, Add):
+            out = add(walk(e.a), walk(e.b))
+        elif isinstance(e, Sub):
+            out = sub(walk(e.a), walk(e.b))
+        elif isinstance(e, Mul):
+            out = mul(walk(e.a), walk(e.b))
+        elif isinstance(e, Div):
+            out = div(walk(e.a), walk(e.b))
+        elif isinstance(e, Neg):
+            out = neg(walk(e.a))
+        elif isinstance(e, Pow):
+            out = powi(walk(e.base), e.exponent)
+        elif isinstance(e, Call):
+            out = call(e.fn, walk(e.arg))
+        else:
+            raise TypeError(f"unknown node {type(e).__name__}")
+        memo[id(e)] = out
+        return out
+
     try:
-        return _subst(e, mapping)
+        return walk(e)
     except RecursionError:
         raise ExprDepthError("substitute") from None
-
-
-def _subst(e: Expr, mapping) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.index, e)
-    if isinstance(e, Add):
-        return add(_subst(e.a, mapping), _subst(e.b, mapping))
-    if isinstance(e, Sub):
-        return sub(_subst(e.a, mapping), _subst(e.b, mapping))
-    if isinstance(e, Mul):
-        return mul(_subst(e.a, mapping), _subst(e.b, mapping))
-    if isinstance(e, Div):
-        return div(_subst(e.a, mapping), _subst(e.b, mapping))
-    if isinstance(e, Neg):
-        return neg(_subst(e.a, mapping))
-    if isinstance(e, Pow):
-        return powi(_subst(e.base, mapping), e.exponent)
-    if isinstance(e, Call):
-        return call(e.fn, _subst(e.arg, mapping))
-    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ current, gauge transformations, field strengths, Lagrangians, the
 Euler-Lagrange system residuals, the curvature link and covariance under
 coordinate changes.
 
-The residuals of the coupled system are split into a build step and an
-evaluate step.  `ResidualSystem(cfg)` builds each residual family (main,
-maxwell, yang_mills, h, curvature_link, conservation) once: symbolic
-forms plus a numeric reduction of their values to defects.  Its
-`evaluate(points)` then evaluates every form over all points in one
-vectorised pass, and `at(p)` is `evaluate` on a batch of one point.
+The residuals of the coupled system come in named families (main,
+maxwell, yang_mills, h, curvature_link, conservation).  Each family is a
+per-config form like the others: its output forms, and a numeric
+reduction of their values to defects that takes the couplings c1 and c2.
+`residuals(cfg, points)` evaluates every form of the families it is
+asked for over all points in one vectorised pass.
 A batch is a sequence of N points, shape (N, n) to `np.asarray`, and a
 field's values at it are one row per point, shape (N, 2^n).
 Each output form is evaluated in a call of its own, so the values of one
@@ -24,11 +24,12 @@ call, and a subtree they share is evaluated once.
 Every symbolic form of a configuration is built once: `FieldConfig` is
 immutable, and the main form, C, the L1 form, the two scalars of L0, the
 current, the H system, the f and G field strengths and the residual
-systems are kept in a memo on the config the first time they are asked
+families are kept in a memo on the config the first time they are asked
 for; every number here is one of these forms evaluated.  So calling
-`main_residual`, `current`, `system_residuals`, `conservation_defect`,
-`curvature_link_check` or the Lagrangians (at a point or a batch) at
-many points builds nothing after the first.  A product is built only on
+`main_residual`, `current`, `residuals`, `system_residuals`,
+`conservation_defect`, `curvature_link_check` or the Lagrangians (at a
+point or a batch) at many points, or with other couplings, builds
+nothing after the first.  A product is built only on
 the blades its residuals read: the current J on grades 0 and 2, C on the
 blades that pair with H into a scalar, L0 and L1 on the scalar blade.
 """
@@ -90,7 +91,7 @@ def _check_shape(name: str, f: FormField, grades, real: bool,
 class FieldConfig:
     """Psi, a_k, B_k, H and m on a chart.  Immutable after construction:
     the symbolic forms derived from it are built once, on first use, and
-    kept in `_built` (see `_once`), so they can never go stale."""
+    kept in `_built` (see `_per_config`), so they can never go stale."""
 
     __slots__ = ("chart", "psi", "a", "b", "h", "m", "_built")
 
@@ -125,29 +126,18 @@ class FieldConfig:
                              f"{name!r}")
 
 
-def _once(cfg: FieldConfig, key, build):
-    """The value of `build()` for cfg, built on the first call with `key`
-    and returned from cfg's memo after that."""
-    built = cfg._built
-    if key not in built:
-        built[key] = build()
-    return built[key]
-
-
 def _per_config(build):
-    """Make a form builder `build(cfg)` one memo lookup per config.  Every
-    caller gets the same result, so builders return tuples, not lists."""
+    """Make a form builder `build(cfg)` one memo lookup per config: the
+    result is built on the first call and kept in cfg's memo under the
+    builder's name, so builder names are unique.  Every caller gets the
+    same result, so builders return tuples, not lists."""
     @functools.wraps(build)
     def form(cfg: FieldConfig):
-        return _once(cfg, build.__name__, lambda: build(cfg))
+        built, key = cfg._built, build.__name__
+        if key not in built:
+            built[key] = build(cfg)
+        return built[key]
     return form
-
-
-def _system(cfg: FieldConfig, families, c1: float = 1.0,
-            c2: float = 1.0) -> "ResidualSystem":
-    """The config's `ResidualSystem` for these families and couplings."""
-    key = (families, float(c1), float(c2))
-    return _once(cfg, key, lambda: ResidualSystem(cfg, families, c1, c2))
 
 
 def config_from_json(text: str) -> FieldConfig:
@@ -263,7 +253,7 @@ def current_exprs(cfg: FieldConfig):
 
 
 def current(cfg: FieldConfig, p) -> np.ndarray:
-    _require_h(_system(cfg, ("h",)).at(p), p)
+    _require_h(residuals(cfg, [p], ("h",)), [p])
     vals = evaluate_many(current_exprs(cfg), p)
     worst = max(abs(z.imag) for z in vals)
     if worst > CHECK_TOL * max(1.0, max(abs(z) for z in vals)):
@@ -271,20 +261,28 @@ def current(cfg: FieldConfig, p) -> np.ndarray:
     return np.array([z.real for z in vals])
 
 
-def _require_h(res: dict, p):
-    """Raise unless the H defects evaluated at p pass."""
-    worst = max(res["h_scalar"], res["h_forms"])
-    if not worst <= H_TOL:
-        raise FieldConfigError(f"H does not satisfy its equations at "
-                               f"{tuple(p)} (defect {worst:.3e})")
+def _require_h(rows, points):
+    """Raise unless the H defects of every row pass, naming the first
+    point where they fail."""
+    for res, p in zip(rows, points):
+        worst = max(res["h_scalar"], res["h_forms"])
+        if not worst <= H_TOL:
+            raise FieldConfigError(f"H does not satisfy its equations at "
+                                   f"{tuple(map(float, p))} (defect "
+                                   f"{worst:.3e})")
 
 
-def conservation_defect(cfg: FieldConfig, p) -> float:
+def conservation_defect(cfg: FieldConfig, p):
     """Identity defect d_k(sqrt|g| j^k)/sqrt|g| - Tr(-iH(C - C*)),
-    valid for arbitrary smooth Psi when H solves its equations."""
-    res = _system(cfg, ("h", "conservation")).at(p)
-    _require_h(res, p)
-    return res["conservation"]
+    valid for arbitrary smooth Psi when H solves its equations: a float
+    at a point, an array at a batch.  Raises `FieldConfigError` at the
+    first point where H fails its equations."""
+    x = np.asarray(p, dtype=float)
+    points = x if x.ndim == 2 else x[None]
+    rows = residuals(cfg, points, ("h", "conservation"))
+    _require_h(rows, points)
+    defects = np.array([res["conservation"] for res in rows])
+    return defects if x.ndim == 2 else float(defects[0])
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +419,24 @@ def lagrangian_total(cfg: FieldConfig, p, c1: float = 1.0,
 # ---------------------------------------------------------------------------
 # The Euler-Lagrange system.
 
-# Each family builder returns the family's output forms (FormFields, CExprs
-# or Exprs) and a reduction of their values at a batch of points, arrays
-# with one row per point, to named defects.
+# Each family builder is a per-config form: the family's output forms
+# (FormFields, CExprs or Exprs) and a reduction reduce(values, c1, c2) of
+# their values at a batch of points, arrays with one row per point, to
+# named defects.  The couplings enter the reductions alone, so a family
+# is built once for every c1 and c2.
 
 def _worst(defects):
     """Pointwise maximum of a sequence of defects (0 when empty)."""
     return functools.reduce(np.maximum, defects, 0.0)
 
 
+@_per_config
 def _main_family(cfg):
-    return [main_form(cfg)], lambda v: {"main": row_norm(v[0])}
+    return (main_form(cfg),), lambda v, c1, c2: {"main": row_norm(v[0])}
 
 
-def _maxwell_family(cfg, j_fields, c1):
+@_per_config
+def _maxwell_family(cfg):
     """d_i(sqrt|g| f^ij)/sqrt|g| against the source i Im Tr(J^j)/c1."""
     n = cfg.chart.dim
     sqrtg = cfg.chart.sqrt_abs_det
@@ -447,16 +449,17 @@ def _maxwell_family(cfg, j_fields, c1):
             acc = acc + CExpr(diff(sqrtg * fij.re, i + 1),
                               diff(sqrtg * fij.im, i + 1))
         lhs.append(acc)
-    sources = [trace_field(jf) for jf in j_fields]
+    sources = [trace_field(jf) for jf in current_j_fields(cfg)]
 
-    def reduce(v):
+    def reduce(v, c1, c2):
         s, div, src = v[0], v[1:n + 1], v[n + 1:]
         return {"maxwell": _worst(abs(d / s - 1j * p0.imag / c1)
                                   for d, p0 in zip(div, src))}
-    return [sqrtg] + lhs + sources, reduce
+    return (sqrtg, *lhs, *sources), reduce
 
 
-def _yang_mills_family(cfg, j_fields, c2):
+@_per_config
+def _yang_mills_family(cfg):
     """Covariant divergence of G^ij with the [G^ij, B_i] term, against the
     grade-2 real part of J^j/c2."""
     chart = cfg.chart
@@ -484,20 +487,22 @@ def _yang_mills_family(cfg, j_fields, c2):
         lhs.append(acc)
     two = grade_array(n) == 2
 
-    def reduce(v):
+    def reduce(v, c1, c2):
         s, div, src = v[0], v[1:n + 1], v[n + 1:]
         return {"yang_mills": _worst(
             row_norm(d * (1.0 / s)[:, None] - np.where(two, jj.real / c2, 0.0))
             for d, jj in zip(div, src))}
-    return [sqrtg] + lhs + list(j_fields), reduce
+    return (sqrtg, *lhs, *current_j_fields(cfg)), reduce
 
 
+@_per_config
 def _h_family(cfg):
     sq, forms = h_forms(cfg)
-    return [sq, *forms], lambda v: {"h_scalar": row_norm(v[0]),
-                                    "h_forms": _worst(map(row_norm, v[1:]))}
+    return (sq, *forms), lambda v, c1, c2: {
+        "h_scalar": row_norm(v[0]), "h_forms": _worst(map(row_norm, v[1:]))}
 
 
+@_per_config
 def _curvature_link_family(cfg):
     """G_ij + (1/2) D_ij over the index pairs i < j; both sides are
     antisymmetric in (i, j)."""
@@ -507,10 +512,11 @@ def _curvature_link_family(cfg):
     terms = [g_fields[i][j] for i, j in pairs] + [d_forms[i][j]
                                                   for i, j in pairs]
     k = len(pairs)
-    return terms, lambda v: {"curvature_link": _worst(
+    return tuple(terms), lambda v, c1, c2: {"curvature_link": _worst(
         row_norm(g + 0.5 * d) for g, d in zip(v[:k], v[k:]))}
 
 
+@_per_config
 def _conservation_family(cfg):
     sqrtg = cfg.chart.sqrt_abs_det
     div = CZERO
@@ -519,12 +525,16 @@ def _conservation_family(cfg):
     c = c_form(cfg)
     rhs = trace_field(clifford_mul_fields(cfg.h, c - conjugate_field(c),
                                           keep={0}).scale(-1j))
-    return [div, sqrtg, rhs], lambda v: {"conservation": abs(v[0] / v[1]
-                                                             - v[2])}
+    return (div, sqrtg, rhs), lambda v, c1, c2: {
+        "conservation": abs(v[0] / v[1] - v[2])}
 
 
-FAMILIES = ("main", "maxwell", "yang_mills", "h", "curvature_link",
-            "conservation")
+# name -> family builder, in the order a row of `residuals` lists them
+_FAMILY_BUILDERS = {"main": _main_family, "maxwell": _maxwell_family,
+                    "yang_mills": _yang_mills_family, "h": _h_family,
+                    "curvature_link": _curvature_link_family,
+                    "conservation": _conservation_family}
+FAMILIES = tuple(_FAMILY_BUILDERS)
 SYSTEM_FAMILIES = FAMILIES[:-1]
 
 
@@ -536,91 +546,61 @@ def _value(term, point):
     return evaluate_many((term,), point)[0]
 
 
-def _reduce(family, points) -> dict:
-    """A family's named defects at a batch of points, one per point; a
-    reduction over no forms, such as the curvature link on a 1-chart,
-    which has no index pairs, gives 0 at every point."""
-    terms, reduce = family
-    values = [_value(t, points) for t in terms]
-    with np.errstate(all="ignore"):  # a non-finite defect raises below
-        out = reduce(values)
-    for v in out.values():
-        check_finite(v, points, "defect")
-    return {name: np.broadcast_to(v, len(points)) for name, v in out.items()}
+def residuals(cfg: FieldConfig, points, families=FAMILIES, c1: float = 1.0,
+              c2: float = 1.0) -> list:
+    """The named defects of these residual families over a batch of
+    points, in one vectorised pass: one dict per point, output name ->
+    defect.  Each family is built on first use and kept with the config.
+    The conservation identity holds only where H solves its equations, so
+    'conservation' is built when the h defects pass somewhere and reported
+    only at those points.  A flat sequence of floats reads as points of
+    one coordinate, which the chart check rejects unless n = 1."""
+    unknown = set(families) - set(FAMILIES)
+    if unknown:
+        raise ArgumentError(f"unknown residual families {sorted(unknown)}")
+    if "conservation" in families and "h" not in families:
+        raise ArgumentError("the conservation family needs the h family")
+    if len(points) == 0:
+        return []
+    points = np.reshape(np.asarray(points, dtype=float), (len(points), -1))
+    cfg.chart.check_point(points)
 
+    def reduce(name, at) -> dict:
+        """The family's named defects at the batch `at`, one per point; a
+        reduction over no forms, such as the curvature link on a 1-chart,
+        which has no index pairs, gives 0 at every point."""
+        terms, defects = _FAMILY_BUILDERS[name](cfg)
+        values = [_value(t, at) for t in terms]
+        with np.errstate(all="ignore"):  # a non-finite defect raises below
+            out = defects(values, c1, c2)
+        for v in out.values():
+            check_finite(v, at, "defect")
+        return {key: np.broadcast_to(v, len(at)) for key, v in out.items()}
 
-class ResidualSystem:
-    """Build step of the coupled system: the named residual families of
-    one configuration, each built once.  `families` maps a family name to
-    its (output forms, reduction).  The conservation identity holds only
-    where H solves its equations, so its family is kept apart and built
-    on first use, when the evaluated h defects pass somewhere."""
-
-    def __init__(self, cfg: FieldConfig, families=FAMILIES,
-                 c1: float = 1.0, c2: float = 1.0):
-        unknown = set(families) - set(FAMILIES)
-        if unknown:
-            raise ArgumentError(f"unknown residual families {sorted(unknown)}")
-        if "conservation" in families and "h" not in families:
-            raise ArgumentError("the conservation family needs the h family")
-        self.cfg = cfg
-        self.families = {}
-        if "main" in families:
-            self.families["main"] = _main_family(cfg)
-        if "maxwell" in families or "yang_mills" in families:
-            j_fields = current_j_fields(cfg)
-        if "maxwell" in families:
-            self.families["maxwell"] = _maxwell_family(cfg, j_fields, c1)
-        if "yang_mills" in families:
-            self.families["yang_mills"] = _yang_mills_family(cfg, j_fields,
-                                                             c2)
-        if "h" in families:
-            self.families["h"] = _h_family(cfg)
-        if "curvature_link" in families:
-            self.families["curvature_link"] = _curvature_link_family(cfg)
-        self._with_conservation = "conservation" in families
-        self._conservation = None
-
-    def at(self, p) -> dict:
-        """Evaluate step at one point: `evaluate` on a batch of one."""
-        return self.evaluate([p])[0]
-
-    def evaluate(self, points) -> list:
-        """Evaluate step over all points in one vectorised pass: one dict
-        per point, output name -> defect, with 'conservation' only where
-        H passes.  A flat sequence of floats reads as points of one
-        coordinate, which the chart check rejects unless n = 1."""
-        if len(points) == 0:
-            return []
-        points = np.reshape(np.asarray(points, dtype=float),
-                            (len(points), -1))
-        self.cfg.chart.check_point(points)
-        res = {}
-        for family in self.families.values():
-            res.update(_reduce(family, points))
-        rows = [{name: float(v[i]) for name, v in res.items()}
-                for i in range(len(points))]
-        if self._with_conservation:
-            ok = np.maximum(res["h_scalar"], res["h_forms"]) <= H_TOL
-            if ok.any():
-                if self._conservation is None:
-                    self._conservation = _conservation_family(self.cfg)
-                cons = _reduce(self._conservation,
-                               points[ok])["conservation"]
-                for i, v in zip(np.flatnonzero(ok), cons):
-                    rows[i]["conservation"] = float(v)
-        return rows
+    res = {}
+    for name in SYSTEM_FAMILIES:
+        if name in families:
+            res.update(reduce(name, points))
+    rows = [{name: float(v[i]) for name, v in res.items()}
+            for i in range(len(points))]
+    if "conservation" in families:
+        ok = np.maximum(res["h_scalar"], res["h_forms"]) <= H_TOL
+        if ok.any():
+            cons = reduce("conservation", points[ok])["conservation"]
+            for i, v in zip(np.flatnonzero(ok), cons):
+                rows[i]["conservation"] = float(v)
+    return rows
 
 
 def system_residuals(cfg: FieldConfig, p, c1: float = 1.0,
                      c2: float = 1.0) -> dict:
     """Max-norm residuals of every equation of the coupled system."""
-    return _system(cfg, SYSTEM_FAMILIES, c1, c2).at(p)
+    return residuals(cfg, [p], SYSTEM_FAMILIES, c1, c2)[0]
 
 
 def curvature_link_check(cfg: FieldConfig, p) -> float:
     """Max norm of G_ij + (1/2) D_ij over all index pairs."""
-    return _system(cfg, ("curvature_link",)).at(p)["curvature_link"]
+    return residuals(cfg, [p], ("curvature_link",))[0]["curvature_link"]
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +615,16 @@ def transform_config(cfg: FieldConfig, change: CoordinateChange,
     n = cfg.chart.dim
     psi2 = change.transform_form(cfg.psi, new_chart)
     h2 = change.transform_form(cfg.h, new_chart)
+    a1 = [change.transform_form(f, new_chart) for f in cfg.a]
+    b1 = [change.transform_form(f, new_chart) for f in cfg.b]
     a2, b2 = [], []
     for k in range(n):
         acc_a = FormField(new_chart)
         acc_b = FormField(new_chart)
         for j in range(n):
             q = CExpr(change.jacobian[j][k])  # dx^j / d(new x^k)
-            acc_a = acc_a + change.transform_form(cfg.a[j], new_chart).scale(q)
-            acc_b = acc_b + change.transform_form(cfg.b[j], new_chart).scale(q)
+            acc_a = acc_a + a1[j].scale(q)
+            acc_b = acc_b + b1[j].scale(q)
         a2.append(acc_a)
         b2.append(acc_b)
     return FieldConfig(new_chart, psi2, a2, b2, h2, cfg.m, validate=False)

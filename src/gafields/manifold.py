@@ -209,16 +209,19 @@ class Chart:
         return self._riemann
 
     def curvature(self, p) -> np.ndarray:
-        """The mixed Riemann tensor R^k_{ij,r} at p, as [i, j, r, k]: the
-        entries i < j are evaluated, the rest follow by antisymmetry."""
+        """The mixed Riemann tensor R^k_{ij,r} at p, as [i, j, r, k], or at
+        a batch of N points as [point, i, j, r, k]: the entries i < j are
+        evaluated, the rest follow by antisymmetry."""
         self.check_point(p)
         n, riem = self.dim, self.riemann_exprs()
+        lead = np.shape(p)[:-1]  # () at a point, (N,) at a batch
         i, j = np.triu_indices(n, 1)
-        upper = np.zeros((n,) * 4)
-        upper[i, j] = np.reshape(evaluate_many(
+        values = np.reshape(evaluate_many(
             [e for a, b in zip(i, j) for row in riem[a][b] for e in row], p),
-            (len(i), n, n))
-        return upper - upper.swapaxes(0, 1)
+            (len(i), n, n) + lead)
+        upper = np.zeros(lead + (n,) * 4)
+        upper[..., i, j, :, :] = np.moveaxis(values, (0, 1, 2), (-3, -2, -1))
+        return upper - upper.swapaxes(-4, -3)
 
 
 def curvature_forms(chart: Chart):

@@ -262,6 +262,30 @@ def test_diff_of_a_shared_dag_is_linear():
     assert diff(e, 1) is d
 
 
+def distinct_nodes(e) -> int:
+    """The number of distinct nodes under e, a shared node counted once."""
+    seen, stack = set(), [e]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            stack += [getattr(x, f) for f in ("a", "b", "base", "arg")
+                      if hasattr(x, f)]
+    return len(seen)
+
+
+def test_subst_of_a_shared_dag_stays_a_dag():
+    # 16 levels of e = e*e + x2: a tree of 2^16 leaves as a DAG of a few
+    # nodes per level; substituting into it must not unroll the tree
+    e, x2 = parse("x1", 2), parse("x2", 2)
+    for _ in range(16):
+        e = add(mul(e, e), x2)
+    s = subst(e, {1: parse("0.5*sin(x2)", 2), 2: parse("0.1*x1", 2)})
+    assert distinct_nodes(s) <= 3 * 16 + 10
+    assert evaluate(s, (0.3, 0.2)) == pytest.approx(
+        evaluate(e, (0.5 * math.sin(0.2), 0.1 * 0.3)), rel=1e-12)
+
+
 def test_subst_composition():
     e = parse("x1^2 + x2", 2)
     s = subst(e, {1: parse("sin(x1)", 1), 2: parse("x1 + 1", 1)})

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gafields.expr import (CExpr, EvalDomainError, ZERO, call, check_finite,
 from gafields.fields import (
     FieldConfig,
     FieldConfigError,
-    ResidualSystem,
     bar_psi_field,
     c_form,
     config_from_json,
@@ -26,6 +26,7 @@ from gafields.fields import (
     lagrangian_l1,
     lagrangian_total,
     main_residual,
+    residuals,
     system_residuals,
     transform_config,
 )
@@ -33,6 +34,7 @@ from gafields import fields, manifold, multivector
 from gafields.fields import _value as form_value
 from gafields.manifold import (CoordinateChange, DomainError, FormField,
                                scalar_field)
+from gafields.metric import ArgumentError
 from gafields.multivector import Multivector, build_product_table, trace
 from gafields.spin import random_spin_element
 from gafields.checks import (constant_field, flat_minkowski_chart,
@@ -45,6 +47,7 @@ from helpers import (
     ordered_pair_yang_mills_lhs,
     plane_wave_config,
     skew_chart,
+    skew_config,
     smooth_config,
 )
 
@@ -138,8 +141,11 @@ def test_current_is_real(rng):
 def test_conservation_identity_arbitrary_psi(rng):
     # Tr(-iH(C - C*)) = (1/sqrt g) d_k(sqrt g j^k) holds off shell
     cfg = smooth_config(rng, with_b=False)
-    for p in sample_points(cfg.chart, rng, 5):
-        assert conservation_defect(cfg, p) < 1e-7
+    points = sample_points(cfg.chart, rng, 5)
+    batch = conservation_defect(cfg, points)
+    assert batch.shape == (5,)
+    for p, got in zip(points, batch):
+        assert conservation_defect(cfg, p) == got < 1e-7
 
 
 def test_plane_wave_solves_main_equation(rng):
@@ -312,7 +318,7 @@ def test_yang_mills_left_sides_match_ordered_pairs(make_chart):
     for i, j in itertools.product(range(n), repeat=2):
         assert np.array_equal(g[i][j], -g[j][i])
     assert np.abs(np.array(g) - ref).max() <= 1e-12 * np.abs(ref).max()
-    lhs = ResidualSystem(cfg, ("yang_mills",)).families["yang_mills"][0]
+    lhs = fields._yang_mills_family(cfg)[0]
     for got, want in zip(lhs[1:n + 1], ordered_pair_yang_mills_lhs(cfg)):
         got, want = got.eval_array(xs), want.eval_array(xs)
         assert np.abs(want).max() > 1e-3
@@ -348,14 +354,11 @@ def test_batch_matches_one_point_wrappers(name, rng):
            "plane_wave": plane_wave_config,
            "curvature_linked": lambda: curvature_linked_config()[0]}[name]()
     points = sample_points(cfg.chart, rng, 8)
-    system = ResidualSystem(cfg)
-    rows = system.evaluate(points)
+    rows = residuals(cfg, points)
 
-    # every built form: the batch row equals the float-point value
-    built = list(system.families.values())
-    if system._conservation is not None:
-        built.append(system._conservation)
-    for terms, _ in built:
+    # every form of every family: the batch row equals the float-point value
+    for family in fields.FAMILIES:
+        terms, _ = fields._FAMILY_BUILDERS[family](cfg)
         for term in terms:
             values = form_value(term, points)
             for i, p in enumerate(points):
@@ -390,12 +393,26 @@ def test_conservation_stays_where_h_passes_on_every_call(rng):
     cfg = FieldConfig(chart, random_form_field(chart, rng, FLAT_POOL),
                       [FormField(chart) for _ in range(4)], b,
                       FormField(chart, {0b1000: CExpr.of(1.0)}), 1.0)
-    system = ResidualSystem(cfg)
     points = [(0.0, 0.1, 0.2, 0.3), (0.5, 0.1, 0.2, 0.3)]
     for _ in range(2):
-        rows = system.evaluate(points)
+        rows = residuals(cfg, points)
         assert ["conservation" in row for row in rows] == [True, False]
-        assert "conservation" not in system.at(points[1])
+        assert "conservation" not in residuals(cfg, points[1:])[0]
+    assert conservation_defect(cfg, points[0]) < 1e-7
+    for p in (points[1], points, points[::-1]):
+        with pytest.raises(FieldConfigError, match=r"H does not satisfy its "
+                           r"equations at \(0\.5, 0\.1, 0\.2, 0\.3\)"):
+            conservation_defect(cfg, p)
+
+
+def test_residuals_reject_unknown_families(rng):
+    cfg = smooth_config(rng, with_b=False)
+    points = sample_points(cfg.chart, rng, 2)
+    with pytest.raises(ArgumentError, match=r"unknown residual families "
+                                            r"\['gravity'\]"):
+        residuals(cfg, points, ("main", "gravity"))
+    with pytest.raises(ArgumentError, match="needs the h family"):
+        residuals(cfg, points, ("main", "conservation"))
 
 
 def test_batch_domain_error_names_an_input_point(rng):
@@ -406,7 +423,7 @@ def test_batch_domain_error_names_an_input_point(rng):
                       1.0)
     points = [(0.1, 0.2, x3, 0.3) for x3 in (0.5, 0.25, -0.4, 0.0, 0.7)]
     with pytest.raises(EvalDomainError) as info:
-        ResidualSystem(cfg).evaluate(points)
+        residuals(cfg, points)
     assert info.value.point in points and info.value.point[2] <= 0.0
     with pytest.raises(EvalDomainError):
         system_residuals(cfg, points[2])
@@ -454,13 +471,32 @@ def test_one_point_calls_build_each_form_once(rng, monkeypatch):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_residual_families_are_built_once_for_every_coupling(monkeypatch):
+    # the couplings enter the reductions alone: after one full evaluation,
+    # other couplings and other family subsets build no form again
+    cfg = smooth_config(np.random.default_rng(0), with_b=False)
+    points = sample_points(cfg.chart, np.random.default_rng(1), 3)
+    rows = residuals(cfg, points)
+    assert all("conservation" in row for row in rows)
+    upsilon = count_calls(monkeypatch, fields, "upsilon_k")
+    products = count_calls(monkeypatch, fields, "clifford_mul_fields")
+    p = points[0]
+    moved = system_residuals(cfg, p, c1=2.0, c2=0.5)
+    curvature_link_check(cfg, p)
+    conservation_defect(cfg, points)
+    current(cfg, p)
+    assert upsilon == [] and products == []
+    assert moved["main"] == rows[0]["main"]
+    assert moved["maxwell"] != rows[0]["maxwell"]
+
+
 def test_system_build_forms_each_current_product_once(rng, monkeypatch):
     # bar-Psi dx^k Psi is built once per k, for J^k; the scalar current
     # j^k of the conservation identity is -i Tr(J^k), not a second product
     cfg = smooth_config(rng, with_b=False)  # H passes: conservation built
     products = count_calls(monkeypatch, fields, "clifford_mul_fields")
     points = sample_points(cfg.chart, rng, 3)
-    rows = ResidualSystem(cfg).evaluate(points)
+    rows = residuals(cfg, points)
     assert all("conservation" in row for row in rows)
     assert sum(args[1] is cfg.psi for args in products) == cfg.chart.dim
     j_fields = fields.current_j_fields(cfg)
@@ -560,7 +596,7 @@ def identity_change(chart):
 
 # each entry that takes points on a config's chart, called at a batch
 CHART_AWARE = {
-    "residual_system": lambda cfg, pts: ResidualSystem(cfg).evaluate(pts),
+    "residual_system": residuals,
     "lagrangian_l0": lagrangian_l0,
     "lagrangian_l1": lagrangian_l1,
     "lagrangian_total": lagrangian_total,
@@ -604,6 +640,17 @@ def test_covariance_under_linear_change(rng):
     change = CoordinateChange(old, [(-0.5, 0.5)] * 4)
     pts = sample_points_change(change, rng)
     assert covariance_check(cfg, change, pts) < 1e-9
+
+
+def test_covariance_under_identity_change_of_a_shared_dag():
+    # the skew config's main form shares most of its subtrees; pulling it
+    # back must keep them shared, or the pullback and its evaluation grow
+    # with the tree the DAG stands for
+    cfg = skew_config(np.random.default_rng(0))
+    points = sample_points(cfg.chart, np.random.default_rng(1), 3)
+    start = time.perf_counter()
+    assert covariance_check(cfg, identity_change(cfg.chart), points) == 0.0
+    assert time.perf_counter() - start < 2.0
 
 
 def sample_points_change(change, rng, count=3):

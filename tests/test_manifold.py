@@ -35,7 +35,8 @@ from gafields.manifold import (
 )
 from gafields.metric import ArgumentError
 from gafields.multivector import grade_masks
-from helpers import clifford_mul_dicts, curved_link_chart, skew_chart
+from helpers import (clifford_mul_dicts, curved_link_chart, line_config,
+                     skew_chart)
 
 
 # the (r, phi) and (theta, phi) boxes of the polar and sphere charts
@@ -149,6 +150,22 @@ def test_sphere_curvature_oracle(rng):
     for p in random_points(chart, rng, 5):
         assert d12.eval_at(p).coeffs[0b11] == pytest.approx(
             np.sin(p[0]) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["sphere", "line"])
+def test_curvature_at_a_batch_is_one_tensor_per_point(name, rng):
+    chart = {"sphere": lambda: sphere_chart(SPHERE_BOX),
+             "line": lambda: line_config().chart}[name]()
+    n = chart.dim
+    points = random_points(chart, rng, 3)
+    batch = chart.curvature(points)
+    assert batch.shape == (3,) + (n,) * 4
+    for p, got in zip(points, batch):
+        assert np.array_equal(got, chart.curvature(p))
+    assert np.array_equal(batch, -batch.swapaxes(1, 2))
+    if name == "sphere":  # R^1_{12,2} = -sin^2(x1), as [i, j, r, k]
+        assert np.allclose(batch[:, 0, 1, 1, 0],
+                           [-np.sin(p[0]) ** 2 for p in points])
 
 
 def test_commutator_curvature_identity(rng):

@@ -149,3 +149,17 @@ def test_all_entries_resolve():
                if not hasattr(gafields, name)]
     assert not missing
     assert len(set(gafields.__all__)) == len(gafields.__all__)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a `_`-name is private to its module: a module that needs one from
+    # another module needs a public entry there instead
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0
+                         or (node.module or "").startswith("gafields"))):
+                private += [f"{path.name}:{node.lineno} {a.name}"
+                            for a in node.names if a.name.startswith("_")]
+    assert not private, f"private names imported across modules: {private}"
