@@ -21,7 +21,7 @@ import numpy as np
 from .blades import grade_array, star_inverse_sign
 from .dirac import (MINKOWSKI_DIAG, gamma_matrices, minkowski_metric,
                     multivector_from_matrix, rep_map)
-from .expr import CExpr, ZERO, call, parse
+from .expr import CExpr, Const, ZERO, call, parse
 from .fields import (FieldConfig, conservation_defect, gauge_transform,
                      lagrangian_l0, lagrangian_l1, main_form)
 from .manifold import (Chart, FormField, d_op, delta_op, dx, eval_fields,
@@ -104,9 +104,8 @@ def random_point(chart: Chart, rng: np.random.Generator) -> tuple:
 
 def flat_minkowski_chart(lo: float = -1.0, hi: float = 1.0) -> Chart:
     """The constant metric diag(-1, -1, -1, 1) on the box [lo, hi]^4."""
-    diag = ("-1", "-1", "-1", "1")
-    return Chart([[parse(diag[i] if i == j else "0", 4) for j in range(4)]
-                  for i in range(4)], [(lo, hi)] * 4)
+    return Chart([[Const(d) if i == j else ZERO for j in range(4)]
+                  for i, d in enumerate(MINKOWSKI_DIAG)], [(lo, hi)] * 4)
 
 
 def polar_chart(domain) -> Chart:

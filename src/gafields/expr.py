@@ -541,11 +541,13 @@ def _diff(e: Expr, var: int) -> Expr:
     return d
 
 
-def subst(e: Expr, mapping) -> Expr:
-    """Substitute variables: mapping is {index: Expr}.  A subtree shared
-    in e is substituted once, so the result shares it too: the memo is
-    keyed by id() and lives for this call, while e holds every node
-    under it, so no id() in it is reused."""
+def subst(items, mapping) -> list:
+    """Substitute variables in each of a sequence of expressions: mapping
+    is {index: Expr}.  A subtree shared within or across the items is
+    substituted once, so the results share it too: the memo is keyed by
+    id() and lives for this call, while the items, held in a list for
+    the call, hold every node under them, so no id() in it is reused."""
+    items = list(items)
     memo = {}
 
     def walk(e: Expr) -> Expr:
@@ -576,7 +578,7 @@ def subst(e: Expr, mapping) -> Expr:
         return out
 
     try:
-        return walk(e)
+        return [walk(e) for e in items]
     except RecursionError:
         raise ExprDepthError("substitute") from None
 

@@ -9,9 +9,13 @@ Euler-Lagrange system residuals, the curvature link and covariance under
 coordinate changes.
 
 The residuals of the coupled system come in named families (main,
-maxwell, yang_mills, h, curvature_link, conservation).  Each family is a
-per-config form like the others: its output forms, and a numeric
-reduction of their values to defects that takes the couplings c1 and c2.
+gauge, h, curvature_link, conservation).  Each family is a per-config
+form like the others: its output forms, and a numeric reduction of their
+values to named defects that takes the couplings c1 and c2.  The gauge
+family gives two: its left side is the divergence of the one field
+strength F_ij = f_ij + G_ij of the potential a_k + B_k, whose scalar
+blade is the Maxwell side (`maxwell`) and whose other blades are the
+Yang-Mills side (`yang_mills`).
 `residuals(cfg, points)` evaluates every form of the families it is
 asked for over all points in one vectorised pass.
 A batch is a sequence of N points, shape (N, n) to `np.asarray`, and a
@@ -23,9 +27,11 @@ call, and a subtree they share is evaluated once.
 
 Every symbolic form of a configuration is built once: `FieldConfig` is
 immutable, and the main form, C, the L1 form, the two scalars of L0, the
-current, the H system, the f and G field strengths and the residual
-families are kept in a memo on the config the first time they are asked
-for; every number here is one of these forms evaluated.  So calling
+current, the H system, the field strengths G_ij, F_ij and F^ij (each an
+antisymmetric table built for i < j, so F^ij is raised once per pair)
+and the residual families are kept in a memo on the config the first
+time they are asked for; every number here is one of these forms
+evaluated.  So calling
 `main_residual`, `current`, `residuals`, `system_residuals`,
 `conservation_defect`, `curvature_link_check` or the Lagrangians (at a
 point or a batch) at many points, or with other couplings, builds
@@ -58,6 +64,7 @@ from .manifold import (
     eval_fields,
     field_from_json,
     field_to_json,
+    grade_project_field,
     scalar_field,
     trace_field,
     upsilon_k,
@@ -323,23 +330,36 @@ def gauge_transform(cfg: FieldConfig, u: FormField, v: CExpr) -> FieldConfig:
 # Field strengths and Lagrangians.
 
 @_per_config
-def f_strength_exprs(cfg: FieldConfig):
-    """f_ij = d_i a_j - d_j a_i as complex scalar expressions."""
-    n = cfg.chart.dim
-    a = [trace_field(f) for f in cfg.a]
-    return tuple(tuple(a[j].diff(i + 1) - a[i].diff(j + 1) for j in range(n))
-                 for i in range(n))
+def g_strength_fields(cfg: FieldConfig):
+    """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] as 2-form fields, built for
+    i < j: G_ji = -G_ij, and G_ii is the zero field.  The commutator of
+    two 2-forms is a 2-form, so it is built on grade 2 alone."""
+    b = cfg.b
+    two = set(grade_masks(cfg.chart.dim, 2))
+    return _antisymmetric(cfg.chart, lambda i, j: upsilon_k(b[j], i + 1)
+                          - upsilon_k(b[i], j + 1)
+                          + clifford_mul_fields(b[i], b[j], keep=two)
+                          - clifford_mul_fields(b[j], b[i], keep=two))
 
 
 @_per_config
-def g_strength_fields(cfg: FieldConfig):
-    """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] as 2-form fields, built for
-    i < j: G_ji = -G_ij, and G_ii is the zero field."""
-    b = cfg.b
-    return _antisymmetric(cfg.chart, lambda i, j: upsilon_k(b[j], i + 1)
-                          - upsilon_k(b[i], j + 1)
-                          + clifford_mul_fields(b[i], b[j])
-                          - clifford_mul_fields(b[j], b[i]))
+def strength_fields(cfg: FieldConfig):
+    """F_ij = f_ij + G_ij, the strength of the one gauge potential
+    a_k + B_k.  The a_k are scalars and commute with the B_k, so its
+    scalar blade is f_ij = d_i a_j - d_j a_i and the rest is G_ij.  Built
+    for i < j: F_ji = -F_ij, and F_ii is the zero field."""
+    chart = cfg.chart
+    a = [trace_field(f) for f in cfg.a]
+    g = g_strength_fields(cfg)
+    return _antisymmetric(chart, lambda i, j: scalar_field(
+        chart, a[j].diff(i + 1) - a[i].diff(j + 1)) + g[i][j])
+
+
+@_per_config
+def raised_strength_fields(cfg: FieldConfig):
+    """F^ij = g^ir g^js F_rs, raised once for each pair i < j."""
+    low = strength_fields(cfg)
+    return _antisymmetric(cfg.chart, lambda i, j: _raise_pair(cfg, low, i, j))
 
 
 def _antisymmetric(chart, build):
@@ -350,6 +370,21 @@ def _antisymmetric(chart, build):
         out[i][j] = build(i, j)
         out[j][i] = -out[i][j]
     return tuple(map(tuple, out))
+
+
+def _raise_pair(cfg, lower, i, j):
+    """g^ir g^js X_rs for a table of fields.  A pair whose g^ir or g^js
+    is zero adds nothing and is skipped."""
+    chart = cfg.chart
+    gu = chart.g_upper_exprs
+    acc = FormField(chart)
+    for r in range(chart.dim):
+        if gu[i][r].is_zero():
+            continue
+        for s in range(chart.dim):
+            if not gu[j][s].is_zero():
+                acc = acc + lower[r][s].scale(CExpr(gu[i][r] * gu[j][s]))
+    return acc
 
 
 @_per_config
@@ -366,39 +401,17 @@ def lagrangian_l1(cfg: FieldConfig, p) -> complex:
     return _l1_form(cfg).evaluate(p)
 
 
-def _raise_pair(cfg, lower, i, j):
-    """g^{ir} g^{js} X_rs for a matrix of scalar expressions or fields.
-    A pair whose g^ir or g^js is zero adds nothing and is skipped."""
-    chart = cfg.chart
-    gu = chart.g_upper_exprs
-    of_fields = isinstance(lower[0][0], FormField)
-    acc = FormField(chart) if of_fields else CZERO
-    for r in range(chart.dim):
-        if gu[i][r].is_zero():
-            continue
-        for s in range(chart.dim):
-            if gu[j][s].is_zero():
-                continue
-            z = CExpr(gu[i][r] * gu[j][s])
-            x = lower[r][s]
-            acc = acc + (x.scale(z) if of_fields else z * x)
-    return acc
-
-
 @_per_config
 def _l0_forms(cfg: FieldConfig):
     """The complex scalars f_ij f^ij and Tr(G_ij G^ij), summed over i and
-    j, with both pairs of indices raised by g^ij."""
-    n = cfg.chart.dim
-    f_low = f_strength_exprs(cfg)
-    g_low = g_strength_fields(cfg)
+    j: the scalar blades and the rest of F_ij and F^ij."""
+    low, up = strength_fields(cfg), raised_strength_fields(cfg)
     ff, gg = CZERO, FormField(cfg.chart)
-    for i in range(n):
-        for j in range(n):
-            ff = ff + f_low[i][j] * _raise_pair(cfg, f_low, i, j)
-            gg = gg + clifford_mul_fields(g_low[i][j],
-                                          _raise_pair(cfg, g_low, i, j),
-                                          keep={0})
+    for i, j in itertools.product(range(cfg.chart.dim), repeat=2):
+        ff = ff + trace_field(low[i][j]) * trace_field(up[i][j])
+        gg = gg + clifford_mul_fields(grade_project_field(low[i][j], 2),
+                                      grade_project_field(up[i][j], 2),
+                                      keep={0})
     return ff, trace_field(gg)
 
 
@@ -436,63 +449,41 @@ def _main_family(cfg):
 
 
 @_per_config
-def _maxwell_family(cfg):
-    """d_i(sqrt|g| f^ij)/sqrt|g| against the source i Im Tr(J^j)/c1."""
-    n = cfg.chart.dim
-    sqrtg = cfg.chart.sqrt_abs_det
-    f_exprs = f_strength_exprs(cfg)
-    lhs = []
-    for j in range(n):
-        acc = CZERO
-        for i in range(n):
-            fij = _raise_pair(cfg, f_exprs, i, j)
-            acc = acc + CExpr(diff(sqrtg * fij.re, i + 1),
-                              diff(sqrtg * fij.im, i + 1))
-        lhs.append(acc)
-    sources = [trace_field(jf) for jf in current_j_fields(cfg)]
-
-    def reduce(v, c1, c2):
-        s, div, src = v[0], v[1:n + 1], v[n + 1:]
-        return {"maxwell": _worst(abs(d / s - 1j * p0.imag / c1)
-                                  for d, p0 in zip(div, src))}
-    return (sqrtg, *lhs, *sources), reduce
-
-
-@_per_config
-def _yang_mills_family(cfg):
-    """Covariant divergence of G^ij with the [G^ij, B_i] term, against the
-    grade-2 real part of J^j/c2."""
+def _gauge_family(cfg):
+    """The divergence Y_i(sqrt|g| F^ij) - sqrt|g| [F^ij, B_i] of the gauge
+    strength, over sqrt|g|, against the current J^j.  Its scalar blade is
+    the Maxwell left side d_i(sqrt|g| f^ij), against i Im Tr(J^j)/c1; its
+    other blades are the Yang-Mills one, against the grade-2 real part of
+    J^j/c2.  The sqrt|g| factor absorbs the contracted Christoffel of the
+    first index, and the one of the second vanishes: Gamma^j_is is
+    symmetric in (i, s) and F^is antisymmetric.  f^ij commutes with B_i,
+    so the commutator is that of the 2-forms G^ij and B_i, a 2-form."""
     chart = cfg.chart
     n = chart.dim
-    sqrtg = chart.sqrt_abs_det
-    gm = chart.gamma_exprs()
-    g_fields = g_strength_fields(cfg)
-    g_upper = _antisymmetric(chart,
-                             lambda i, j: _raise_pair(cfg, g_fields, i, j))
+    sqrtg = CExpr(chart.sqrt_abs_det)
+    up = raised_strength_fields(cfg)
+    two = set(grade_masks(n, 2))
     lhs = []
     for j in range(n):
         acc = FormField(chart)
         for i in range(n):
-            scaled = g_upper[i][j].scale(CExpr(sqrtg))
-            term = upsilon_k(scaled, i + 1)
-            # the sqrt|g| factor absorbs the contracted Christoffel of the
-            # first index; the second free upper index still needs its own
-            for s in range(n):
-                if not gm[j][i][s].is_zero():
-                    term = term + g_upper[i][s].scale(
-                        CExpr(sqrtg * gm[j][i][s]))
-            comm = clifford_mul_fields(g_upper[i][j], cfg.b[i]) \
-                - clifford_mul_fields(cfg.b[i], g_upper[i][j])
-            acc = acc + term - comm.scale(CExpr(sqrtg))
+            g_ij = grade_project_field(up[i][j], 2)
+            comm = clifford_mul_fields(g_ij, cfg.b[i], keep=two) \
+                - clifford_mul_fields(cfg.b[i], g_ij, keep=two)
+            acc = acc + upsilon_k(up[i][j].scale(sqrtg), i + 1) \
+                - comm.scale(sqrtg)
         lhs.append(acc)
-    two = grade_array(n) == 2
+    src_two = grade_array(n)[1:] == 2
 
     def reduce(v, c1, c2):
         s, div, src = v[0], v[1:n + 1], v[n + 1:]
-        return {"yang_mills": _worst(
-            row_norm(d * (1.0 / s)[:, None] - np.where(two, jj.real / c2, 0.0))
-            for d, jj in zip(div, src))}
-    return (sqrtg, *lhs, *current_j_fields(cfg)), reduce
+        return {"maxwell": _worst(abs(d[:, 0] / s - 1j * jj[:, 0].imag / c1)
+                                  for d, jj in zip(div, src)),
+                "yang_mills": _worst(row_norm(
+                    d[:, 1:] * (1.0 / s)[:, None]
+                    - np.where(src_two, jj[:, 1:].real / c2, 0.0))
+                    for d, jj in zip(div, src))}
+    return (chart.sqrt_abs_det, *lhs, *current_j_fields(cfg)), reduce
 
 
 @_per_config
@@ -530,8 +521,8 @@ def _conservation_family(cfg):
 
 
 # name -> family builder, in the order a row of `residuals` lists them
-_FAMILY_BUILDERS = {"main": _main_family, "maxwell": _maxwell_family,
-                    "yang_mills": _yang_mills_family, "h": _h_family,
+_FAMILY_BUILDERS = {"main": _main_family, "gauge": _gauge_family,
+                    "h": _h_family,
                     "curvature_link": _curvature_link_family,
                     "conservation": _conservation_family}
 FAMILIES = tuple(_FAMILY_BUILDERS)

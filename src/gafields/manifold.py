@@ -532,8 +532,10 @@ class CoordinateChange:
     def transform_chart(self, chart: Chart) -> Chart:
         if chart.dim != self.dim:
             raise ArgumentError("dimension mismatch")
-        mapping = self._subst_map()
         n = self.dim
+        flat = subst([g for row in chart.g_lower_exprs for g in row],
+                     self._subst_map())
+        g_old = [flat[i * n:(i + 1) * n] for i in range(n)]
         g_new = [[ZERO] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):
@@ -541,19 +543,21 @@ class CoordinateChange:
                 for i in range(n):
                     for j in range(n):
                         acc = acc + self.jacobian[i][a] * self.jacobian[j][b] \
-                            * subst(chart.g_lower_exprs[i][j], mapping)
+                            * g_old[i][j]
                 g_new[a][b] = acc
         return Chart(g_new, self.new_domain)
 
     def transform_form(self, u: FormField, new_chart: Chart) -> FormField:
-        """Pull the covariant components back to the new coordinates."""
-        mapping = self._subst_map()
+        """Pull the covariant components back to the new coordinates, all
+        in one substitution, so the subtrees they share stay shared."""
         n = self.dim
+        parts = [x for c in u.coeffs.values() for x in (c.re, c.im)]
+        parts = iter(subst(parts, self._subst_map()))
         out: dict = {}
-        for mask, c in u.coeffs.items():
+        for mask in u.coeffs:
             k = blades.popcount(mask)
             rows = [i - 1 for i in blades.blade_indices(mask)]
-            c_new = CExpr(subst(c.re, mapping), subst(c.im, mapping))
+            c_new = CExpr(next(parts), next(parts))
             if k == 0:
                 blades.add_term(out, 0, c_new)
                 continue

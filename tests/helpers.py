@@ -1,9 +1,10 @@
 """Shared fixtures: random multivectors, charts, plane waves and
 curvature-linked configs; the blade-chain Clifford kernel that the
 numeric structure tensor and the charts' blade products are checked
-against; and the ordered-pair Yang-Mills left sides that the residual
-family is checked against."""
+against; the ordered-pair Maxwell and Yang-Mills left sides that the
+gauge family is checked against; and a node count of expression DAGs."""
 
+import itertools
 from math import factorial
 
 import numpy as np
@@ -12,10 +13,11 @@ from gafields.blades import (add_term, blade_indices, gen_mul, is_zero,
                              mask_of, popcount)
 
 from gafields.checks import flat_minkowski_chart, mv_sample, random_form_field
-from gafields.expr import CExpr, ZERO, Const, parse
+from gafields.expr import CExpr, CZERO, ZERO, Const, parse
 from gafields.fields import FieldConfig, _raise_pair
 from gafields.manifold import (Chart, FormField, clifford_mul_fields,
-                               curvature_forms, scalar_field, upsilon_k)
+                               curvature_forms, scalar_field, trace_field,
+                               upsilon_k)
 from gafields.multivector import Multivector, grade_masks
 from gafields.dirac import column_embed, gamma_matrices, plane_wave_spinor
 
@@ -221,9 +223,29 @@ def clifford_mul_dicts(u: dict, v: dict, g) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The Yang-Mills left sides with every ordered index pair built on its own,
-# G_ii and G_ji included: the reference for the library, which builds each
-# antisymmetric pair once.
+# The Maxwell and Yang-Mills left sides with every ordered index pair built
+# on its own, f_ii, G_ii, f_ji and G_ji included, and with the Christoffel
+# sum of the second upper index: the reference for the library's gauge
+# family, which builds each antisymmetric pair of F_ij = f_ij + G_ij once
+# and drops that sum, as Gamma^j_is is symmetric in (i, s).
+
+def ordered_pair_maxwell_lhs(cfg):
+    """For each j, the sum over all n^2 pairs (i, r) and all s of
+    d_i(sqrt|g| g^ir g^js f_rs), with f_rs = d_r a_s - d_s a_r."""
+    chart = cfg.chart
+    n, gu, sqrtg = chart.dim, chart.g_upper_exprs, chart.sqrt_abs_det
+    a = [trace_field(f) for f in cfg.a]
+    f = [[a[s].diff(r + 1) - a[r].diff(s + 1) for s in range(n)]
+         for r in range(n)]
+    lhs = []
+    for j in range(n):
+        acc = CZERO
+        for i, r, s in itertools.product(range(n), repeat=3):
+            term = CExpr(sqrtg * gu[i][r] * gu[j][s]) * f[r][s]
+            acc = acc + term.diff(i + 1)
+        lhs.append(acc)
+    return lhs
+
 
 def ordered_pair_g_strength(cfg):
     """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] for all n^2 pairs (i, j)."""
@@ -256,3 +278,16 @@ def ordered_pair_yang_mills_lhs(cfg):
             acc = acc - comm.scale(CExpr(sqrtg))
         lhs.append(acc)
     return lhs
+
+
+def distinct_nodes(*roots) -> int:
+    """The number of distinct expression nodes under the roots, a shared
+    node counted once."""
+    seen, stack = set(), list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            stack += [getattr(x, f) for f in ("a", "b", "base", "arg")
+                      if hasattr(x, f)]
+    return len(seen)

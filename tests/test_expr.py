@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import distinct_nodes
+
 from gafields import expr as expr_module
 from gafields.expr import (
     Add,
@@ -262,33 +264,31 @@ def test_diff_of_a_shared_dag_is_linear():
     assert diff(e, 1) is d
 
 
-def distinct_nodes(e) -> int:
-    """The number of distinct nodes under e, a shared node counted once."""
-    seen, stack = set(), [e]
-    while stack:
-        x = stack.pop()
-        if id(x) not in seen:
-            seen.add(id(x))
-            stack += [getattr(x, f) for f in ("a", "b", "base", "arg")
-                      if hasattr(x, f)]
-    return len(seen)
-
-
 def test_subst_of_a_shared_dag_stays_a_dag():
     # 16 levels of e = e*e + x2: a tree of 2^16 leaves as a DAG of a few
     # nodes per level; substituting into it must not unroll the tree
     e, x2 = parse("x1", 2), parse("x2", 2)
     for _ in range(16):
         e = add(mul(e, e), x2)
-    s = subst(e, {1: parse("0.5*sin(x2)", 2), 2: parse("0.1*x1", 2)})
+    s, = subst([e], {1: parse("0.5*sin(x2)", 2), 2: parse("0.1*x1", 2)})
     assert distinct_nodes(s) <= 3 * 16 + 10
     assert evaluate(s, (0.3, 0.2)) == pytest.approx(
         evaluate(e, (0.5 * math.sin(0.2), 0.1 * 0.3)), rel=1e-12)
 
 
+def test_subst_shares_a_subtree_across_its_items():
+    # one memo for the whole call: a subtree that two items share is
+    # substituted once, and their results share it too
+    e = parse("sin(x1)*x2", 2)
+    s = subst([e, add(e, parse("x1", 2))], {1: parse("x2^2", 2)})
+    assert s[1].a is s[0]
+    assert evaluate(s[1], (0.0, 0.5)) == pytest.approx(
+        math.sin(0.25) * 0.5 + 0.25, rel=1e-15)
+
+
 def test_subst_composition():
     e = parse("x1^2 + x2", 2)
-    s = subst(e, {1: parse("sin(x1)", 1), 2: parse("x1 + 1", 1)})
+    s, = subst([e], {1: parse("sin(x1)", 1), 2: parse("x1 + 1", 1)})
     x = 0.9
     assert evaluate(s, (x,)) == pytest.approx(math.sin(x) ** 2 + x + 1)
 
@@ -375,7 +375,7 @@ def test_deep_expressions_raise_a_typed_error():
     with pytest.raises(ExprDepthError):
         CExpr(deep).evaluate((0.5,))
     with pytest.raises(ExprDepthError):
-        subst(deep, {1: parse("x1^2", 1)})
+        subst([deep], {1: parse("x1^2", 1)})
     # a shallow sum of the same terms still works, and so does the
     # derivative of a sum nested 900 levels deep
     assert evaluate(parse(" + ".join(["x1"] * 300), 1), (0.5,)) == 150.0

@@ -43,7 +43,9 @@ from helpers import (
     FLAT_POOL,
     curvature_linked_config,
     curved_link_chart,
+    distinct_nodes,
     ordered_pair_g_strength,
+    ordered_pair_maxwell_lhs,
     ordered_pair_yang_mills_lhs,
     plane_wave_config,
     skew_chart,
@@ -267,16 +269,22 @@ def test_lagrangian_l1_real(rng):
 # field strengths and the full system
 
 def test_field_strength_antisymmetry(rng):
+    # F_ij = f_ij + G_ij: its scalar blade is f_ij, the rest is G_ij
     cfg = smooth_config(rng)
     for p in sample_points(cfg.chart, rng, 2):
-        f_ij = [[fij.evaluate(p) for fij in row]
-                for row in fields.f_strength_exprs(cfg)]
-        g_ij = [[gij.eval_at(p) for gij in row]
+        f_ij = [[fij.eval_array(p) for fij in row]
+                for row in fields.strength_fields(cfg)]
+        g_ij = [[gij.eval_array(p) for gij in row]
                 for row in fields.g_strength_fields(cfg)]
-        for i in range(4):
-            for j in range(4):
-                assert abs(f_ij[i][j] + f_ij[j][i]) < 1e-12
-                assert (g_ij[i][j] + g_ij[j][i]).norm() < 1e-12
+        for i, j in itertools.product(range(4), repeat=2):
+            assert np.abs(f_ij[i][j] + f_ij[j][i]).max() < 1e-12
+            assert np.abs(g_ij[i][j] + g_ij[j][i]).max() < 1e-12
+            g_part = f_ij[i][j].copy()
+            g_part[0] = 0.0
+            assert np.array_equal(g_part, g_ij[i][j])
+        assert abs(f_ij[0][1][0]) > 1e-3  # a != 0
+    assert all(gij.grades() in ([], [2])
+               for row in fields.g_strength_fields(cfg) for gij in row)
 
 
 def test_zero_field_system_residuals(rng):
@@ -302,12 +310,16 @@ def test_plane_wave_maxwell_source_consistency(rng):
     assert res["yang_mills"] < 1e-10
 
 
-@pytest.mark.parametrize("make_chart", [curved_link_chart,
-                                        lambda: skew_chart(4, -1)],
-                         ids=["sphere_times_flat", "skew"])
+CURVED_CHARTS = pytest.mark.parametrize(
+    "make_chart", [curved_link_chart, lambda: skew_chart(4, -1)],
+    ids=["sphere_times_flat", "skew"])
+
+
+@CURVED_CHARTS
 def test_yang_mills_left_sides_match_ordered_pairs(make_chart):
-    # the family builds G_ij and G^ij for i < j only; on a curved chart
-    # with B != 0 every Christoffel term of the i == j pass counts
+    # the family builds G_ij and G^ij for i < j only and drops the sum
+    # sqrt|g| Gamma^j_is G^is, which the reference keeps: the match pins
+    # that the sum vanishes on a curved chart with B != 0
     cfg = smooth_config(np.random.default_rng(11), chart=make_chart())
     n = cfg.chart.dim
     xs = sample_points(cfg.chart, np.random.default_rng(12))
@@ -318,11 +330,25 @@ def test_yang_mills_left_sides_match_ordered_pairs(make_chart):
     for i, j in itertools.product(range(n), repeat=2):
         assert np.array_equal(g[i][j], -g[j][i])
     assert np.abs(np.array(g) - ref).max() <= 1e-12 * np.abs(ref).max()
-    lhs = fields._yang_mills_family(cfg)[0]
+    lhs = fields._gauge_family(cfg)[0]
     for got, want in zip(lhs[1:n + 1], ordered_pair_yang_mills_lhs(cfg)):
-        got, want = got.eval_array(xs), want.eval_array(xs)
+        got, want = got.eval_array(xs)[:, 1:], want.eval_array(xs)[:, 1:]
         assert np.abs(want).max() > 1e-3
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@CURVED_CHARTS
+def test_maxwell_left_sides_match_ordered_pairs(make_chart):
+    # the scalar blade of the gauge family's left side is the Maxwell one,
+    # d_i(sqrt|g| f^ij), which the reference sums over all n^2 pairs
+    cfg = smooth_config(np.random.default_rng(11), chart=make_chart())
+    n = cfg.chart.dim
+    xs = sample_points(cfg.chart, np.random.default_rng(12))
+    lhs = fields._gauge_family(cfg)[0][1:n + 1]
+    got = np.array([f.eval_array(xs)[:, 0] for f in lhs])
+    want = np.array([f.evaluate(xs) for f in ordered_pair_maxwell_lhs(cfg)])
+    assert np.abs(want).max() > 1e-3
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_curvature_link_on_constructed_config():
@@ -507,20 +533,30 @@ def test_system_build_forms_each_current_product_once(rng, monkeypatch):
 
 def test_raise_pair_skips_zero_metric_factors(monkeypatch):
     # on a diagonal chart g^ir g^js vanishes unless r = i and s = j; an
-    # all-zero raise is still a field or a complex scalar, never None
+    # all-zero raise is still a field
     cfg, _ = curvature_linked_config()
     scales = count_calls(monkeypatch, FormField, "scale")
-    g_fields = fields.g_strength_fields(cfg)
+    strengths = fields.strength_fields(cfg)
     n = cfg.chart.dim
     for i, j in itertools.product(range(n), repeat=2):
         del scales[:]
-        raised = fields._raise_pair(cfg, g_fields, i, j)
+        raised = fields._raise_pair(cfg, strengths, i, j)
         assert len(scales) == 1 and not scales[0][1].is_zero()
         assert isinstance(raised, FormField)
-    zero = fields._raise_pair(cfg, fields.f_strength_exprs(cfg), 0, 1)
-    assert isinstance(zero, CExpr) and zero.is_zero()  # a_k = 0
+        assert 0 not in raised.coeffs  # a_k = 0: F^ij is G^ij
     empty = [[FormField(cfg.chart)] * n] * n
     assert fields._raise_pair(cfg, empty, 0, 1).coeffs == {}
+
+
+def test_gauge_strength_is_raised_once_per_pair(monkeypatch):
+    # the gauge family and L0 read one table F^ij, raised for i < j alone
+    cfg = skew_config(np.random.default_rng(0))
+    raises = count_calls(monkeypatch, fields, "_raise_pair")
+    points = sample_points(cfg.chart, np.random.default_rng(1), 2)
+    residuals(cfg, points)
+    lagrangian_l0(cfg, points)
+    assert sorted(args[2:] for args in raises) \
+        == list(itertools.combinations(range(cfg.chart.dim), 2))
 
 
 def test_config_is_immutable(rng):
@@ -651,6 +687,19 @@ def test_covariance_under_identity_change_of_a_shared_dag():
     start = time.perf_counter()
     assert covariance_check(cfg, identity_change(cfg.chart), points) == 0.0
     assert time.perf_counter() - start < 2.0
+
+
+def test_pullback_keeps_the_sharing_of_its_form():
+    # the coefficients of the skew config's main form share most of their
+    # subtrees; one substitution for the whole pullback keeps them shared
+    cfg = skew_config(np.random.default_rng(0))
+    change = identity_change(cfg.chart)
+    form = fields.main_form(cfg)
+    pulled = change.transform_form(form, change.transform_chart(cfg.chart))
+
+    def parts(u):
+        return [x for c in u.coeffs.values() for x in (c.re, c.im)]
+    assert distinct_nodes(*parts(pulled)) <= distinct_nodes(*parts(form))
 
 
 def sample_points_change(change, rng, count=3):
