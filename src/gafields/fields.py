@@ -1,8 +1,9 @@
 """Gauge field model on a Riemannian chart.
 
-The configuration bundles a complex wave form Psi, an imaginary scalar
-covector potential a_k, a real 2-form potential B_k, a real 1-form H and
-a mass.  Everything the model states about them is evaluated here:
+The configuration bundles a complex wave form Psi, the gauge potential
+A_k = a_k + B_k (an imaginary scalar plus a real 2-form, its grade-0 and
+grade-2 parts, written to JSON as `a` and `b`), a real 1-form H and a
+mass.  Everything the model states about them is evaluated here:
 the main equation residual, the H-equation defects, the conserved
 current, gauge transformations, field strengths, Lagrangians, the
 Euler-Lagrange system residuals, the curvature link and covariance under
@@ -12,10 +13,10 @@ The residuals of the coupled system come in named families (main,
 gauge, h, curvature_link, conservation).  Each family is a per-config
 form like the others: its output forms, and a numeric reduction of their
 values to named defects that takes the couplings c1 and c2.  The gauge
-family gives two: its left side is the divergence of the one field
-strength F_ij = f_ij + G_ij of the potential a_k + B_k, whose scalar
-blade is the Maxwell side (`maxwell`) and whose other blades are the
-Yang-Mills side (`yang_mills`).
+family gives two: its left side is the divergence of the field
+strength F_ij of A, whose scalar blade f_ij is the Maxwell side
+(`maxwell`) and whose other blades, the grade-2 part G_ij that the
+curvature link reads, are the Yang-Mills side (`yang_mills`).
 `residuals(cfg, points)` evaluates every form of the families it is
 asked for over all points in one vectorised pass.
 A batch is a sequence of N points, shape (N, n) to `np.asarray`, and a
@@ -27,7 +28,7 @@ call, and a subtree they share is evaluated once.
 
 Every symbolic form of a configuration is built once: `FieldConfig` is
 immutable, and the main form, C, the L1 form, the two scalars of L0, the
-current, the H system, the field strengths G_ij, F_ij and F^ij (each an
+current, the H system, the field strengths F_ij and F^ij (each an
 antisymmetric table built for i < j, so F^ij is raised once per pair)
 and the residual families are kept in a memo on the config the first
 time they are asked for; every number here is one of these forms
@@ -45,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 
 import numpy as np
 
@@ -96,11 +98,12 @@ def _check_shape(name: str, f: FormField, grades, real: bool,
 
 
 class FieldConfig:
-    """Psi, a_k, B_k, H and m on a chart.  Immutable after construction:
+    """Psi, the potential A_k, H and m on a chart.  The constructor checks
+    a_k and B_k apart and keeps `potential[k]` = a_k + B_k.  Immutable:
     the symbolic forms derived from it are built once, on first use, and
     kept in `_built` (see `_per_config`), so they can never go stale."""
 
-    __slots__ = ("chart", "psi", "a", "b", "h", "m", "_built")
+    __slots__ = ("chart", "psi", "potential", "h", "m", "_built")
 
     def __init__(self, chart: Chart, psi: FormField, a, b, h: FormField,
                  m: float, validate: bool = True):
@@ -110,20 +113,21 @@ class FieldConfig:
         m = float(m)
         if not np.isfinite(m):
             raise FieldConfigError(f"mass m = {m} is not finite")
-        init = super().__setattr__
-        init("chart", chart)
-        init("psi", psi)
-        init("a", tuple(a))
-        init("b", tuple(b))
-        init("h", h)
-        init("m", m)
-        init("_built", {})
         if validate:
             p = chart.midpoint()
             for k in range(n):
-                _check_shape(f"a_{k + 1}", self.a[k], {0}, False, True, p)
-                _check_shape(f"B_{k + 1}", self.b[k], {2}, True, False, p)
-            _check_shape("H", self.h, {1}, True, False, p)
+                _check_shape(f"a_{k + 1}", a[k], {0}, False, True, p)
+                _check_shape(f"B_{k + 1}", b[k], {2}, True, False, p)
+            _check_shape("H", h, {1}, True, False, p)
+        for name, value in zip(self.__slots__, (
+                chart, psi, tuple(map(operator.add, a, b)), h, m, {})):
+            super().__setattr__(name, value)
+
+    @classmethod
+    def _of(cls, chart, psi, potential, h, m):
+        """A config from whole potentials A_k, unchecked: A_k + 0."""
+        return cls(chart, psi, potential, [FormField(chart)] * chart.dim, h,
+                   m, validate=False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FieldConfig is immutable; cannot set {name!r}")
@@ -172,11 +176,16 @@ def config_to_json(cfg: FieldConfig) -> str:
     return json.dumps({
         "chart": json.loads(chart_to_json(cfg.chart)),
         "psi": json.loads(field_to_json(cfg.psi)),
-        "a": [json.loads(field_to_json(f)) for f in cfg.a],
-        "b": [json.loads(field_to_json(f)) for f in cfg.b],
+        "a": [json.loads(field_to_json(f)) for f in _sector(cfg, 0)],
+        "b": [json.loads(field_to_json(f)) for f in _sector(cfg, 2)],
         "h": json.loads(field_to_json(cfg.h)),
         "m": cfg.m,
     })
+
+
+def _sector(cfg: FieldConfig, grade: int) -> list:
+    """The grade-0 (a_k) or grade-2 (B_k) part of each A_k."""
+    return [grade_project_field(f, grade) for f in cfg.potential]
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +194,11 @@ def config_to_json(cfg: FieldConfig) -> str:
 @_per_config
 def main_form(cfg: FieldConfig) -> FormField:
     """Left side of the main equation as a symbolic field:
-    i dx^k (Y_k Psi - Psi a_k - Psi B_k) - m Psi."""
+    i dx^k (Y_k Psi - Psi A_k) - m Psi."""
     chart = cfg.chart
     out = cfg.psi.scale(-cfg.m)
-    for k in range(1, chart.dim + 1):
-        inner = upsilon_k(cfg.psi, k) \
-            - clifford_mul_fields(cfg.psi, cfg.a[k - 1]) \
-            - clifford_mul_fields(cfg.psi, cfg.b[k - 1])
+    for k, ak in enumerate(cfg.potential, start=1):
+        inner = upsilon_k(cfg.psi, k) - clifford_mul_fields(cfg.psi, ak)
         out = out + clifford_mul_fields(dx(chart, k), inner).scale(1j)
     return out
 
@@ -225,7 +232,7 @@ def h_forms(cfg: FieldConfig):
     sq = clifford_mul_fields(cfg.h, cfg.h) - scalar_field(cfg.chart, 1.0)
     forms = tuple(upsilon_k(cfg.h, k) - clifford_mul_fields(cfg.h, bk)
                   + clifford_mul_fields(bk, cfg.h)
-                  for k, bk in enumerate(cfg.b, start=1))
+                  for k, bk in enumerate(_sector(cfg, 2), start=1))
     return sq, forms
 
 
@@ -296,63 +303,58 @@ def conservation_defect(cfg: FieldConfig, p):
 # Gauge transformation.
 
 def _check_gauge_pair(cfg: FieldConfig, u: FormField, v: CExpr):
+    """Raise unless |v| = 1 and U is spin-valued at the chart midpoint and
+    the 2^n interior points at the 1/4 and 3/4 marks of each interval (a
+    chart may be singular at its corners), naming the first bad point."""
     chart = cfg.chart
-    p = chart.midpoint()
-    v_at, u_at = eval_fields((scalar_field(chart, v), u), p)
-    if abs(abs(v_at[0]) - 1.0) > CHECK_TOL:
-        raise FieldConfigError(f"|v| = {abs(v_at[0]):.6f} at {tuple(p)}, "
-                               f"expected 1")
-    if not is_spin_member(Multivector._of(chart.dim, u_at),
-                          chart.metric_at(p), tol=1e-7):
-        raise FieldConfigError("U is not spin-valued at the chart midpoint")
+    points = [chart.midpoint(), *itertools.product(*[
+        (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
+        for lo, hi in chart.domain])]
+    v_at, u_at = eval_fields((scalar_field(chart, v), u), points)
+    for p, vp, up in zip(points, v_at[:, 0], u_at):
+        if abs(abs(vp) - 1.0) > CHECK_TOL:
+            raise FieldConfigError(f"|v| = {abs(vp):.6f} at {p}, expected 1")
+        if not is_spin_member(Multivector._of(chart.dim, up),
+                              chart.metric_at(p), tol=1e-7):
+            raise FieldConfigError(f"U is not spin-valued at {p}")
 
 
 def gauge_transform(cfg: FieldConfig, u: FormField, v: CExpr) -> FieldConfig:
-    """Psi -> Psi U v, a_k -> a_k + v^-1 d_k v,
-    B_k -> U^-1 B_k U + U^-1 Y_k U, H -> U^-1 H U."""
+    """Psi -> Psi U v, H -> U^-1 H U, and A_k -> A'_k, whose scalar
+    sector is a_k + v^-1 d_k v and whose grade-2 sector is
+    U^-1 B_k U + U^-1 Y_k U."""
     _check_gauge_pair(cfg, u, v)
     chart = cfg.chart
     u_inv = conjugate_field(u)  # U is spin-valued, so U* is its inverse
     psi2 = clifford_mul_fields(cfg.psi, u).scale(v)
-    a2, b2 = [], []
     v_conj = v.conj()
-    for k in range(1, chart.dim + 1):
-        shift = v_conj * v.diff(k)
-        a2.append(cfg.a[k - 1] + scalar_field(chart, shift))
-        b2.append(clifford_mul_fields(clifford_mul_fields(u_inv,
-                                                          cfg.b[k - 1]), u)
-                  + clifford_mul_fields(u_inv, upsilon_k(u, k)))
+    potential = []
+    for k, (ak, bk) in enumerate(zip(cfg.potential, _sector(cfg, 2)), 1):
+        a2 = scalar_field(chart, trace_field(ak) + v_conj * v.diff(k))
+        b2 = clifford_mul_fields(clifford_mul_fields(u_inv, bk), u) \
+            + clifford_mul_fields(u_inv, upsilon_k(u, k))
+        potential.append(a2 + b2)
     h2 = clifford_mul_fields(clifford_mul_fields(u_inv, cfg.h), u)
-    return FieldConfig(chart, psi2, a2, b2, h2, cfg.m, validate=False)
+    return FieldConfig._of(chart, psi2, potential, h2, cfg.m)
 
 
 # ---------------------------------------------------------------------------
 # Field strengths and Lagrangians.
 
 @_per_config
-def g_strength_fields(cfg: FieldConfig):
-    """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] as 2-form fields, built for
-    i < j: G_ji = -G_ij, and G_ii is the zero field.  The commutator of
-    two 2-forms is a 2-form, so it is built on grade 2 alone."""
-    b = cfg.b
+def strength_fields(cfg: FieldConfig):
+    """F_ij = Y_i A_j - Y_j A_i + [A_i, A_j], built for i < j: F_ji = -F_ij,
+    and F_ii is the zero field.  The a_k are scalars, so the commutator is
+    [B_i, B_j], built on grade 2 alone (the full product has a scalar
+    blade that cancels exactly only when B_i and B_j list their blades in
+    the same order): F_ij's scalar blade is f_ij = d_i a_j - d_j a_i and
+    its grade-2 part G_ij = Y_i B_j - Y_j B_i + [B_i, B_j]."""
+    pot, b = cfg.potential, _sector(cfg, 2)
     two = set(grade_masks(cfg.chart.dim, 2))
-    return _antisymmetric(cfg.chart, lambda i, j: upsilon_k(b[j], i + 1)
-                          - upsilon_k(b[i], j + 1)
+    return _antisymmetric(cfg.chart, lambda i, j: upsilon_k(pot[j], i + 1)
+                          - upsilon_k(pot[i], j + 1)
                           + clifford_mul_fields(b[i], b[j], keep=two)
                           - clifford_mul_fields(b[j], b[i], keep=two))
-
-
-@_per_config
-def strength_fields(cfg: FieldConfig):
-    """F_ij = f_ij + G_ij, the strength of the one gauge potential
-    a_k + B_k.  The a_k are scalars and commute with the B_k, so its
-    scalar blade is f_ij = d_i a_j - d_j a_i and the rest is G_ij.  Built
-    for i < j: F_ji = -F_ij, and F_ii is the zero field."""
-    chart = cfg.chart
-    a = [trace_field(f) for f in cfg.a]
-    g = g_strength_fields(cfg)
-    return _antisymmetric(chart, lambda i, j: scalar_field(
-        chart, a[j].diff(i + 1) - a[i].diff(j + 1)) + g[i][j])
 
 
 @_per_config
@@ -450,26 +452,27 @@ def _main_family(cfg):
 
 @_per_config
 def _gauge_family(cfg):
-    """The divergence Y_i(sqrt|g| F^ij) - sqrt|g| [F^ij, B_i] of the gauge
+    """The divergence Y_i(sqrt|g| F^ij) - sqrt|g| [F^ij, A_i] of the gauge
     strength, over sqrt|g|, against the current J^j.  Its scalar blade is
     the Maxwell left side d_i(sqrt|g| f^ij), against i Im Tr(J^j)/c1; its
     other blades are the Yang-Mills one, against the grade-2 real part of
     J^j/c2.  The sqrt|g| factor absorbs the contracted Christoffel of the
     first index, and the one of the second vanishes: Gamma^j_is is
-    symmetric in (i, s) and F^is antisymmetric.  f^ij commutes with B_i,
-    so the commutator is that of the 2-forms G^ij and B_i, a 2-form."""
+    symmetric in (i, s) and F^is antisymmetric.  f^ij and a_i are scalars,
+    so [F^ij, A_i] is [G^ij, B_i], a 2-form."""
     chart = cfg.chart
     n = chart.dim
     sqrtg = CExpr(chart.sqrt_abs_det)
     up = raised_strength_fields(cfg)
+    b = _sector(cfg, 2)
     two = set(grade_masks(n, 2))
     lhs = []
     for j in range(n):
         acc = FormField(chart)
         for i in range(n):
             g_ij = grade_project_field(up[i][j], 2)
-            comm = clifford_mul_fields(g_ij, cfg.b[i], keep=two) \
-                - clifford_mul_fields(cfg.b[i], g_ij, keep=two)
+            comm = clifford_mul_fields(g_ij, b[i], keep=two) \
+                - clifford_mul_fields(b[i], g_ij, keep=two)
             acc = acc + upsilon_k(up[i][j].scale(sqrtg), i + 1) \
                 - comm.scale(sqrtg)
         lhs.append(acc)
@@ -495,13 +498,13 @@ def _h_family(cfg):
 
 @_per_config
 def _curvature_link_family(cfg):
-    """G_ij + (1/2) D_ij over the index pairs i < j; both sides are
-    antisymmetric in (i, j)."""
-    g_fields = g_strength_fields(cfg)
+    """G_ij + (1/2) D_ij over the index pairs i < j, G_ij the grade-2
+    part of F_ij; both sides are antisymmetric in (i, j)."""
+    low = strength_fields(cfg)
     d_forms = curvature_forms(cfg.chart)
     pairs = list(itertools.combinations(range(cfg.chart.dim), 2))
-    terms = [g_fields[i][j] for i, j in pairs] + [d_forms[i][j]
-                                                  for i, j in pairs]
+    terms = [grade_project_field(low[i][j], 2) for i, j in pairs] \
+        + [d_forms[i][j] for i, j in pairs]
     k = len(pairs)
     return tuple(terms), lambda v, c1, c2: {"curvature_link": _worst(
         row_norm(g + 0.5 * d) for g, d in zip(v[:k], v[k:]))}
@@ -600,25 +603,20 @@ def curvature_link_check(cfg: FieldConfig, p) -> float:
 def transform_config(cfg: FieldConfig, change: CoordinateChange,
                      new_chart: Chart = None) -> FieldConfig:
     """Rewrite the configuration in new coordinates: Psi, H transform as
-    forms, a_k and B_k additionally as covectors in k."""
+    forms, A_k additionally as a covector in k."""
     if new_chart is None:
         new_chart = change.transform_chart(cfg.chart)
-    n = cfg.chart.dim
     psi2 = change.transform_form(cfg.psi, new_chart)
     h2 = change.transform_form(cfg.h, new_chart)
-    a1 = [change.transform_form(f, new_chart) for f in cfg.a]
-    b1 = [change.transform_form(f, new_chart) for f in cfg.b]
-    a2, b2 = [], []
-    for k in range(n):
-        acc_a = FormField(new_chart)
-        acc_b = FormField(new_chart)
-        for j in range(n):
+    old = [change.transform_form(f, new_chart) for f in cfg.potential]
+    potential = []
+    for k in range(len(old)):
+        acc = FormField(new_chart)
+        for j, aj in enumerate(old):
             q = CExpr(change.jacobian[j][k])  # dx^j / d(new x^k)
-            acc_a = acc_a + a1[j].scale(q)
-            acc_b = acc_b + b1[j].scale(q)
-        a2.append(acc_a)
-        b2.append(acc_b)
-    return FieldConfig(new_chart, psi2, a2, b2, h2, cfg.m, validate=False)
+            acc = acc + aj.scale(q)
+        potential.append(acc)
+    return FieldConfig._of(new_chart, psi2, potential, h2, cfg.m)
 
 
 def covariance_check(cfg: FieldConfig, change: CoordinateChange,

@@ -16,8 +16,8 @@ from gafields.checks import flat_minkowski_chart, mv_sample, random_form_field
 from gafields.expr import CExpr, CZERO, ZERO, Const, parse
 from gafields.fields import FieldConfig, _raise_pair
 from gafields.manifold import (Chart, FormField, clifford_mul_fields,
-                               curvature_forms, scalar_field, trace_field,
-                               upsilon_k)
+                               curvature_forms, grade_project_field,
+                               scalar_field, trace_field, upsilon_k)
 from gafields.multivector import Multivector, grade_masks
 from gafields.dirac import column_embed, gamma_matrices, plane_wave_spinor
 
@@ -52,6 +52,13 @@ def smooth_config(rng, with_b=True, chart=None):
             b.append(FormField(chart))
     h = FormField(chart, {0b1000: CExpr.of(1.0)})
     return FieldConfig(chart, psi, a, b, h, 1.1)
+
+
+def sectors(cfg):
+    """The a_k and the B_k of a config, the grade-0 and grade-2 parts of
+    its potential, as lists to pass to `FieldConfig`."""
+    return ([grade_project_field(f, 0) for f in cfg.potential],
+            [grade_project_field(f, 2) for f in cfg.potential])
 
 
 def phase_cexpr(k_vec, dim=4):
@@ -234,7 +241,7 @@ def ordered_pair_maxwell_lhs(cfg):
     d_i(sqrt|g| g^ir g^js f_rs), with f_rs = d_r a_s - d_s a_r."""
     chart = cfg.chart
     n, gu, sqrtg = chart.dim, chart.g_upper_exprs, chart.sqrt_abs_det
-    a = [trace_field(f) for f in cfg.a]
+    a = [trace_field(f) for f in cfg.potential]
     f = [[a[s].diff(r + 1) - a[r].diff(s + 1) for s in range(n)]
          for r in range(n)]
     lhs = []
@@ -249,7 +256,7 @@ def ordered_pair_maxwell_lhs(cfg):
 
 def ordered_pair_g_strength(cfg):
     """G_ij = Y_i B_j - Y_j B_i + [B_i, B_j] for all n^2 pairs (i, j)."""
-    n, b = cfg.chart.dim, cfg.b
+    n, b = cfg.chart.dim, sectors(cfg)[1]
     return [[upsilon_k(b[j], i + 1) - upsilon_k(b[i], j + 1)
              + clifford_mul_fields(b[i], b[j])
              - clifford_mul_fields(b[j], b[i]) for j in range(n)]
@@ -263,6 +270,7 @@ def ordered_pair_yang_mills_lhs(cfg):
     n = chart.dim
     sqrtg = chart.sqrt_abs_det
     gm = chart.gamma_exprs()
+    b = sectors(cfg)[1]
     g_low = ordered_pair_g_strength(cfg)
     g_up = [[_raise_pair(cfg, g_low, i, j) for j in range(n)]
             for i in range(n)]
@@ -273,8 +281,8 @@ def ordered_pair_yang_mills_lhs(cfg):
             acc = acc + upsilon_k(g_up[i][j].scale(CExpr(sqrtg)), i + 1)
             for s in range(n):
                 acc = acc + g_up[i][s].scale(CExpr(sqrtg * gm[j][i][s]))
-            comm = clifford_mul_fields(g_up[i][j], cfg.b[i]) \
-                - clifford_mul_fields(cfg.b[i], g_up[i][j])
+            comm = clifford_mul_fields(g_up[i][j], b[i]) \
+                - clifford_mul_fields(b[i], g_up[i][j])
             acc = acc - comm.scale(CExpr(sqrtg))
         lhs.append(acc)
     return lhs

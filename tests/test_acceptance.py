@@ -68,6 +68,7 @@ from helpers import (
     plane_wave_config,
     plane_wave_spinor,
     random_mv,
+    sectors,
     smooth_config,
 )
 
@@ -445,7 +446,8 @@ def test_criterion_10_variational():
     weight = (two_pi / n_grid) ** 4
 
     def action(psi, mass):
-        c = FieldConfig(chart, psi, cfg.a, cfg.b, cfg.h, mass, validate=False)
+        c = FieldConfig(chart, psi, *sectors(cfg), cfg.h, mass,
+                        validate=False)
         return lagrangian_l1(c, grid).real.sum() * weight
 
     phase = phase_cexpr(k_vec)

@@ -33,7 +33,7 @@ from gafields.fields import (
 from gafields import fields, manifold, multivector
 from gafields.fields import _value as form_value
 from gafields.manifold import (CoordinateChange, DomainError, FormField,
-                               scalar_field)
+                               grade_project_field, scalar_field)
 from gafields.metric import ArgumentError
 from gafields.multivector import Multivector, build_product_table, trace
 from gafields.spin import random_spin_element
@@ -44,10 +44,12 @@ from helpers import (
     curvature_linked_config,
     curved_link_chart,
     distinct_nodes,
+    line_config,
     ordered_pair_g_strength,
     ordered_pair_maxwell_lhs,
     ordered_pair_yang_mills_lhs,
     plane_wave_config,
+    sectors,
     skew_chart,
     skew_config,
     smooth_config,
@@ -74,9 +76,19 @@ def test_config_shape_checks(rng):
     bad_a = [scalar_field(chart, CExpr.of(1.0)) for _ in range(4)]
     with pytest.raises(FieldConfigError):
         FieldConfig(chart, psi, bad_a, zero, h, 1.0)
+    # an a_k with a bivector blade is rejected, not merged into A_k
+    bad_a = [FormField(chart, {0: CExpr.of(1.0j), 0b0011: CExpr.of(1.0)})
+             for _ in range(4)]
+    with pytest.raises(FieldConfigError, match="a_1 has a grade-2"):
+        FieldConfig(chart, psi, bad_a, zero, h, 1.0)
     # B_k must be real two-forms
     bad_b = [FormField(chart, {0b0011: CExpr.of(1.0j)}) for _ in range(4)]
     with pytest.raises(FieldConfigError):
+        FieldConfig(chart, psi, zero, bad_b, h, 1.0)
+    # a B_k with a scalar blade is rejected too
+    bad_b = [FormField(chart, {0: CExpr.of(1.0j), 0b0011: CExpr.of(1.0)})
+             for _ in range(4)]
+    with pytest.raises(FieldConfigError, match="B_1 has a grade-0"):
         FieldConfig(chart, psi, zero, bad_b, h, 1.0)
     # H must be a real one-form
     bad_h = FormField(chart, {0b0011: CExpr.of(1.0)})
@@ -89,7 +101,7 @@ def test_config_shape_checks(rng):
 def test_config_mass_must_be_finite(m, rng):
     cfg = smooth_config(rng)
     with pytest.raises(FieldConfigError, match="not finite"):
-        FieldConfig(cfg.chart, cfg.psi, cfg.a, cfg.b, cfg.h, m)
+        FieldConfig(cfg.chart, cfg.psi, *sectors(cfg), cfg.h, m)
 
 
 @pytest.mark.parametrize("m", [True, "1.0", None, [1.0]],
@@ -106,6 +118,11 @@ def test_config_json_round_trip(rng):
     again = config_from_json(config_to_json(cfg))
     p = (0.2, -0.3, 0.4, 0.1)
     assert (main_residual(again, p) - main_residual(cfg, p)).norm() < 1e-12
+    # a config keeps one potential A_k and writes `a` and `b` back as its
+    # grade-0 and grade-2 parts, so the JSON round-trips byte for byte
+    for c in (cfg, skew_config(rng), line_config(), plane_wave_config()):
+        text = config_to_json(c)
+        assert config_to_json(config_from_json(text)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +235,26 @@ def test_gauge_rejects_non_unit_v(rng):
         gauge_transform(cfg, u, CExpr.of(2.0))
 
 
+# U = 1 + 0.1 x1 is spin-valued, and v = 1 + 0.1 x2 unit, at the midpoint
+# of the flat chart alone; the check also reads the 1/4 and 3/4 marks
+OFF_MIDPOINT = r"at \(-0\.5, -0\.5, -0\.5, -0\.5\)"
+
+
+def test_gauge_rejects_u_spin_valued_only_at_the_midpoint(rng):
+    cfg = smooth_config(rng)
+    u = scalar_field(cfg.chart, CExpr(parse("1 + 0.1*x1", 4)))
+    with pytest.raises(FieldConfigError,
+                       match="U is not spin-valued " + OFF_MIDPOINT):
+        gauge_transform(cfg, u, CExpr.of(1.0))
+
+
+def test_gauge_rejects_v_unit_only_at_the_midpoint(rng):
+    cfg = smooth_config(rng)
+    one = scalar_field(cfg.chart, CExpr.of(1.0))
+    with pytest.raises(FieldConfigError, match="0.950000 " + OFF_MIDPOINT):
+        gauge_transform(cfg, one, CExpr(parse("1 + 0.1*x2", 4)))
+
+
 def noncommuting_b_config(rng):
     """Flat config whose B_k do not commute, so G_ij is not zero."""
     chart = flat_minkowski_chart()
@@ -245,7 +282,7 @@ def test_lagrangian_l0_gauge_part_with_noncommuting_b(rng):
     pairs = list(itertools.product(range(4), repeat=2))
     for p in sample_points(cfg.chart, rng, 3):
         g = [[gij.eval_at(p) for gij in row]
-             for row in fields.g_strength_fields(cfg)]
+             for row in g_strength(cfg)]
         want = 0.0
         for i, j in pairs:
             g_up = Multivector(4)
@@ -268,23 +305,27 @@ def test_lagrangian_l1_real(rng):
 # ---------------------------------------------------------------------------
 # field strengths and the full system
 
+def g_strength(cfg):
+    """G_ij, the grade-2 part of each F_ij."""
+    return [[grade_project_field(f, 2) for f in row]
+            for row in fields.strength_fields(cfg)]
+
+
 def test_field_strength_antisymmetry(rng):
-    # F_ij = f_ij + G_ij: its scalar blade is f_ij, the rest is G_ij
+    # F_ij, the strength of A_k = a_k + B_k: its scalar blade is
+    # f_ij = d_i a_j - d_j a_i, and it has no blade outside grades 0 and 2
     cfg = smooth_config(rng)
+    a = [fields.trace_field(f) for f in cfg.potential]
+    strengths = fields.strength_fields(cfg)
     for p in sample_points(cfg.chart, rng, 2):
-        f_ij = [[fij.eval_array(p) for fij in row]
-                for row in fields.strength_fields(cfg)]
-        g_ij = [[gij.eval_array(p) for gij in row]
-                for row in fields.g_strength_fields(cfg)]
+        f_ij = [[fij.eval_array(p) for fij in row] for row in strengths]
         for i, j in itertools.product(range(4), repeat=2):
             assert np.abs(f_ij[i][j] + f_ij[j][i]).max() < 1e-12
-            assert np.abs(g_ij[i][j] + g_ij[j][i]).max() < 1e-12
-            g_part = f_ij[i][j].copy()
-            g_part[0] = 0.0
-            assert np.array_equal(g_part, g_ij[i][j])
+            want = (a[j].diff(i + 1) - a[i].diff(j + 1)).evaluate(p)
+            assert abs(f_ij[i][j][0] - want) < 1e-12
         assert abs(f_ij[0][1][0]) > 1e-3  # a != 0
-    assert all(gij.grades() in ([], [2])
-               for row in fields.g_strength_fields(cfg) for gij in row)
+    assert all(set(fij.grades()) <= {0, 2} for row in strengths
+               for fij in row)
 
 
 def test_zero_field_system_residuals(rng):
@@ -324,7 +365,7 @@ def test_yang_mills_left_sides_match_ordered_pairs(make_chart):
     n = cfg.chart.dim
     xs = sample_points(cfg.chart, np.random.default_rng(12))
     g = [[f.eval_array(xs) for f in row]
-         for row in fields.g_strength_fields(cfg)]
+         for row in g_strength(cfg)]
     ref = np.array([[f.eval_array(xs) for f in row]
                     for row in ordered_pair_g_strength(cfg)])
     for i, j in itertools.product(range(n), repeat=2):
@@ -491,7 +532,7 @@ def test_one_point_calls_build_each_form_once(rng, monkeypatch):
     assert len(upsilon) == built  # later points only evaluate
 
     # bitwise the values of a freshly built equal config, in another order
-    fresh = FieldConfig(cfg.chart, cfg.psi, cfg.a, cfg.b, cfg.h, cfg.m)
+    fresh = FieldConfig(cfg.chart, cfg.psi, *sectors(cfg), cfg.h, cfg.m)
     for p, want in reversed(list(zip(points, values))):
         got = one_point_values(fresh, p)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -569,7 +610,7 @@ def test_config_is_immutable(rng):
     with pytest.raises(AttributeError):
         del cfg.h
     with pytest.raises(TypeError):
-        cfg.b[0] = cfg.b[1]
+        cfg.potential[0] = cfg.potential[1]
     assert cfg.m == 1.1
 
 
