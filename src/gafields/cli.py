@@ -19,6 +19,9 @@ from .multivector import CLIFFORD, GRASSMANN, MAX_TABLE_DIM, build_product_table
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 TEXT_MAP_SIZE = 1 << 14  # value texts `mul-table` keeps between alphas
+# the largest --count: a suite stacks its samples and field-check its
+# points in arrays that grow with the count
+MAX_COUNT = 10_000
 
 
 class _UsageError(Exception):
@@ -178,9 +181,10 @@ def _check_args(args) -> None:
     """Reject the seeds, counts and tolerances no run can use."""
     if getattr(args, "seed", 0) < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
-    if getattr(args, "count", 1) < 1:
-        # no cases would pass vacuously
-        raise _UsageError(f"--count must be at least 1, got {args.count}")
+    if not 1 <= getattr(args, "count", 1) <= MAX_COUNT:
+        # at 0 no cases would pass vacuously
+        raise _UsageError(f"--count must be between 1 and {MAX_COUNT}, "
+                          f"got {args.count}")
     if not 0.0 <= getattr(args, "tolerance", 0.0) < math.inf:
         raise _UsageError(f"--tolerance must be finite and non-negative, "
                           f"got {args.tolerance}")
@@ -234,6 +238,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         # missing, unreadable or non-UTF-8 input files
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -2,13 +2,19 @@
 
 Expressions are ASTs over coordinate variables x1..xn, real literals and
 the operators + - * / unary-minus, integer powers and the functions
-sin, cos, exp, log, sqrt.  Differentiation is exact and symbolic;
-evaluation is plain IEEE double arithmetic.  Nodes compare by identity,
-so one `evaluate_many` call evaluates a subtree its items share once,
-with a memo that lives for that call alone.  Derivatives are memoised
-per node: each node keeps its derivative in each variable the first time
-it is differentiated, so a subtree shared by many expressions (a DAG) is
-differentiated once, and its derivative is again one shared node.
+sin, cos, exp, log, sqrt.  The node types are Const, Var, Add, Sub,
+Mul, Div, Pow and Call.  A negation is a product: -y is
+Mul(MINUS_ONE, y), printed -y, and a + (-y) and a - (-y) are built as
+a - y and a + y.  In IEEE arithmetic -y = (-1)*y, a + (-y) = a - y and
+a - (-y) = a + y hold exactly, signed zeros included, so these shapes
+give the values the written operations do.  Differentiation is exact
+and symbolic; evaluation is plain IEEE double arithmetic.  Nodes compare
+by identity, so one `evaluate_many` call evaluates a subtree its items
+share once, with a memo that lives for that call alone.  Derivatives are
+memoised per node: each node keeps its derivative in each variable the
+first time it is differentiated, so a subtree shared by many expressions
+(a DAG) is differentiated once, and its derivative is again one shared
+node.
 
 A point is a sequence of n floats (x1 = point[0]) and a batch is a
 sequence of N points, shape (N, n) to `np.asarray`.  An expression has
@@ -167,13 +173,6 @@ class Div(Expr):
         self.a, self.b = a, b
 
 
-class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
@@ -192,6 +191,7 @@ class Call(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+MINUS_ONE = Const(-1.0)  # the one factor of a negation (-1)*y
 
 _FUNCS = {
     "sin": math.sin,
@@ -219,31 +219,33 @@ def lift(x) -> Expr:
 
 
 # Smart constructors with light folding: enough to keep derivative trees
-# from drowning in 0*x and x+0 noise, no general simplification.  Every
-# fold needs a Const operand, so add, sub and mul build the node at once
-# when neither operand is one.
+# from drowning in 0*x and x+0 noise, no general simplification.  The
+# constant folds need a Const operand.  `neg` builds every negation as
+# (-1)*y, and add and sub flip their node on a right operand -y.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if type(a) is not Const and type(b) is not Const:
-        return Add(a, b)
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.val + b.val)
+    if type(a) is Const or type(b) is Const:
+        if a.is_zero():
+            return b
+        if b.is_zero():
+            return a
+        if type(a) is Const and type(b) is Const:
+            return Const(a.val + b.val)
+    if type(b) is Mul and b.a is MINUS_ONE:
+        return Sub(a, b.b)
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if type(a) is not Const and type(b) is not Const:
-        return Sub(a, b)
-    if b.is_zero():
-        return a
-    if a.is_zero():
-        return neg(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.val - b.val)
+    if type(a) is Const or type(b) is Const:
+        if b.is_zero():
+            return a
+        if a.is_zero():
+            return neg(b)
+        if type(a) is Const and type(b) is Const:
+            return Const(a.val - b.val)
+    if type(b) is Mul and b.a is MINUS_ONE:
+        return Add(a, b.b)
     return Sub(a, b)
 
 
@@ -281,11 +283,11 @@ def div(a: Expr, b: Expr) -> Expr:
 
 
 def neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
+    if type(a) is Const:
         return Const(-a.val)
-    if isinstance(a, Neg):
-        return a.a
-    return Neg(a)
+    if type(a) is Mul and a.a is MINUS_ONE:
+        return a.b
+    return Mul(MINUS_ONE, a)
 
 
 def powi(a: Expr, k: int) -> Expr:
@@ -438,16 +440,6 @@ def _eval_div(e, point, memo):
     return v
 
 
-def _eval_neg(e, point, memo):
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit
-    a = e.a
-    v = -_EVAL[type(a)](a, point, memo)
-    memo[id(e)] = v
-    return v
-
-
 def _eval_pow(e, point, memo):
     hit = memo.get(id(e))
     if hit is not None:
@@ -482,7 +474,7 @@ def _eval_call(e, point, memo):
 
 _EVAL = {Const: _eval_const, Var: _eval_var, Add: _eval_arith(operator.add),
          Sub: _eval_arith(operator.sub), Mul: _eval_arith(operator.mul),
-         Div: _eval_div, Neg: _eval_neg, Pow: _eval_pow, Call: _eval_call}
+         Div: _eval_div, Pow: _eval_pow, Call: _eval_call}
 
 
 def diff(e: Expr, var: int) -> Expr:
@@ -516,8 +508,6 @@ def _diff(e: Expr, var: int) -> Expr:
     elif isinstance(e, Div):
         d = div(sub(mul(_diff(e.a, var), e.b), mul(e.a, _diff(e.b, var))),
                 powi(e.b, 2))
-    elif isinstance(e, Neg):
-        d = neg(_diff(e.a, var))
     elif isinstance(e, Pow):
         d = mul(mul(Const(e.exponent), powi(e.base, e.exponent - 1)),
                 _diff(e.base, var))
@@ -566,8 +556,6 @@ def subst(items, mapping) -> list:
             out = mul(walk(e.a), walk(e.b))
         elif isinstance(e, Div):
             out = div(walk(e.a), walk(e.b))
-        elif isinstance(e, Neg):
-            out = neg(walk(e.a))
         elif isinstance(e, Pow):
             out = powi(walk(e.base), e.exponent)
         elif isinstance(e, Call):
@@ -770,14 +758,14 @@ def _print(e: Expr, ctx: int) -> str:
         s = f"{_print(e.a, 0)} - {_print(e.b, 1)}"
         return f"({s})" if ctx > 0 else s
     if isinstance(e, Mul):
+        if e.a is MINUS_ONE:
+            s = f"-{_print(e.b, 2)}"
+            return f"({s})" if ctx > 2 else s
         s = f"{_print(e.a, 1)}*{_print(e.b, 2)}"
         return f"({s})" if ctx > 1 else s
     if isinstance(e, Div):
         s = f"{_print(e.a, 1)}/{_print(e.b, 2)}"
         return f"({s})" if ctx > 1 else s
-    if isinstance(e, Neg):
-        s = f"-{_print(e.a, 2)}"
-        return f"({s})" if ctx > 2 else s
     if isinstance(e, Pow):
         if e.exponent < 0:
             return f"pow({_print(e.base, 0)}, {e.exponent})"

@@ -106,28 +106,30 @@ class FieldConfig:
     __slots__ = ("chart", "psi", "potential", "h", "m", "_built")
 
     def __init__(self, chart: Chart, psi: FormField, a, b, h: FormField,
-                 m: float, validate: bool = True):
+                 m: float):
         n = chart.dim
         if len(a) != n or len(b) != n:
             raise FieldConfigError(f"need {n} components for a and B")
         m = float(m)
         if not np.isfinite(m):
             raise FieldConfigError(f"mass m = {m} is not finite")
-        if validate:
-            p = chart.midpoint()
-            for k in range(n):
-                _check_shape(f"a_{k + 1}", a[k], {0}, False, True, p)
-                _check_shape(f"B_{k + 1}", b[k], {2}, True, False, p)
-            _check_shape("H", h, {1}, True, False, p)
-        for name, value in zip(self.__slots__, (
-                chart, psi, tuple(map(operator.add, a, b)), h, m, {})):
-            super().__setattr__(name, value)
+        p = chart.midpoint()
+        for k in range(n):
+            _check_shape(f"a_{k + 1}", a[k], {0}, False, True, p)
+            _check_shape(f"B_{k + 1}", b[k], {2}, True, False, p)
+        _check_shape("H", h, {1}, True, False, p)
+        self._hold(chart, psi, tuple(map(operator.add, a, b)), h, m)
 
     @classmethod
     def _of(cls, chart, psi, potential, h, m):
-        """A config from whole potentials A_k, unchecked: A_k + 0."""
-        return cls(chart, psi, potential, [FormField(chart)] * chart.dim, h,
-                   m, validate=False)
+        """A config from whole potentials A_k, unchecked."""
+        cfg = cls.__new__(cls)
+        cfg._hold(chart, psi, tuple(potential), h, m)
+        return cfg
+
+    def _hold(self, *values):
+        for name, value in zip(self.__slots__, (*values, {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FieldConfig is immutable; cannot set {name!r}")

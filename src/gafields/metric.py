@@ -105,7 +105,7 @@ def minor(m: Metric, rows, cols) -> float:
     return float(np.linalg.det(sub))
 
 
-def is_isometry(m: Metric, P: np.ndarray, rtol: float = ISOMETRY_RTOL):
+def is_isometry(m: Metric, P: np.ndarray):
     """True iff the linear change with matrix p^i_j preserves the metric,
     i.e. the transformed contravariant components P g^ P^T equal g^.  A
     stack of matrices (..., n, n) gives one bool per matrix."""
@@ -116,7 +116,8 @@ def is_isometry(m: Metric, P: np.ndarray, rtol: float = ISOMETRY_RTOL):
         raise ArgumentError("P is singular")
     transformed = P @ m.g_upper @ np.swapaxes(P, -1, -2)
     scale = np.abs(m.g_upper).max()
-    ok = np.abs(transformed - m.g_upper).max(axis=(-2, -1)) <= rtol * scale
+    ok = np.abs(transformed - m.g_upper).max(axis=(-2, -1)) \
+        <= ISOMETRY_RTOL * scale
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -446,8 +446,7 @@ def test_criterion_10_variational():
     weight = (two_pi / n_grid) ** 4
 
     def action(psi, mass):
-        c = FieldConfig(chart, psi, *sectors(cfg), cfg.h, mass,
-                        validate=False)
+        c = FieldConfig(chart, psi, *sectors(cfg), cfg.h, mass)
         return lagrangian_l1(c, grid).real.sum() * weight
 
     phase = phase_cexpr(k_vec)

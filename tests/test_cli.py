@@ -332,9 +332,39 @@ def test_field_check_bad_config_is_usage_error(name, tmp_path):
 
 
 @pytest.mark.parametrize("args", [["--seed", "-1"], ["--count", "-4"],
-                                  ["--count", "0"]])
+                                  ["--count", "0"],
+                                  # past MAX_COUNT: arrays too big for memory
+                                  ["--count", "1000000000000000000"]])
 def test_verify_bad_seed_or_count_is_usage_error(args):
     assert_exits_2(["verify", "--suite", "dirac", *args])
+
+
+def test_field_check_oversized_count_is_usage_error(tmp_path):
+    # a count past MAX_COUNT would build points in a loop for hours
+    assert_usage_error(["field-check", "--count", "1000000000000000000",
+                        "--config"], field_config(), tmp_path)
+
+
+def test_largest_count_is_accepted(capsys, monkeypatch):
+    counts = []
+    monkeypatch.setitem(checks.SUITES, "dirac",
+                        lambda seed, count: counts.append(count) or [])
+    code, _, _ = run_cli(["verify", "--suite", "dirac",
+                          "--count", str(cli.MAX_COUNT)], capsys)
+    assert code == 0 and counts == [cli.MAX_COUNT]
+    code, _, err = run_cli(["verify", "--suite", "dirac",
+                            "--count", str(cli.MAX_COUNT + 1)], capsys)
+    assert code == 2 and err.startswith("error:") and counts == [cli.MAX_COUNT]
+
+
+def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
+    def exhausted(seed, count):
+        raise MemoryError("Unable to allocate 7.3 EiB")
+    monkeypatch.setitem(checks.SUITES, "algebra", exhausted)
+    code, out, err = run_cli(["verify", "--suite", "algebra"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 7.3 EiB\n"
 
 
 def test_field_check_negative_seed_is_usage_error(tmp_path):

@@ -21,8 +21,8 @@ from gafields.expr import (
     ExprDepthError,
     ExprError,
     ExprSyntaxError,
+    MINUS_ONE,
     Mul,
-    Neg,
     ONE,
     Pow,
     Sub,
@@ -142,6 +142,34 @@ def test_every_node_type_has_an_evaluator():
     assert types == set(expr_module._EVAL)
 
 
+def test_a_negated_right_operand_flips_the_node():
+    # a + (-b) = a - b and a - (-b) = a + b hold bit for bit in IEEE
+    # arithmetic, so the constructors build the node without the negation
+    e = parse("x1 + -x2", 2)
+    assert type(e) is Sub and to_str(e) == "x1 - x2"
+    e = parse("x1 - -x2", 2)
+    assert type(e) is Add and to_str(e) == "x1 + x2"
+    # the left operand keeps its negation
+    assert to_str(parse("-x1 + x2", 2)) == "-x1 + x2"
+
+
+def test_negation_is_one_product_with_minus_one():
+    e = parse("sin(x1)", 1)
+    n = neg(e)
+    assert type(n) is Mul and n.a is MINUS_ONE and n.b is e
+    assert neg(n) is e
+    assert mul(Const(-1.0), e).a is MINUS_ONE
+    assert mul(e, Const(-1.0)).a is MINUS_ONE
+    assert to_str(n) == "-sin(x1)"
+    assert to_str(mul(parse("x2", 2), neg(parse("x1", 2)))) == "x2*-x1"
+    assert to_str(powi(neg(parse("x1", 1)), 2)) == "(-x1)^2"
+    # -x and (-1)*x are the same number, signed zeros included
+    for x in (0.0, -0.0, 1.5, -2.25):
+        assert math.copysign(1.0, evaluate(neg(Var(1)), (x,))) \
+            == -math.copysign(1.0, x)
+        assert evaluate(neg(Var(1)), (x,)) == -x
+
+
 def test_round_trip_printing():
     for src in ("x1*x2 + sin(x1)^2", "1/(x1 - x2)", "-(x1 + 1)*x2",
                 "exp(-x1)*cos(2*x2)"):
@@ -206,8 +234,6 @@ def _diff_reference(e, var):
     if isinstance(e, Div):
         return div(sub(mul(_diff_reference(e.a, var), e.b),
                        mul(e.a, _diff_reference(e.b, var))), powi(e.b, 2))
-    if isinstance(e, Neg):
-        return neg(_diff_reference(e.a, var))
     if isinstance(e, Pow):
         return mul(mul(Const(e.exponent), powi(e.base, e.exponent - 1)),
                    _diff_reference(e.base, var))

@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from gafields.expr import (CExpr, EvalDomainError, ZERO, call, check_finite,
-                           evaluate, parse)
+from gafields.expr import (MINUS_ONE, Add, CExpr, EvalDomainError, Mul, Sub,
+                           ZERO, call, check_finite, evaluate, parse)
 from gafields.fields import (
     FieldConfig,
     FieldConfigError,
@@ -728,6 +728,35 @@ def test_covariance_under_identity_change_of_a_shared_dag():
     start = time.perf_counter()
     assert covariance_check(cfg, identity_change(cfg.chart), points) == 0.0
     assert time.perf_counter() - start < 2.0
+
+
+def test_no_sum_or_difference_in_the_system_adds_a_negation():
+    # the constructors build a + (-y) as a - y and a - (-y) as a + y, so
+    # no form of any residual family holds a negated right operand
+    cfg = skew_config(np.random.default_rng(0))
+    stack = []
+    for family in fields.FAMILIES:
+        terms, _ = fields._FAMILY_BUILDERS[family](cfg)
+        for term in terms:
+            if isinstance(term, FormField):
+                stack += [x for c in term.coeffs.values()
+                          for x in (c.re, c.im)]
+            elif isinstance(term, CExpr):
+                stack += [term.re, term.im]
+            else:
+                stack.append(term)
+    seen, sums = set(), 0
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if isinstance(e, (Add, Sub)):
+            sums += 1
+            assert not (isinstance(e.b, Mul) and e.b.a is MINUS_ONE)
+        stack += [getattr(e, f) for f in ("a", "b", "base", "arg")
+                  if hasattr(e, f)]
+    assert sums > 1000
 
 
 def test_pullback_keeps_the_sharing_of_its_form():
