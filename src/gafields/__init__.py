@@ -9,7 +9,6 @@ from .multivector import (
     ProductTable,
     build_product_table,
     wedge,
-    clifford_mul,
     basis_convert,
     grade_project,
     reversion,
@@ -44,7 +43,7 @@ from .dirac import gamma_matrices, rep_map, minkowski_metric
 __all__ = [
     "Metric", "new_metric", "minor", "is_isometry",
     "Multivector", "ProductTable", "build_product_table",
-    "wedge", "clifford_mul", "basis_convert", "grade_project",
+    "wedge", "basis_convert", "grade_project",
     "reversion", "conjugate_star", "trace", "scalar_product",
     "hodge_star", "star_inverse", "volume_form", "exp_mv",
     "CExpr", "Expr", "parse", "diff", "evaluate", "to_str",

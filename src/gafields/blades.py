@@ -12,15 +12,16 @@ A Grassmann blade a = e^i ^ B with lowest index i follows from
 Chevalley's identity e^i ^ B = e^i B - e^i _| B, so the product of two
 blades is a recurrence over `gen_mul` steps.  The symbolic layer builds
 a chart's blade-product table by that recurrence (`Chart.blade_product`)
-and takes `wedge_dicts` from here directly; the numeric `ProductTable`
-runs the same recurrence over whole arrays.
+and takes `wedge_dicts` from here directly; the numeric layer runs the
+same recurrence over whole arrays (`multivector.structure_tensor`), for
+the Clifford product of a metric and, with g = 0, the exterior product.
 
 This module is also the one place that knows blade grades and signs:
-`grade_array(n)`, `reversion_array(n)` and the exterior product's sign
-tensor `wedge_tensor(n)` are read-only arrays built once per dimension,
-and `reversion_sign(k)` and `star_inverse_sign(k, n, sgn g)` are the
-sign rules themselves; the numeric layer reads its grade projections,
-parities, involutions and wedge products off these arrays.
+`grade_array(n)` and `reversion_array(n)` are read-only arrays built
+once per dimension, and `reversion_sign(k)` and
+`star_inverse_sign(k, n, sgn g)` are the sign rules themselves; the
+numeric layer reads its grade projections, parities and involutions off
+these arrays.
 """
 
 from __future__ import annotations
@@ -74,25 +75,6 @@ def blade_indices(mask: int):
         mask >>= 1
         i += 1
     return out
-
-
-@lru_cache(maxsize=None)
-def wedge_tensor(n: int) -> np.ndarray:
-    """The exterior product as a dense sign tensor: ``[a, a | b, b]`` holds
-    the sign of e_a ^ e_b for disjoint masks a, b, and every other entry
-    is 0."""
-    size = 1 << n
-    a, b = np.divmod(np.arange(size * size), size)
-    keep = (a & b) == 0
-    a, b = a[keep], b[keep]
-    # merging b into a passes each generator of b over the generators of
-    # a above it
-    swaps = np.zeros(len(a), dtype=int)
-    for j in range(n):
-        swaps += ((b >> j) & 1) * grade_array(n)[a >> (j + 1)]
-    out = np.zeros((size, size, size))
-    out[a, a | b, b] = 1 - 2 * (swaps % 2)
-    return _frozen(out)
 
 
 def mask_of(indices) -> int:

@@ -7,8 +7,10 @@ Mul, Div, Pow and Call.  A negation is a product: -y is
 Mul(MINUS_ONE, y), printed -y, and a + (-y) and a - (-y) are built as
 a - y and a + y.  In IEEE arithmetic -y = (-1)*y, a + (-y) = a - y and
 a - (-y) = a + y hold exactly, signed zeros included, so these shapes
-give the values the written operations do.  Differentiation is exact
-and symbolic; evaluation is plain IEEE double arithmetic.  Nodes compare
+give the values the written operations do.  A constant is a finite
+double: a literal or a constant fold outside double range, or 0/0,
+raises `ExprError` when it is built, so every tree prints to a string
+that parses back.  Differentiation is exact and symbolic; evaluation is plain IEEE double arithmetic.  Nodes compare
 by identity, so one `evaluate_many` call evaluates a subtree its items
 share once, with a memo that lives for that call alone.  Derivatives are
 memoised per node: each node keeps its derivative in each variable the
@@ -129,10 +131,15 @@ class Expr:
 
 
 class Const(Expr):
+    """A finite double: a literal or a constant fold that leaves double
+    range, or is undefined, raises `ExprError` here."""
+
     __slots__ = ("val",)
 
     def __init__(self, val: float):
         self.val = float(val)
+        if not math.isfinite(self.val):
+            raise ExprError(f"constant {self.val} is not a finite double")
 
     def is_zero(self) -> bool:
         return self.val == 0.0
@@ -270,15 +277,15 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if a.is_zero():
-        return ZERO
     if isinstance(b, Const):
+        if b.val == 0.0:  # before the zero numerator: 0/0 is undefined
+            raise ExprError("division by constant zero")
         if b.val == 1.0:
             return a
-        if b.val == 0.0:
-            raise ExprError("division by constant zero")
         if isinstance(a, Const):
             return Const(a.val / b.val)
+    if a.is_zero():
+        return ZERO
     return Div(a, b)
 
 
@@ -595,6 +602,8 @@ def _tokenize(src: str):
             while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or src[j] == "."
                 j += 1
+            if src[i:j] == ".":
+                raise ExprSyntaxError("number has no digit", i)
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
@@ -603,6 +612,9 @@ def _tokenize(src: str):
                     while k < n and src[k].isdigit():
                         k += 1
                     j = k
+            if not math.isfinite(float(src[i:j])):
+                raise ExprSyntaxError(f"number {src[i:j]} is out of double "
+                                      "range", i)
             tokens.append(("num", src[i:j], i))
             i = j
             continue

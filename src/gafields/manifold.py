@@ -96,10 +96,11 @@ class Chart:
         if any(lo >= hi for lo, hi in self.domain):
             raise ChartError("empty domain interval")
 
-        self.g_upper_exprs, self.det_expr = _sym_inverse(self.g_lower_exprs)
         self._metric_key = self._metric = None
-        mid = self.midpoint()
-        ref = self.metric_at(mid)  # validates symmetry and nondegeneracy
+        # validates symmetry and nondegeneracy, before the symbolic inverse
+        # can divide by a constant zero determinant
+        ref = self.metric_at(self.midpoint())
+        self.g_upper_exprs, self.det_expr = _sym_inverse(self.g_lower_exprs)
         self.sign = ref.sign
         self.sqrt_abs_det = call("sqrt", Const(float(self.sign)) * self.det_expr)
         self._gamma = None

@@ -2,8 +2,11 @@
 
 Coefficients are complex doubles indexed by blade bitmask; the internal
 basis is always the Grassmann one, and `basis_convert` changes to and
-from Clifford-basis coefficients.  Every Clifford product of a metric is a
-slice or a contraction of one real array, ``ProductTable.left``.  Blade
+from Clifford-basis coefficients.  Both products of the bialgebra are
+slices or contractions of one kind of real array, the structure tensor
+that `structure_tensor(g)` builds for a contravariant form g: a metric's
+g_upper gives ``ProductTable.left`` and its Clifford product, and the
+zero form gives the exterior product of `wedge`.  Blade
 grades and reversion signs come from ``blades.grade_array`` and
 ``blades.reversion_array``; grade projection, parity and the involutions
 are array expressions over them.
@@ -17,12 +20,14 @@ operand is one, else an array.
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
+
 import numpy as np
 
 from . import blades
 from .metric import ArgumentError, Metric
 
-MAX_TABLE_DIM = 8  # the dense structure tensor takes 128 MB at n = 8
+MAX_TABLE_DIM = 8  # a dense structure tensor takes 128 MB at n = 8
 EXP_RTOL = 1e-16  # exp_mv stops at a term this small against the sum or 1
 EXP_MAX_TERMS = 200
 
@@ -113,7 +118,8 @@ class Multivector:
 
     def __mul__(self, scalar):
         if isinstance(scalar, Multivector):
-            raise TypeError("use clifford_mul or wedge for multivector products")
+            raise TypeError("use ProductTable.mul or wedge for multivector "
+                            "products")
         return Multivector._of(self.dim, self.coeffs * scalar)
 
     __rmul__ = __mul__
@@ -129,65 +135,79 @@ class Multivector:
 
 
 # ---------------------------------------------------------------------------
-# Product table: per-metric structure tensor and basis-conversion matrices.
+# Structure tensors: the product of a contravariant form, and its table.
+
+def structure_tensor(g) -> np.ndarray:
+    r"""The product of the contravariant form g^{ij} as a dense structure
+    tensor, ``[a, c, b]`` the coefficient of Grassmann blade c in e_a e_b,
+    so ``[a]`` is the matrix of x -> e_a x and ``[:, :, b].T`` that of
+    x -> x e_b.  A metric's g_upper gives its Clifford product, and the
+    zero form its exterior product, ``[a, a | b, b]`` the sign of
+    e_a ^ e_b for disjoint masks a, b.
+
+    A generator slice is filled over all masks b at once: e^i e_b =
+    e^i ^ e_b + e^i _| e_b, the wedge signed by the generators of b
+    below i, and the contraction sum_{j in b} (-1)^(pos_j - 1) g^{ij}
+    e_{b \ j}, pos_j being the position of j in b.  A blade a = e^i ^ B
+    with lowest index i follows from e^i ^ B = e^i B - e^i _| B:
+
+        [a] = [e^i] @ [B] - sum_{j in B} (-1)^(pos_j - 1) g^{ij} [B \ j]
+
+    Dense: 2 MB at n = 6, 128 MB at n = 8, so n is at most
+    `MAX_TABLE_DIM`.
+    """
+    n = len(g)
+    if n > MAX_TABLE_DIM:
+        raise ArgumentError(f"product tables cover dimensions up to "
+                            f"{MAX_TABLE_DIM}, got {n}")
+    size = 1 << n
+    masks = np.arange(size)
+    grade = blades.grade_array(n)
+    left = np.zeros((size, size, size))
+    left[0] = np.eye(size)
+    for i in range(n):
+        gen = left[1 << i]
+        # e^i ^ e_b passes e^i over the generators of b below i
+        free = masks[(masks >> i) & 1 == 0]
+        below = grade[free & ((1 << i) - 1)]
+        gen[free | (1 << i), free] = 1 - 2 * (below % 2)
+        for j in range(n):
+            if g[i, j] == 0:  # no entry, not even a signed zero
+                continue
+            held = masks[(masks >> j) & 1 == 1]
+            # +g^{ij} where j sits at an odd position of b
+            pos = grade[held & ((2 << j) - 1)]
+            gen[held ^ (1 << j), held] = g[i, j] * (2 * (pos % 2) - 1)
+    for a in range(1, size):
+        rest = a & (a - 1)
+        if not rest:
+            continue
+        low = a ^ rest
+        i = low.bit_length() - 1
+        left[a] = left[low] @ left[rest]
+        for pos, j in enumerate(blades.blade_indices(rest)):
+            sign = 1.0 if pos % 2 == 0 else -1.0
+            left[a] -= sign * g[i, j - 1] * left[rest ^ (1 << (j - 1))]
+    return left
+
+
+@lru_cache(maxsize=None)
+def _wedge_tensor(n: int) -> np.ndarray:
+    """The exterior product's structure tensor, read-only, once per n."""
+    out = structure_tensor(np.zeros((n, n)))
+    out.flags.writeable = False
+    return out
+
 
 class ProductTable:
-    r"""The Clifford product of one metric as a dense structure tensor.
-
-    ``left[a][c, b]`` is the coefficient of Grassmann blade c in e_a e_b,
-    so ``left[a]`` is the matrix of x -> e_a x and ``left[:, :, b].T``
-    that of x -> x e_b.  A generator slice is filled over all masks b at
-    once: e^i e_b = e^i ^ e_b + e^i _| e_b, the wedge signed by the
-    generators of b below i, and the contraction sum_{j in b}
-    (-1)^(pos_j - 1) g^{ij} e_{b \ j}, pos_j being the position of j in b.
-    A blade a = e^i ^ B with lowest index i follows from
-    e^i ^ B = e^i B - e^i _| B:
-
-        left[a] = left[e^i] @ left[B]
-                  - sum_{j in B} (-1)^(pos_j - 1) g^{ij} left[B \ j]
-
-    Built eagerly and kept dense: 2 MB at n = 6, 128 MB at n = 8.
-    """
+    """The Clifford product of one metric: ``left``, its structure tensor
+    (see `structure_tensor`), built eagerly; the basis changes and the
+    volume form are built on first use."""
 
     def __init__(self, metric: Metric):
-        if metric.dim > MAX_TABLE_DIM:
-            raise ArgumentError(f"product tables cover dimensions up to "
-                                f"{MAX_TABLE_DIM}, got {metric.dim}")
         self.metric = metric
-        self.dim = n = metric.dim
-        g = metric.g_upper
-        size = 1 << n
-        masks = np.arange(size)
-        grade = blades.grade_array(n)
-        left = np.zeros((size, size, size))
-        left[0] = np.eye(size)
-        for i in range(n):
-            gen = left[1 << i]
-            # e^i ^ e_b passes e^i over the generators of b below i
-            free = masks[(masks >> i) & 1 == 0]
-            below = grade[free & ((1 << i) - 1)]
-            gen[free | (1 << i), free] = 1 - 2 * (below % 2)
-            for j in range(n):
-                if g[i, j] == 0:  # no entry, not even a signed zero
-                    continue
-                held = masks[(masks >> j) & 1 == 1]
-                # +g^{ij} where j sits at an odd position of b
-                pos = grade[held & ((2 << j) - 1)]
-                gen[held ^ (1 << j), held] = g[i, j] * (2 * (pos % 2) - 1)
-        for a in range(1, size):
-            rest = a & (a - 1)
-            if not rest:
-                continue
-            low = a ^ rest
-            i = low.bit_length() - 1
-            left[a] = left[low] @ left[rest]
-            for pos, j in enumerate(blades.blade_indices(rest)):
-                sign = 1.0 if pos % 2 == 0 else -1.0
-                left[a] -= sign * g[i, j - 1] * left[rest ^ (1 << (j - 1))]
-        self.left = left
-        self._g2c = None
-        self._c2g = None
-        self._volume = None
+        self.dim = metric.dim
+        self.left = structure_tensor(metric.g_upper)
 
     def mul(self, u, v):
         """Clifford product U V, row by row over broadcast stacks."""
@@ -202,38 +222,35 @@ class ProductTable:
         Column a of the Clifford-to-Grassmann matrix is nonzero only on
         the subsets of a with a's parity, so only those slices of
         ``left`` enter the sum."""
-        c2g = self.clifford_to_grassmann_matrix()
+        c2g = self.clifford_to_grassmann_matrix
         acc = np.zeros(self.left.shape[1:])
         for r in np.flatnonzero(c2g[:, a]):
             acc += c2g[r, a] * self.left[r]
-        return self.grassmann_to_clifford_matrix() @ acc @ c2g
+        return self.grassmann_to_clifford_matrix @ acc @ c2g
 
+    @cached_property
     def grassmann_to_clifford_matrix(self) -> np.ndarray:
         """The inverse of `clifford_to_grassmann_matrix`, which is unit
         upper triangular in mask order."""
-        if self._g2c is None:
-            self._g2c = np.linalg.inv(self.clifford_to_grassmann_matrix())
-        return self._g2c
+        return np.linalg.inv(self.clifford_to_grassmann_matrix)
 
+    @cached_property
     def clifford_to_grassmann_matrix(self) -> np.ndarray:
         """Column a holds the Clifford monomial a in the Grassmann basis,
         built from e_0 up: the monomial of a with lowest index i is e^i
         times the monomial of a without i."""
-        if self._c2g is None:
-            size = 1 << self.dim
-            c2g = np.zeros((size, size))
-            c2g[0, 0] = 1.0
-            for a in range(1, size):
-                low = a & -a
-                c2g[:, a] = self.left[low] @ c2g[:, a ^ low]
-            self._c2g = c2g
-        return self._c2g
+        size = 1 << self.dim
+        c2g = np.zeros((size, size))
+        c2g[0, 0] = 1.0
+        for a in range(1, size):
+            low = a & -a
+            c2g[:, a] = self.left[low] @ c2g[:, a ^ low]
+        return c2g
 
+    @cached_property
     def volume(self) -> Multivector:
-        if self._volume is None:
-            self._volume = Multivector.blade(self.dim, range(1, self.dim + 1),
-                                             np.sqrt(self.metric.abs_det))
-        return self._volume
+        return Multivector.blade(self.dim, range(1, self.dim + 1),
+                                 np.sqrt(self.metric.abs_det))
 
 
 def build_product_table(m: Metric) -> ProductTable:
@@ -298,20 +315,13 @@ def _grade(c: np.ndarray) -> int:
 # Operations.
 
 def wedge(u, v):
-    """Exterior product U ^ V: one contraction with the sign tensor of the
-    dimension."""
+    """Exterior product U ^ V: one contraction with the structure tensor
+    of the zero form."""
     a, b = coeffs_of(u), coeffs_of(v)
     n = _dim_of(a)
     if _dim_of(b) != n:
         raise DimensionMismatch(f"dimensions {n} and {_dim_of(b)}")
-    if n > MAX_TABLE_DIM:
-        raise ArgumentError(f"wedge products cover dimensions up to "
-                            f"{MAX_TABLE_DIM}, got {n}")
-    return _like(n, _contract(blades.wedge_tensor(n), a, b), u, v)
-
-
-def clifford_mul(u, v, table: ProductTable):
-    return table.mul(u, v)
+    return _like(n, _contract(_wedge_tensor(n), a, b), u, v)
 
 
 def grade_project(u, k: int):
@@ -362,13 +372,13 @@ def grade_masks(dim: int, k: int):
 
 
 def volume_form(m: Metric) -> Multivector:
-    return build_product_table(m).volume() * 1.0
+    return build_product_table(m).volume * 1.0
 
 
 def hodge_star(u, m: Metric):
     """Hodge dual via the algebraic form: (reversion of U) * volume form."""
     table = build_product_table(m)
-    star = table.mul(reversion(coeffs_of(u)), table.volume().coeffs)
+    star = table.mul(reversion(coeffs_of(u)), table.volume.coeffs)
     return _like(m.dim, star, u)
 
 
@@ -458,9 +468,9 @@ def basis_convert(u, frm: str, to: str, m: Metric):
     table = build_product_table(m)
     if frm == CLIFFORD:
         # coefficients on Clifford monomials -> coefficients on Grassmann blades
-        mat = table.clifford_to_grassmann_matrix()
+        mat = table.clifford_to_grassmann_matrix
     else:
-        mat = table.grassmann_to_clifford_matrix()
+        mat = table.grassmann_to_clifford_matrix
     return _like(m.dim, coeffs_of(u) @ mat.T, u)
 
 

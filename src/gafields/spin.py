@@ -18,7 +18,6 @@ from .multivector import (
     Multivector,
     coeffs_of,
     build_product_table,
-    clifford_mul,
     conjugate_star,
     exp_mv,
     grade_project,
@@ -45,7 +44,7 @@ def is_spin_member(f: Multivector, m: Metric, tol: float = SPIN_TOL) -> bool:
     if not f.is_real(tol) or not f.is_even(tol):
         return False
     table = build_product_table(m)
-    unit_defect = clifford_mul(f, conjugate_star(f), table) - Multivector.unit(f.dim)
+    unit_defect = table.mul(f, conjugate_star(f)) - Multivector.unit(f.dim)
     if unit_defect.norm() > tol:
         return False
     if m.dim >= 6:
@@ -59,7 +58,7 @@ def is_spin_member(f: Multivector, m: Metric, tol: float = SPIN_TOL) -> bool:
 def adjoint_action(f, u, m: Metric):
     """The twisted conjugation U -> F* U F."""
     table = build_product_table(m)
-    return clifford_mul(clifford_mul(conjugate_star(f), u, table), f, table)
+    return table.mul(table.mul(conjugate_star(f), u), f)
 
 
 def isometry_of(f, m: Metric) -> np.ndarray:

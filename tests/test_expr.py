@@ -65,7 +65,8 @@ def test_parse_functions():
 
 
 def test_parse_errors():
-    for bad in ("x0", "x3", "1 +", "sin()", "2 ** 3", "foo(x1)", "(x1"):
+    for bad in ("x0", "x3", "1 +", "sin()", "2 ** 3", "foo(x1)", "(x1", ".",
+                ".e5"):
         with pytest.raises(ExprSyntaxError):
             parse(bad, 2)
 
@@ -377,9 +378,13 @@ def test_call_guard():
 
 
 @pytest.mark.parametrize("src", ["pow(0, -1)", "exp(1000)", "10^400",
-                                 "log(0 - 1)"])
+                                 "log(0 - 1)", "1e999", "1e300*1e300",
+                                 "1e308+1e308", "1/1e-320",
+                                 "(1e308+1e308)-(1e308+1e308)",
+                                 "0*(1e300*1e300)", "0/0", "1/0"])
 def test_constant_folding_errors_are_typed(src):
-    # constants fold while parsing, so their domain errors surface there
+    # constants fold while parsing, so their domain errors surface there,
+    # and no constant is inf or NaN
     with pytest.raises(ExprError):
         parse(src, 1)
 

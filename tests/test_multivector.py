@@ -15,7 +15,6 @@ from gafields.multivector import (
     NumericError,
     basis_convert,
     build_product_table,
-    clifford_mul,
     clifford_via_star,
     conjugate_star,
     exp_mv,
@@ -23,6 +22,7 @@ from gafields.multivector import (
     grade_project,
     reversion,
     scalar_product,
+    structure_tensor,
     trace,
     wedge,
 )
@@ -55,6 +55,19 @@ def test_wedge_permutation_sign():
     # odd permutation flips the sign
     w = wedge(wedge(blade(n, [2]), blade(n, [1])), blade(n, [3]))
     assert (w + blade(n, [1, 2, 3])).norm() == 0.0
+
+
+def test_zero_form_tensor_is_wedge_sign():
+    # the structure tensor of g = 0 holds the sign of e_a ^ e_b at
+    # [a, a | b, b] for disjoint a, b, and nothing else
+    for n in range(1, 7):
+        size = 1 << n
+        want = np.zeros((size, size, size))
+        for a in range(size):
+            for b in range(size):
+                if not a & b:
+                    want[a, a | b, b] = blades.wedge_sign(a, b)
+        assert np.array_equal(structure_tensor(np.zeros((n, n))), want)
 
 
 def test_wedge_associative_random(rng):
@@ -149,8 +162,8 @@ def test_basis_matrices_match_chain_kernel(rng):
         for m in reference_metrics(n, rng):
             t = build_product_table(m)
             g = lambda i, j: float(m.g_upper[i - 1, j - 1])
-            c2g, g2c = (t.clifford_to_grassmann_matrix(),
-                        t.grassmann_to_clifford_matrix())
+            c2g, g2c = (t.clifford_to_grassmann_matrix,
+                        t.grassmann_to_clifford_matrix)
             for got, convert in ((c2g, clifford_to_grassmann_blade),
                                  (g2c, grassmann_to_chains)):
                 want = np.zeros_like(got)
@@ -165,6 +178,9 @@ def test_basis_matrices_match_chain_kernel(rng):
 def test_table_dimension_guard():
     with pytest.raises(ArgumentError):
         build_product_table(new_metric(np.eye(9)))
+    u = np.zeros(1 << 9)
+    with pytest.raises(ArgumentError):
+        wedge(u, u)
 
 
 def test_unit_is_identity(rng):
@@ -182,7 +198,7 @@ def test_example_product_e13_e234(rng):
     g = m.g_upper
     u = basis_convert(blade(4, [1, 3]), CLIFFORD, GRASSMANN, m)
     v = basis_convert(blade(4, [2, 3, 4]), CLIFFORD, GRASSMANN, m)
-    prod = basis_convert(clifford_mul(u, v, build_product_table(m)),
+    prod = basis_convert(build_product_table(m).mul(u, v),
                          GRASSMANN, CLIFFORD, m)
     want = -g[2, 2] * blade(4, [1, 2, 4]) + 2 * g[1, 2] * blade(4, [1, 3, 4])
     assert (prod - want).norm() < 1e-12
