@@ -83,23 +83,39 @@ class FieldConfigError(ValueError):
     pass
 
 
-def _check_shape(name: str, f: FormField, grades, real: bool,
-                 imaginary: bool, p) -> None:
-    for mask in f.coeffs:
-        if popcount(mask) not in grades:
-            raise FieldConfigError(f"{name} has a grade-{popcount(mask)} "
-                                   f"component, expected grades {grades}")
-    for z in evaluate_many(f.coeffs.values(), p):
-        if real and abs(z.imag) > CHECK_TOL * max(1.0, abs(z)):
-            raise FieldConfigError(f"{name} is not real at {tuple(p)}")
-        if imaginary and abs(z.real) > CHECK_TOL * max(1.0, abs(z)):
-            raise FieldConfigError(f"{name} is not purely imaginary at "
-                                   f"{tuple(p)}")
+def _probe_points(chart: Chart) -> list:
+    """The chart midpoint and the 2^n interior points at the 1/4 and 3/4
+    marks of each interval (a chart may be singular at its corners): the
+    points where a configuration's own fields are checked."""
+    return [chart.midpoint(), *itertools.product(*[
+        (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
+        for lo, hi in chart.domain])]
+
+
+def _check_sectors(chart: Chart, sectors) -> None:
+    """Raise unless each (name, field, grades, part) has blades of those
+    grades alone and is `part` ("real" or "purely imaginary") at every
+    probe point, naming the first bad point.  Every field is evaluated
+    in one `eval_fields` call."""
+    for name, f, grades, _ in sectors:
+        for mask in f.coeffs:
+            if popcount(mask) not in grades:
+                raise FieldConfigError(f"{name} has a grade-{popcount(mask)} "
+                                       f"component, expected grades {grades}")
+    points = _probe_points(chart)
+    values = eval_fields([f for _, f, _, _ in sectors], points)
+    for (name, _, _, part), z in zip(sectors, values):
+        off = z.imag if part == "real" else z.real
+        bad = (np.abs(off) > CHECK_TOL * np.maximum(1.0, np.abs(z))).any(-1)
+        if bad.any():
+            raise FieldConfigError(f"{name} is not {part} at "
+                                   f"{points[int(np.argmax(bad))]}")
 
 
 class FieldConfig:
     """Psi, the potential A_k, H and m on a chart.  The constructor checks
-    a_k and B_k apart and keeps `potential[k]` = a_k + B_k.  Immutable:
+    a_k, B_k and H at the probe points (`_probe_points`) and keeps
+    `potential[k]` = a_k + B_k.  Immutable:
     the symbolic forms derived from it are built once, on first use, and
     kept in `_built` (see `_per_config`), so they can never go stale."""
 
@@ -113,11 +129,11 @@ class FieldConfig:
         m = float(m)
         if not np.isfinite(m):
             raise FieldConfigError(f"mass m = {m} is not finite")
-        p = chart.midpoint()
+        sectors = []
         for k in range(n):
-            _check_shape(f"a_{k + 1}", a[k], {0}, False, True, p)
-            _check_shape(f"B_{k + 1}", b[k], {2}, True, False, p)
-        _check_shape("H", h, {1}, True, False, p)
+            sectors += [(f"a_{k + 1}", a[k], {0}, "purely imaginary"),
+                        (f"B_{k + 1}", b[k], {2}, "real")]
+        _check_sectors(chart, [*sectors, ("H", h, {1}, "real")])
         self._hold(chart, psi, tuple(map(operator.add, a, b)), h, m)
 
     @classmethod
@@ -305,13 +321,10 @@ def conservation_defect(cfg: FieldConfig, p):
 # Gauge transformation.
 
 def _check_gauge_pair(cfg: FieldConfig, u: FormField, v: CExpr):
-    """Raise unless |v| = 1 and U is spin-valued at the chart midpoint and
-    the 2^n interior points at the 1/4 and 3/4 marks of each interval (a
-    chart may be singular at its corners), naming the first bad point."""
+    """Raise unless |v| = 1 and U is spin-valued at every probe point,
+    naming the first bad point."""
     chart = cfg.chart
-    points = [chart.midpoint(), *itertools.product(*[
-        (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
-        for lo, hi in chart.domain])]
+    points = _probe_points(chart)
     v_at, u_at = eval_fields((scalar_field(chart, v), u), points)
     for p, vp, up in zip(points, v_at[:, 0], u_at):
         if abs(abs(vp) - 1.0) > CHECK_TOL:

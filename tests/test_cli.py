@@ -322,6 +322,13 @@ BAD_CONFIGS = {
     # the mass is a finite JSON number
     "m_nan": field_config(m=float("nan")),
     "m_true": field_config(m=True),
+    # a_1 is imaginary at the midpoint alone (x3 = 0 there)
+    "a_real_off_midpoint": field_config(a=[
+        {"basis": "grassmann", "terms": [{"indices": [], "re": "x3",
+                                          "im": "1"}]},
+        *[{"basis": "grassmann", "terms": []}] * 3]),
+    # no constant is inf or NaN, not even under a zero factor
+    "zero_times_inf": field_config(psi=psi_term("0*1e999")),
 }
 
 

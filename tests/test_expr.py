@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import distinct_nodes
 
@@ -275,6 +275,41 @@ def test_memoised_diff_matches_the_memo_free_reference(src_a, src_b):
     for var in (1, 2, 1):  # the second x1 derivative is a memo hit
         assert to_str(diff(e, var)) == to_str(_diff_reference(e, var))
         assert to_str(diff(a, var)) == to_str(_diff_reference(a, var))
+
+
+# what the parser reads: digits, number punctuation, operators, names
+_PARSER_ALPHABET = "0123456789.eE+-*/^(), xsincoexplgqrtpw_"
+_PARSER_TOKENS = ["x1", "x2", "x3", "sin", "exp", "sqrt", "pow", "0", "1",
+                  "2.5", ".", "e5", "1e308", "1e-320", "(", ")", ",", "+",
+                  "-", "*", "/", "^", " "]
+
+
+@given(st.one_of(
+    st.text(alphabet=_PARSER_ALPHABET, max_size=30),
+    st.lists(st.sampled_from(_PARSER_TOKENS), max_size=16).map("".join)))
+@example(".")
+@example(".e5")
+@settings(max_examples=400, deadline=None)
+def test_parse_either_parses_or_raises_expr_error(src):
+    try:
+        parse(src, 2)
+    except ExprError:
+        pass
+
+
+# exp(486)^2 leaves double range in a constant fold
+_EXP_486 = "exp((pow(3, 3)) * ((pow(3, 2)) + (pow(3, 2))))"
+
+
+@given(_sources())
+@example(f"({_EXP_486}) * ({_EXP_486})")
+@settings(max_examples=200, deadline=None)
+def test_printed_trees_parse_back_to_the_same_text(src):
+    try:
+        e = parse(src, 2)
+    except ExprError:  # a constant part folds to a domain error
+        return
+    assert to_str(parse(to_str(e), 2)) == to_str(e)
 
 
 def test_diff_of_a_shared_dag_is_linear():

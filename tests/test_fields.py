@@ -94,6 +94,17 @@ def test_config_shape_checks(rng):
     bad_h = FormField(chart, {0b0011: CExpr.of(1.0)})
     with pytest.raises(FieldConfigError):
         FieldConfig(chart, psi, zero, zero, bad_h, 1.0)
+    # each part is checked at every probe point, not at the midpoint
+    # alone: these terms vanish there only
+    base = json.loads(config_to_json(smooth_config(np.random.default_rng(0))))
+    for name, block, part, src in (("a_1", ("a", 0), "re", "x1"),
+                                   ("B_1", ("b", 0), "im", "x2*x3"),
+                                   ("H", ("h",), "im", "x4")):
+        data = json.loads(json.dumps(base))
+        field = data[block[0]][block[1]] if len(block) == 2 else data["h"]
+        field["terms"][0][part] = src
+        with pytest.raises(FieldConfigError, match=f"{name} is not"):
+            config_from_json(json.dumps(data))
 
 
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")],
