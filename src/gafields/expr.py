@@ -10,13 +10,13 @@ a - (-y) = a + y hold exactly, signed zeros included, so these shapes
 give the values the written operations do.  A constant is a finite
 double: a literal or a constant fold outside double range, or 0/0,
 raises `ExprError` when it is built, so every tree prints to a string
-that parses back.  Differentiation is exact and symbolic; evaluation is plain IEEE double arithmetic.  Nodes compare
-by identity, so one `evaluate_many` call evaluates a subtree its items
-share once, with a memo that lives for that call alone.  Derivatives are
-memoised per node: each node keeps its derivative in each variable the
-first time it is differentiated, so a subtree shared by many expressions
-(a DAG) is differentiated once, and its derivative is again one shared
-node.
+that parses back.  Differentiation is exact and symbolic; evaluation is
+plain IEEE double arithmetic.  Nodes compare by identity, so one
+`evaluate_many` call evaluates a subtree its items share once, with a
+memo that lives for that call alone.  Derivatives are memoised per
+node: each node keeps its derivative in each variable the first time it
+is differentiated, so a subtree shared by many expressions (a DAG) is
+differentiated once, and its derivative is again one shared node.
 
 A point is a sequence of n floats (x1 = point[0]) and a batch is a
 sequence of N points, shape (N, n) to `np.asarray`.  An expression has
@@ -277,15 +277,15 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    if type(b) is Const and b.val == 0.0:  # 0/0 too: it has no value
+        raise ExprError("division by constant zero")
+    if a.is_zero():
+        return ZERO
     if isinstance(b, Const):
-        if b.val == 0.0:  # before the zero numerator: 0/0 is undefined
-            raise ExprError("division by constant zero")
         if b.val == 1.0:
             return a
         if isinstance(a, Const):
             return Const(a.val / b.val)
-    if a.is_zero():
-        return ZERO
     return Div(a, b)
 
 

@@ -115,9 +115,9 @@ def _check_sectors(chart: Chart, sectors) -> None:
 class FieldConfig:
     """Psi, the potential A_k, H and m on a chart.  The constructor checks
     a_k, B_k and H at the probe points (`_probe_points`) and keeps
-    `potential[k]` = a_k + B_k.  Immutable:
-    the symbolic forms derived from it are built once, on first use, and
-    kept in `_built` (see `_per_config`), so they can never go stale."""
+    `potential[k]` = a_k + B_k.  Immutable: the symbolic forms derived
+    from it are built once, on first use, and kept in `_built` (see
+    `_per_config`), so they can never go stale."""
 
     __slots__ = ("chart", "psi", "potential", "h", "m", "_built")
 
