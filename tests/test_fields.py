@@ -97,12 +97,11 @@ def test_config_shape_checks(rng):
     # each part is checked at every probe point, not at the midpoint
     # alone: these terms vanish there only
     base = json.loads(config_to_json(smooth_config(np.random.default_rng(0))))
-    for name, block, part, src in (("a_1", ("a", 0), "re", "x1"),
-                                   ("B_1", ("b", 0), "im", "x2*x3"),
-                                   ("H", ("h",), "im", "x4")):
+    for name, part, src in (("a_1", "re", "x1"), ("B_1", "im", "x2*x3"),
+                            ("H", "im", "x4")):
         data = json.loads(json.dumps(base))
-        field = data[block[0]][block[1]] if len(block) == 2 else data["h"]
-        field["terms"][0][part] = src
+        target = {"a_1": data["a"][0], "B_1": data["b"][0], "H": data["h"]}
+        target[name]["terms"][0][part] = src
         with pytest.raises(FieldConfigError, match=f"{name} is not"):
             config_from_json(json.dumps(data))
 
