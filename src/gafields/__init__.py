@@ -3,7 +3,7 @@ charts and a gauge field-model layer."""
 
 __version__ = "0.1.0"
 
-from .metric import Metric, new_metric, minor, is_isometry
+from .metric import GafieldsError, Metric, new_metric, minor, is_isometry
 from .multivector import (
     Multivector,
     ProductTable,
@@ -41,6 +41,7 @@ from .fields import (
 from .dirac import gamma_matrices, rep_map, minkowski_metric
 
 __all__ = [
+    "GafieldsError",
     "Metric", "new_metric", "minor", "is_isometry",
     "Multivector", "ProductTable", "build_product_table",
     "wedge", "basis_convert", "grade_project",

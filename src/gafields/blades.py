@@ -30,6 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .metric import ArgumentError
+
 
 popcount = int.bit_count
 
@@ -82,7 +84,7 @@ def mask_of(indices) -> int:
     for i in indices:
         bit = 1 << (i - 1)
         if mask & bit:
-            raise ValueError(f"repeated index {i}")
+            raise ArgumentError(f"repeated index {i}")
         mask |= bit
     return mask
 

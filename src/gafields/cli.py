@@ -1,4 +1,6 @@
-"""Command-line driver: product tables, identity suites, field checks."""
+"""Command-line driver: product tables, identity suites, field checks.
+Exit 0 means every case passed, 1 a case failed, and 2 an input error:
+any `GafieldsError`, an unreadable file or exhausted memory."""
 
 from __future__ import annotations
 
@@ -11,21 +13,15 @@ import time
 import numpy as np
 
 from . import blades, checks
-from .expr import ExprError
-from .fields import FieldConfigError, config_from_json, residuals
-from .manifold import ChartError
-from .metric import ArgumentError, MetricError, metric_from_json
-from .multivector import CLIFFORD, GRASSMANN, MAX_TABLE_DIM, build_product_table
+from .fields import config_from_json, residuals
+from .metric import ArgumentError, GafieldsError, metric_from_json
+from .multivector import CLIFFORD, GRASSMANN, build_product_table
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 TEXT_MAP_SIZE = 1 << 14  # value texts `mul-table` keeps between alphas
 # the largest --count: a suite stacks its samples and field-check its
 # points in arrays that grow with the count
 MAX_COUNT = 10_000
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _case(cid: str, defect: float, tol: float) -> dict:
@@ -111,14 +107,12 @@ def _write_table(fh, fmt: str, basis: str, dim: int, prods) -> None:
 
 def cmd_mul_table(args) -> int:
     with open(args.metric) as fh:
-        try:
-            metric = metric_from_json(fh.read())
-        except MetricError as exc:
-            raise _UsageError(f"bad metric: {exc}") from exc
-    if metric.dim > MAX_TABLE_DIM:
-        raise _UsageError(f"dimension {metric.dim} exceeds the table "
-                          f"limit of {MAX_TABLE_DIM}")
-    table = build_product_table(metric)
+        text = fh.read()
+    try:  # the table build checks n before it allocates
+        metric = metric_from_json(text)
+        table = build_product_table(metric)
+    except GafieldsError as exc:
+        raise ArgumentError(f"bad metric: {exc}") from exc
     prods = table.left
     if args.basis == CLIFFORD:
         prods = map(table.clifford_left, range(1 << metric.dim))
@@ -142,8 +136,8 @@ def _report(args, suite: str, cases) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite not in checks.SUITES:
-        raise _UsageError(f"unknown suite {args.suite!r}; choose from "
-                          f"{', '.join(checks.SUITES)}")
+        raise ArgumentError(f"unknown suite {args.suite!r}; choose from "
+                            f"{', '.join(checks.SUITES)}")
     start = time.monotonic()
     cases = checks.SUITES[args.suite](args.seed, args.count)
     elapsed = time.monotonic() - start
@@ -153,23 +147,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_field_check(args) -> int:
-    input_errors = (ArgumentError, ChartError, ExprError, FieldConfigError,
-                    MetricError)
     with open(args.config) as fh:
         text = fh.read()
     try:
         cfg = config_from_json(text)
-    except input_errors as exc:
-        raise _UsageError(f"bad config: {exc}") from exc
+    except GafieldsError as exc:
+        raise ArgumentError(f"bad config: {exc}") from exc
     rng = np.random.default_rng(args.seed)
     points = [checks.random_point(cfg.chart, rng) for _ in range(args.count)]
     # build every residual form once, then evaluate them at all points
     # together; the conservation case appears where H passes its system
     try:
         per_point = residuals(cfg, points)
-    except input_errors as exc:
-        raise _UsageError(f"cannot evaluate the field equations: "
-                          f"{exc}") from exc
+    except GafieldsError as exc:
+        raise ArgumentError(f"cannot evaluate the field equations: "
+                            f"{exc}") from exc
     tol = args.tolerance
     return _report(args, "field-check",
                    [_case(f"point{idx}_{name}", val, tol)
@@ -180,14 +172,14 @@ def cmd_field_check(args) -> int:
 def _check_args(args) -> None:
     """Reject the seeds, counts and tolerances no run can use."""
     if getattr(args, "seed", 0) < 0:
-        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
+        raise ArgumentError(f"--seed must be non-negative, got {args.seed}")
     if not 1 <= getattr(args, "count", 1) <= MAX_COUNT:
         # at 0 no cases would pass vacuously
-        raise _UsageError(f"--count must be between 1 and {MAX_COUNT}, "
-                          f"got {args.count}")
+        raise ArgumentError(f"--count must be between 1 and {MAX_COUNT}, "
+                            f"got {args.count}")
     if not 0.0 <= getattr(args, "tolerance", 0.0) < math.inf:
-        raise _UsageError(f"--tolerance must be finite and non-negative, "
-                          f"got {args.tolerance}")
+        raise ArgumentError(f"--tolerance must be finite and non-negative, "
+                            f"got {args.tolerance}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +224,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.func(args)
-    except _UsageError as exc:
+    except GafieldsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, UnicodeDecodeError) as exc:

@@ -22,34 +22,22 @@ def minkowski_metric() -> Metric:
 
 
 class GammaRep:
-    """The four Dirac-representation gamma matrices."""
+    """The four Dirac-representation gamma matrices, with the matrices
+    of the 16 blades, indexed by mask, (16, 4, 4), and the inverse of the
+    16x16 matrix whose columns are the vectorized blade matrices, which
+    decomposes a matrix back into a multivector."""
 
-    __slots__ = ("gammas", "_blade_mats", "_basis_inv")
+    __slots__ = ("gammas", "blade_mats", "basis_inv")
 
     def __init__(self, gammas):
         self.gammas = [np.asarray(g, dtype=complex) for g in gammas]
-        self._blade_mats = None
-        self._basis_inv = None
-
-    def blade_matrices(self) -> np.ndarray:
-        """The matrices of the 16 blades, indexed by mask: (16, 4, 4)."""
-        if self._blade_mats is None:
-            mats = np.empty((16, 4, 4), dtype=complex)
-            for mask in range(16):
-                mat = np.eye(4, dtype=complex)
-                for i in blades.blade_indices(mask):
-                    mat = mat @ self.gammas[i - 1]
-                mats[mask] = mat
-            self._blade_mats = mats
-        return self._blade_mats
-
-    def basis_inverse(self) -> np.ndarray:
-        """Inverse of the 16x16 matrix whose columns are vectorized blade
-        matrices; lets a matrix be decomposed back into a multivector."""
-        if self._basis_inv is None:
-            self._basis_inv = np.linalg.inv(
-                self.blade_matrices().reshape(16, 16).T)
-        return self._basis_inv
+        self.blade_mats = np.empty((16, 4, 4), dtype=complex)
+        for mask in range(16):
+            mat = np.eye(4, dtype=complex)
+            for i in blades.blade_indices(mask):
+                mat = mat @ self.gammas[i - 1]
+            self.blade_mats[mask] = mat
+        self.basis_inv = np.linalg.inv(self.blade_mats.reshape(16, 16).T)
 
 
 def gamma_matrices() -> GammaRep:
@@ -79,7 +67,7 @@ def rep_map(u, rep: GammaRep) -> np.ndarray:
     c = coeffs_of(u)
     if c.shape[-1:] != (16,):
         raise ArgumentError("gamma representation needs dimension 4")
-    return np.einsum("...a,aij->...ij", c, rep.blade_matrices())
+    return np.einsum("...a,aij->...ij", c, rep.blade_mats)
 
 
 def multivector_from_matrix(mat: np.ndarray, rep: GammaRep):
@@ -88,7 +76,7 @@ def multivector_from_matrix(mat: np.ndarray, rep: GammaRep):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-2:] != (4, 4):
         raise ArgumentError("expected a 4x4 matrix")
-    coeffs = np.einsum("ak,...k->...a", rep.basis_inverse(),
+    coeffs = np.einsum("ak,...k->...a", rep.basis_inv,
                        mat.reshape(mat.shape[:-2] + (16,)))
     return Multivector(4, coeffs) if mat.ndim == 2 else coeffs
 

@@ -41,8 +41,10 @@ import operator
 
 import numpy as np
 
+from .metric import GafieldsError
 
-class ExprError(ValueError):
+
+class ExprError(GafieldsError):
     pass
 
 

@@ -39,6 +39,9 @@ point or a batch) at many points, or with other couplings, builds
 nothing after the first.  A product is built only on
 the blades its residuals read: the current J on grades 0 and 2, C on the
 blades that pair with H into a scalar, L0 and L1 on the scalar blade.
+
+The config codec reads and writes its JSON once, with the chart and the
+fields as parts of it; any fault of the text raises a `GafieldsError`.
 """
 
 from __future__ import annotations
@@ -50,36 +53,33 @@ import operator
 
 import numpy as np
 
-from .blades import grade_array, popcount
-from .expr import CExpr, CZERO, ExprError, check_finite, diff, evaluate_many
+from .blades import add_term, blade_indices, grade_array, mask_of, popcount
+from .expr import (CExpr, CZERO, check_finite, diff, evaluate_many, parse,
+                   to_str)
 from .manifold import (
     Chart,
     ChartError,
     CoordinateChange,
     FormField,
-    chart_from_json,
-    chart_to_json,
     clifford_mul_fields,
     conjugate_field,
     curvature_forms,
     dx,
     eval_fields,
-    field_from_json,
-    field_to_json,
     grade_project_field,
     scalar_field,
     trace_field,
     upsilon_k,
 )
-from .metric import ArgumentError, MetricError
-from .multivector import Multivector, grade_masks, row_norm
+from .metric import ArgumentError, GafieldsError
+from .multivector import GRASSMANN, Multivector, grade_masks, row_norm
 from .spin import is_spin_member
 
 CHECK_TOL = 1e-8
 H_TOL = 1e-6  # H counts as solving its equations up to this defect
 
 
-class FieldConfigError(ValueError):
+class FieldConfigError(GafieldsError):
     pass
 
 
@@ -172,33 +172,72 @@ def _per_config(build):
 def config_from_json(text: str) -> FieldConfig:
     try:
         data = json.loads(text)
-        chart = chart_from_json(json.dumps(data["chart"]))
-        psi = field_from_json(json.dumps(data["psi"]), chart)
-        a = [field_from_json(json.dumps(blk), chart) for blk in data["a"]]
-        b = [field_from_json(json.dumps(blk), chart) for blk in data["b"]]
-        h = field_from_json(json.dumps(data["h"]), chart)
+        n, rows = data["chart"]["dim"], data["chart"]["g_lower"]
+        # a JSON true is a Python int too, and 2.0 is no dimension
+        if type(n) is not int or n != len(rows):
+            raise ChartError(f"dim must be an integer equal to the number "
+                             f"of metric rows, {len(rows)}; got {n!r}")
+        chart = Chart([[parse(src, n) for src in row] for row in rows],
+                      data["chart"]["domain"])
+        psi = _field_from_data(data["psi"], chart)
+        a = [_field_from_data(blk, chart) for blk in data["a"]]
+        b = [_field_from_data(blk, chart) for blk in data["b"]]
+        h = _field_from_data(data["h"], chart)
         m = data["m"]
-    except (ArgumentError, ChartError, ExprError, MetricError):
+        if type(m) not in (int, float):  # a JSON true is a Python int too
+            raise FieldConfigError(f"mass m must be a number, got {m!r}")
+        m = float(m)
+    except GafieldsError:
         raise
     except KeyError as exc:
         raise FieldConfigError(f"missing config key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        # wrong JSON types: a number where a list or object belongs, ...
+    except (AttributeError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
+        # wrong JSON types (a number where a list or object belongs, ...),
+        # an integer past double range, or nesting past the recursion limit
         raise FieldConfigError(f"malformed config: {exc}") from exc
-    if type(m) not in (int, float):  # a JSON true is a Python int too
-        raise FieldConfigError(f"mass m must be a number, got {m!r}")
     return FieldConfig(chart, psi, a, b, h, m)
 
 
 def config_to_json(cfg: FieldConfig) -> str:
+    c = cfg.chart
     return json.dumps({
-        "chart": json.loads(chart_to_json(cfg.chart)),
-        "psi": json.loads(field_to_json(cfg.psi)),
-        "a": [json.loads(field_to_json(f)) for f in _sector(cfg, 0)],
-        "b": [json.loads(field_to_json(f)) for f in _sector(cfg, 2)],
-        "h": json.loads(field_to_json(cfg.h)),
+        "chart": {"dim": c.dim,
+                  "g_lower": [[to_str(e) for e in row]
+                              for row in c.g_lower_exprs],
+                  "domain": [list(rng) for rng in c.domain]},
+        "psi": _field_to_data(cfg.psi),
+        "a": [_field_to_data(f) for f in _sector(cfg, 0)],
+        "b": [_field_to_data(f) for f in _sector(cfg, 2)],
+        "h": _field_to_data(cfg.h),
         "m": cfg.m,
     })
+
+
+def _field_from_data(data, chart: Chart) -> FormField:
+    # the coefficients are expressions: no Clifford-basis import
+    basis = data.get("basis", GRASSMANN)
+    if basis != GRASSMANN:
+        raise ArgumentError(f"unknown basis {basis!r}; expected {GRASSMANN}")
+    coeffs = {}
+    for term in data["terms"]:
+        idx = term["indices"]
+        # a JSON true is a Python int too, and 1.0 is no blade index
+        if len(set(idx)) != len(idx) or not all(
+                type(i) is int and 1 <= i <= chart.dim for i in idx):
+            raise ArgumentError(f"blade indices {idx} are not distinct "
+                                f"values in 1..{chart.dim}")
+        re = parse(term.get("re", "0"), chart.dim)
+        im = parse(term.get("im", "0"), chart.dim)
+        add_term(coeffs, mask_of(idx), CExpr(re, im))
+    return FormField(chart, coeffs)
+
+
+def _field_to_data(u: FormField) -> dict:
+    return {"basis": GRASSMANN,
+            "terms": [{"indices": blade_indices(mask), "re": to_str(c.re),
+                       "im": to_str(c.im)}
+                      for mask, c in sorted(u.coeffs.items())]}
 
 
 def _sector(cfg: FieldConfig, grade: int) -> list:

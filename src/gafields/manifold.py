@@ -5,13 +5,14 @@ coordinates, from which the inverse metric, Christoffel symbols and the
 curvature tensor are derived symbolically; numbers appear only when a
 field or tensor is finally evaluated at a point.  FormFields are
 multivector-valued functions written in the coordinate Grassmann basis
-dx^{i1} ^ ... ^ dx^{ik}.
+dx^{i1} ^ ... ^ dx^{ik}.  This module reads and writes no JSON: a chart
+and its fields are read and written as parts of a config, by
+`fields.config_from_json` and `fields.config_to_json`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 
 import numpy as np
 
@@ -27,15 +28,13 @@ from .expr import (
     evaluate_many,
     lift,
     mul,
-    parse,
     subst,
-    to_str,
 )
-from .metric import ArgumentError, Metric, new_metric
-from .multivector import GRASSMANN, Multivector, grade_masks
+from .metric import ArgumentError, GafieldsError, Metric, new_metric
+from .multivector import Multivector, grade_masks
 
 
-class ChartError(ValueError):
+class ChartError(GafieldsError):
     pass
 
 
@@ -243,25 +242,6 @@ def curvature_forms(chart: Chart):
             for r in range(n)]
 
 
-def chart_from_json(text: str) -> Chart:
-    data = json.loads(text)
-    n, rows = data["dim"], data["g_lower"]
-    # a JSON true is a Python int too, and 2.0 is no dimension
-    if type(n) is not int or n != len(rows):
-        raise ChartError(f"dim must be an integer equal to the number of "
-                         f"metric rows, {len(rows)}; got {n!r}")
-    exprs = [[parse(src, n) for src in row] for row in rows]
-    return Chart(exprs, data["domain"])
-
-
-def chart_to_json(c: Chart) -> str:
-    return json.dumps({
-        "dim": c.dim,
-        "g_lower": [[to_str(e) for e in row] for row in c.g_lower_exprs],
-        "domain": [list(rng) for rng in c.domain],
-    })
-
-
 # ---------------------------------------------------------------------------
 # Multivector-valued fields.
 
@@ -353,36 +333,6 @@ def dx(chart: Chart, k: int) -> FormField:
 def volume_field(chart: Chart) -> FormField:
     full = (1 << chart.dim) - 1
     return FormField(chart, {full: CExpr(chart.sqrt_abs_det)})
-
-
-def field_from_json(text: str, chart: Chart) -> FormField:
-    data = json.loads(text)
-    # the coefficients are expressions: no Clifford-basis import
-    basis = data.get("basis", GRASSMANN)
-    if basis != GRASSMANN:
-        raise ArgumentError(f"unknown basis {basis!r}; expected {GRASSMANN}")
-    coeffs = {}
-    for term in data["terms"]:
-        idx = term["indices"]
-        # a JSON true is a Python int too, and 1.0 is no blade index
-        if len(set(idx)) != len(idx) or not all(
-                type(i) is int and 1 <= i <= chart.dim for i in idx):
-            raise ArgumentError(f"blade indices {idx} are not distinct "
-                                f"values in 1..{chart.dim}")
-        mask = blades.mask_of(idx)
-        re = parse(term.get("re", "0"), chart.dim)
-        im = parse(term.get("im", "0"), chart.dim)
-        blades.add_term(coeffs, mask, CExpr(re, im))
-    return FormField(chart, coeffs)
-
-
-def field_to_json(u: FormField) -> str:
-    terms = []
-    for mask in sorted(u.coeffs):
-        c = u.coeffs[mask]
-        terms.append({"indices": blades.blade_indices(mask),
-                      "re": to_str(c.re), "im": to_str(c.im)})
-    return json.dumps({"basis": GRASSMANN, "terms": terms})
 
 
 # ---------------------------------------------------------------------------

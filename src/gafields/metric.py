@@ -1,4 +1,6 @@
-"""Symmetric nondegenerate metrics, minors and isometry tests."""
+"""Symmetric nondegenerate metrics, minors and isometry tests, and
+`GafieldsError`, the base of every error the package raises on an input
+it rejects."""
 
 from __future__ import annotations
 
@@ -11,11 +13,15 @@ DEGENERACY_GATE = 1e-12
 ISOMETRY_RTOL = 1e-9
 
 
-class MetricError(ValueError):
+class GafieldsError(ValueError):
+    """An input gafields rejects."""
+
+
+class MetricError(GafieldsError):
     pass
 
 
-class ArgumentError(ValueError):
+class ArgumentError(GafieldsError):
     pass
 
 
@@ -50,19 +56,24 @@ def _validated_symmetric(g: np.ndarray, name: str) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise MetricError(f"{name} must be a square matrix, got shape {g.shape}")
+    if g.size == 0:
+        raise MetricError(f"{name} has no entries")
     if not np.isfinite(g).all():
         raise MetricError(f"{name} has a non-finite entry")
     scale = np.abs(g).max()
     if scale == 0.0:
         raise MetricError(f"{name} is the zero matrix")
-    if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
-        raise MetricError(f"{name} is asymmetric beyond tolerance")
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow reads as asymmetry or a non-finite entry, and a det lost
+    # to underflow as singular, so numpy's warnings are not needed
+    with np.errstate(all="ignore"):
+        if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
+            raise MetricError(f"{name} is asymmetric beyond tolerance")
         g = (g + g.T) / 2.0
-    if not np.isfinite(g).all():
-        raise MetricError(f"{name} overflows double precision")
-    # |det g| / scale^n would underflow to 0 / 0 for a small multiple of I
-    ratio = abs(np.linalg.det(g / scale))
+        if not np.isfinite(g).all():
+            raise MetricError(f"{name} overflows double precision")
+        # |det g| / scale^n would underflow to 0 / 0 for a small multiple
+        # of I
+        ratio = abs(np.linalg.det(g / scale))
     if not ratio > DEGENERACY_GATE:
         raise MetricError(f"{name} is singular (|det(g / scale)| = "
                           f"{ratio:.3e})")
@@ -124,7 +135,8 @@ def is_isometry(m: Metric, P: np.ndarray):
 def metric_from_json(text: str) -> Metric:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a nesting deeper than the recursion limit is a RecursionError
         raise MetricError(f"metric is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MetricError("metric JSON must be an object")
@@ -136,7 +148,8 @@ def metric_from_json(text: str) -> Metric:
         raise MetricError("metric JSON needs a 'g_upper' or 'g_lower' key")
     try:
         g = np.asarray(g, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
+        # an integer past double range is an OverflowError
         raise MetricError(f"metric components must be a rectangular array "
                           f"of numbers: {exc}") from exc
     m = new_metric(g, conv)

@@ -25,18 +25,18 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import blades
-from .metric import ArgumentError, Metric
+from .metric import ArgumentError, GafieldsError, Metric
 
 MAX_TABLE_DIM = 8  # a dense structure tensor takes 128 MB at n = 8
 EXP_RTOL = 1e-16  # exp_mv stops at a term this small against the sum or 1
 EXP_MAX_TERMS = 200
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(GafieldsError):
     pass
 
 
-class NumericError(ArithmeticError):
+class NumericError(GafieldsError, ArithmeticError):
     pass
 
 
@@ -50,10 +50,10 @@ class Multivector:
         else:
             coeffs = np.asarray(coeffs, dtype=complex)
             if coeffs.shape != (1 << dim,):
-                raise ValueError(f"expected {1 << dim} coefficients, got "
-                                 f"{coeffs.shape}")
+                raise ArgumentError(f"expected {1 << dim} coefficients, "
+                                    f"got {coeffs.shape}")
             if not np.all(np.isfinite(coeffs)):
-                raise ValueError("non-finite coefficient")
+                raise ArgumentError("non-finite coefficient")
             self.coeffs = coeffs.copy()
 
     # -- constructors ------------------------------------------------------
@@ -73,7 +73,7 @@ class Multivector:
         u = cls(dim)
         mask = blades.mask_of(indices)
         if mask >> dim:
-            raise ValueError(f"index out of range for dimension {dim}")
+            raise ArgumentError(f"index out of range for dimension {dim}")
         u.coeffs[mask] = coeff
         return u
 
@@ -307,7 +307,7 @@ def _grade(c: np.ndarray) -> int:
     """The one grade of a homogeneous stack (0 when it is zero)."""
     gs = _grades(c)
     if len(gs) > 1:
-        raise ValueError(f"inhomogeneous multivector with grades {gs}")
+        raise ArgumentError(f"inhomogeneous multivector with grades {gs}")
     return gs[0] if gs else 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metric import ArgumentError, Metric, is_isometry
+from .metric import ArgumentError, GafieldsError, Metric, is_isometry
 from . import blades
 from .multivector import (
     Multivector,
@@ -29,7 +29,7 @@ SPIN_TOL = 1e-9
 FACTOR_TOL = 1e-8  # relative singular-value and F F* = e tolerance
 
 
-class NotSpinIsometry(ValueError):
+class NotSpinIsometry(GafieldsError):
     """Raised when an isometry has no preimage in the spin group."""
 
 

@@ -218,6 +218,9 @@ BAD_METRICS = {
     # a declared dim is a JSON integer: 2.0 and true are not
     "dim_float": '{"dim": 2.0, "g_upper": [[1, 0], [0, 1]]}',
     "dim_true": '{"dim": true, "g_upper": [[1.0]]}',
+    # past double range, and nested past the recursion limit
+    "int_past_double": '{"g_upper": [[1%s]]}' % ("0" * 400),
+    "deep_json": '{"g_upper": %s}' % ("[" * 100_000 + "]" * 100_000),
 }
 
 
@@ -270,6 +273,17 @@ def test_mul_table_usage_error_leaves_out_file(metric, basis, tmp_path):
     assert out_file.read_bytes() == b"previous contents\n"
 
 
+def test_mul_table_past_max_dim_is_a_bad_metric(tmp_path, capsys):
+    # the table build's own size check rejects the metric
+    path = tmp_path / "eye9.json"
+    path.write_text(json.dumps({"g_upper": np.eye(MAX_TABLE_DIM + 1)
+                                .tolist()}))
+    code, out, err = run_cli(["mul-table", "--metric", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad metric: product tables cover dimensions up "
+                   f"to {MAX_TABLE_DIM}, got {MAX_TABLE_DIM + 1}\n")
+
+
 def field_config(**changes) -> str:
     """A field config on the sphere-times-flat chart (x3 in [-1, 1]) with
     psi = 1 and H = dx^4; `changes` replace top-level entries."""
@@ -319,6 +333,9 @@ BAD_CONFIGS = {
                                        "dim": 3}),
     "chart_dim_true": field_config(chart={
         **json.loads(field_config())["chart"], "dim": True}),
+    # a chart of no coordinates has an empty metric
+    "chart_dim_0": field_config(chart={"dim": 0, "g_lower": [],
+                                       "domain": []}),
     # the mass is a finite JSON number
     "m_nan": field_config(m=float("nan")),
     "m_true": field_config(m=True),
@@ -329,6 +346,12 @@ BAD_CONFIGS = {
         *[{"basis": "grassmann", "terms": []}] * 3]),
     # no constant is inf or NaN, not even under a zero factor
     "zero_times_inf": field_config(psi=psi_term("0*1e999")),
+    # integers past double range, and JSON nested past the recursion limit
+    "m_past_double": field_config(m=10 ** 400),
+    "domain_past_double": field_config(chart={
+        **json.loads(field_config())["chart"],
+        "domain": [[0, 10 ** 400]] + [[-1.0, 1.0]] * 3}),
+    "deep_json": "[" * 100_000 + "]" * 100_000,
 }
 
 

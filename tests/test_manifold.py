@@ -17,15 +17,11 @@ from gafields.manifold import (
     CoordinateChange,
     DomainError,
     FormField,
-    chart_from_json,
-    chart_to_json,
     clifford_mul_fields,
     curvature_forms,
     d_op,
     delta_op,
     eval_fields,
-    field_from_json,
-    field_to_json,
     laplace,
     scalar_field,
     upsilon_k,
@@ -33,7 +29,8 @@ from gafields.manifold import (
     volume_field,
     wedge_fields,
 )
-from gafields.metric import ArgumentError
+from gafields.fields import FieldConfig, config_from_json, config_to_json
+from gafields.metric import ArgumentError, MetricError
 from gafields.multivector import grade_masks
 from helpers import (clifford_mul_dicts, curved_link_chart, line_config,
                      skew_chart)
@@ -474,14 +471,26 @@ def test_domain_guard():
 
 
 def test_degenerate_chart_rejected():
-    from gafields.metric import MetricError
     with pytest.raises((ChartError, MetricError)):
         Chart([[ZERO, ZERO], [ZERO, ZERO]], [(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(MetricError, match="no entries"):
+        Chart([], [])
+
+
+# Charts and fields are read and written as parts of a config: these
+# tests run the chart and field steps of the config codec.
+
+def config_text(chart, psi=None) -> str:
+    """The JSON of a config on `chart` with this Psi (else zero) and
+    every other field zero."""
+    zero = [FormField(chart) for _ in range(chart.dim)]
+    return config_to_json(FieldConfig(chart, psi or FormField(chart), zero,
+                                      zero, FormField(chart), 1.0))
 
 
 def test_chart_json_round_trip(rng):
     chart = sphere_chart(SPHERE_BOX)
-    again = chart_from_json(chart_to_json(chart))
+    again = config_from_json(config_text(chart)).chart
     p = (1.0, 0.8)
     assert np.allclose(again.metric_at(p).g_lower,
                        chart.metric_at(p).g_lower, atol=1e-15)
@@ -492,32 +501,39 @@ def test_chart_json_round_trip(rng):
                               "null"])
 def test_chart_json_dim_must_be_the_matrix_size(dim):
     # a JSON true is a Python int, and 2.0 == 2 in Python
-    data = json.loads(chart_to_json(sphere_chart(SPHERE_BOX)))
-    data["dim"] = dim
+    data = json.loads(config_text(sphere_chart(SPHERE_BOX)))
+    data["chart"]["dim"] = dim
     with pytest.raises(ChartError, match="dim must be an integer"):
-        chart_from_json(json.dumps(data))
+        config_from_json(json.dumps(data))
+
+
+def config_with_psi(psi: dict) -> str:
+    """A config on the sphere chart whose Psi reads as this JSON."""
+    data = json.loads(config_text(sphere_chart(SPHERE_BOX)))
+    data["psi"] = psi
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize("indices", [[3], [0], [1, 1], [True, 2], [1.0, 2]],
                          ids=["beyond_dim", "zero", "repeated", "bool",
                               "float"])
 def test_field_json_bad_indices_is_argument_error(indices):
-    text = json.dumps({"terms": [{"indices": indices, "re": "1"}]})
+    text = config_with_psi({"terms": [{"indices": indices, "re": "1"}]})
     with pytest.raises(ArgumentError, match="not distinct values in 1..2"):
-        field_from_json(text, sphere_chart(SPHERE_BOX))
+        config_from_json(text)
 
 
 @pytest.mark.parametrize("basis", ["clifford", "bogus", None])
 def test_field_json_non_grassmann_basis_is_argument_error(basis):
-    text = json.dumps({"basis": basis,
-                       "terms": [{"indices": [1], "re": "1"}]})
+    text = config_with_psi({"basis": basis,
+                            "terms": [{"indices": [1], "re": "1"}]})
     with pytest.raises(ArgumentError, match="unknown basis"):
-        field_from_json(text, sphere_chart(SPHERE_BOX))
+        config_from_json(text)
 
 
 def test_field_json_round_trip(rng):
     chart = sphere_chart(SPHERE_BOX)
     u = random_form_field(chart, rng, POOL)
-    again = field_from_json(field_to_json(u), chart)
+    again = config_from_json(config_text(chart, u)).psi
     p = (1.0, 0.8)
     assert (again.eval_at(p) - u.eval_at(p)).norm() < 1e-12

@@ -44,6 +44,20 @@ def test_rejects_bad_input():
         new_metric(np.ones((2, 3)))  # not square
     with pytest.raises(ArgumentError):
         new_metric(np.eye(2), convention="sideways")
+    # g - g^T overflows, and det(g / scale) underflows inside the
+    # factorisation: each is a MetricError, not a numpy warning
+    with pytest.raises(MetricError, match="asymmetric"):
+        new_metric(np.array([[1e308, -1e308], [1e308, 1.0]]))
+    g = np.ones((4, 4))
+    g[0, 1], g[0, 2], g[3, 3] = 0.0, 1e-12, 1.45e299
+    with pytest.raises(MetricError, match="singular"):
+        new_metric(g)
+
+
+@pytest.mark.parametrize("convention", ["upper", "lower"])
+def test_empty_metric_is_metric_error(convention):
+    with pytest.raises(MetricError, match="no entries"):
+        new_metric(np.zeros((0, 0)), convention)
 
 
 def test_small_multiple_of_identity_is_not_called_singular():
