@@ -21,21 +21,27 @@ import numpy as np
 from .blades import grade_array, star_inverse_sign
 from .dirac import (MINKOWSKI_DIAG, gamma_matrices, minkowski_metric,
                     multivector_from_matrix, rep_map)
-from .expr import CExpr, Const, ZERO, call, parse
+from .expr import CExpr, Const, Expr, ZERO, call, parse
 from .fields import (FieldConfig, conservation_defect, gauge_transform,
                      lagrangian_l0, lagrangian_l1, main_form)
 from .manifold import (Chart, FormField, d_op, delta_op, dx, eval_fields,
                        grade_project_field, hodge_field, scalar_field,
                        star_inverse_field, upsilon_k, volume_field)
-from .metric import Metric, is_isometry, new_metric
+from .metric import Metric, MetricStack, is_isometry, new_metric
 from .multivector import (CLIFFORD, GRASSMANN, Multivector, basis_convert,
                           build_product_table, clifford_via_star, coeffs_of,
                           conjugate_star, exterior_metric_block,
-                          grade_masks, grade_project, hodge_star,
+                          grade_masks, hodge_star,
                           hodge_star_components, row_norm, scalar_product,
                           star_inverse)
 from .spin import (adjoint_action, factor_isometry, isometry_of,
                    random_spin_element, spin_sample)
+
+# the most (signature, sample) pairs of one stacked spin pass: its
+# largest products hold 2^(2n) complex values per pair and grade (about
+# 1 MB at n = 4 for 48 pairs), and past it every row would also wait for
+# the slowest exponential of a larger stack
+SPIN_PASS_SAMPLES = 48
 
 # coefficient expressions of the suites' random fields
 _POOL = ("x1*x2", "sin(x1)", "cos(x2)*x1", "x1^2 - x2", "exp(0.3*x2)",
@@ -88,12 +94,21 @@ def random_kform(n: int, k: int, rng: np.random.Generator) -> Multivector:
 def random_form_field(chart: Chart, rng: np.random.Generator,
                       pool) -> FormField:
     """A field whose real and imaginary part on every blade are drawn
-    from the expression sources in `pool`."""
+    from the expression sources in `pool`.  Each source is parsed once,
+    so the parts that draw it share one tree, whose derivatives and
+    values are then formed once."""
+    trees = {}
+
+    def draw() -> Expr:
+        src = pool[int(rng.integers(len(pool)))]
+        if src not in trees:
+            trees[src] = parse(src, chart.dim)
+        return trees[src]
+
     coeffs = {}
     for mask in range(1 << chart.dim):
-        re = parse(pool[int(rng.integers(len(pool)))], chart.dim)
-        im = parse(pool[int(rng.integers(len(pool)))], chart.dim)
-        coeffs[mask] = CExpr(re, im)
+        re = draw()  # the real part first
+        coeffs[mask] = CExpr(re, draw())
     return FormField(chart, coeffs)
 
 
@@ -147,18 +162,25 @@ def hodge_defects(u, m: Metric) -> tuple:
             row_norm(hodge_star(star, m) - sign * c))
 
 
-def spin_defects(f, u, m: Metric) -> tuple:
+def spin_defects(f, u, m: Metric | MetricStack) -> tuple:
     """For spin elements F and multivectors U: F F* = e, U -> F* U F
     preserving grades, the induced P an isometry (0 or 1) with det P = 1,
-    and factor_isometry(P) = +-F."""
+    and factor_isometry(P) = +-F.  On a `MetricStack`, the first axis of
+    F and U runs over its metrics."""
     f, u = coeffs_of(f), coeffs_of(u)
     table = build_product_table(m)
     unit = table.mul(f, conjugate_star(f))
     unit[..., 0] -= 1.0
     img = adjoint_action(f, u, m)
-    grades = np.max([row_norm(grade_project(img, k)
-                              - adjoint_action(f, grade_project(u, k), m))
-                     for k in range(m.dim + 1)], axis=0)
+    # the grade-k parts of U and of its image on a grade axis, placed
+    # after the stack's axis, so every grade is conjugated in one call
+    at = m.g_upper.ndim - 2
+    parts = grade_array(m.dim) == np.arange(m.dim + 1).reshape(
+        (-1,) + (1,) * (u.ndim - at))
+    each = np.where(parts, np.expand_dims(img, at), 0.0) \
+        - adjoint_action(np.expand_dims(f, at),
+                         np.where(parts, np.expand_dims(u, at), 0.0), m)
+    grades = row_norm(each).max(axis=at)
     p = isometry_of(f, m)
     g = coeffs_of(factor_isometry(p, m))
     return (row_norm(unit), grades, np.where(is_isometry(m, p), 0.0, 1.0),
@@ -296,14 +318,27 @@ def suite_hodge(seed: int, count: int) -> list:
 def suite_spin(seed: int, count: int) -> list:
     rng = np.random.default_rng(seed)
     defects = []
+    rows = max(count // 16, 2)
     for n in (2, 3, 4):
-        for sig in itertools.product((1.0, -1.0), repeat=n):
-            m = new_metric(np.diag(sig), convention="upper")
-            # per sample: a spin element, then a multivector
-            zf, zu = draw_samples(rng, max(count // 16, 2),
-                                  len(grade_masks(n, 2)), 2 << n)
-            defects.append(spin_defects(spin_sample(m, zf, 0.6),
-                                        mv_sample(n, zu), m))
+        metrics = [new_metric(np.diag(sig), convention="upper")
+                   for sig in itertools.product((1.0, -1.0), repeat=n)]
+        # per signature, per sample: a spin element, then a multivector;
+        # one draw is the stream of the per-signature blocks
+        zf, zu = (z.reshape(1 << n, rows, -1) for z in
+                  draw_samples(rng, rows << n, len(grade_masks(n, 2)),
+                               2 << n))
+        # a pass takes at most SPIN_PASS_SAMPLES (signature, sample)
+        # pairs: a stack of signatures, with one table, and all their
+        # samples, or else one signature and a part of its samples
+        per_stack = max(SPIN_PASS_SAMPLES // rows, 1)
+        for sigs in np.array_split(np.arange(1 << n),
+                                   -(-(1 << n) // per_stack)):
+            m = MetricStack(metrics[s] for s in sigs)
+            for part in np.array_split(np.arange(rows),
+                                       -(-rows // SPIN_PASS_SAMPLES)):
+                at = np.ix_(sigs, part)
+                defects.append(spin_defects(spin_sample(m, zf[at], 0.6),
+                                            mv_sample(n, zu[at]), m))
     names = ("unit_norm", "grade_preservation", "isometry_property",
              "determinant_one", "factor_round_trip")
     tols = (1e-8, 1e-8, 0.5, 1e-8, 1e-8)

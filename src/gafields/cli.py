@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gafields",
                                  description="geometric algebra and gauge "
                                              "field model toolkit")
-    sub = ap.add_subparsers(dest="command")
+    # prog given, argparse formats no usage to find it on every call
+    sub = ap.add_subparsers(dest="command", prog="gafields")
 
     mt = sub.add_parser("mul-table", help="emit Clifford structure constants")
     mt.add_argument("--metric", required=True)

@@ -249,10 +249,12 @@ class FormField:
     """Multivector field: sparse map blade mask -> complex coefficient
     expression, in the coordinate Grassmann basis."""
 
-    __slots__ = ("chart", "coeffs")
+    # _upsilon: {k: Y_k of this field}, set by the first `upsilon_k`
+    __slots__ = ("chart", "coeffs", "_upsilon")
 
     def __init__(self, chart: Chart, coeffs=None):
         self.chart = chart
+        self._upsilon = {}
         self.coeffs = {}
         if coeffs:
             for mask, c in coeffs.items():
@@ -410,10 +412,20 @@ def star_inverse_field(u: FormField) -> FormField:
 
 def upsilon_k(u: FormField, k: int) -> FormField:
     """Clifford derivative in the k-th coordinate direction: the covariant
-    derivative of the Grassmann coefficients."""
+    derivative of the Grassmann coefficients.  Built once per field and
+    direction and kept on the field, so d, Upsilon and delta of one field
+    share each Y_k U."""
     chart = u.chart
     if not 1 <= k <= chart.dim:
         raise ArgumentError(f"index {k} out of range")
+    done = u._upsilon.get(k)
+    if done is None:
+        done = u._upsilon[k] = _upsilon_build(u, k)
+    return done
+
+
+def _upsilon_build(u: FormField, k: int) -> FormField:
+    chart = u.chart
     gm = chart.gamma_exprs()
     out: dict = {}
     for mask, c in u.coeffs.items():

@@ -52,6 +52,27 @@ class Metric:
         return f"Metric(dim={self.dim}, sign={self.sign}, abs_det={self.abs_det:.6g})"
 
 
+class MetricStack:
+    """Metrics of one dimension held as one stack: ``g_upper`` has shape
+    (S, n, n).  `build_product_table` gives it one stacked table, on which
+    the products, the exponential and the spin kernels act; their
+    operands' first leading axis runs over the S metrics.  The basis
+    changes, the volume form and the Hodge star need one Metric."""
+
+    __slots__ = ("dim", "g_upper", "_table")
+
+    def __init__(self, metrics):
+        metrics = list(metrics)
+        dims = {m.dim for m in metrics}
+        if len(dims) != 1:
+            raise ArgumentError(f"a metric stack needs metrics of one "
+                                f"dimension, got {sorted(dims)}")
+        self.dim = dims.pop()
+        self.g_upper = np.stack([m.g_upper for m in metrics])
+        self.g_upper.setflags(write=False)
+        self._table = None
+
+
 def _validated_symmetric(g: np.ndarray, name: str) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -116,18 +137,22 @@ def minor(m: Metric, rows, cols) -> float:
     return float(np.linalg.det(sub))
 
 
-def is_isometry(m: Metric, P: np.ndarray):
+def is_isometry(m: Metric | MetricStack, P: np.ndarray):
     """True iff the linear change with matrix p^i_j preserves the metric,
     i.e. the transformed contravariant components P g^ P^T equal g^.  A
-    stack of matrices (..., n, n) gives one bool per matrix."""
+    stack of matrices (..., n, n) gives one bool per matrix; on a
+    `MetricStack`, metric s tests the matrices at index s of the first
+    axis."""
     P = np.asarray(P, dtype=float)
     if P.ndim < 2 or P.shape[-2:] != (m.dim, m.dim):
         raise ArgumentError(f"P must be {m.dim}x{m.dim}, got {P.shape}")
     if np.any(np.abs(np.linalg.det(P)) < 1e-12):
         raise ArgumentError("P is singular")
-    transformed = P @ m.g_upper @ np.swapaxes(P, -1, -2)
-    scale = np.abs(m.g_upper).max()
-    ok = np.abs(transformed - m.g_upper).max(axis=(-2, -1)) \
+    g = m.g_upper
+    g = g.reshape(g.shape[:-2] + (1,) * (P.ndim - g.ndim) + g.shape[-2:])
+    transformed = P @ g @ np.swapaxes(P, -1, -2)
+    scale = np.abs(g).max(axis=(-2, -1))
+    ok = np.abs(transformed - g).max(axis=(-2, -1)) \
         <= ISOMETRY_RTOL * scale
     return bool(ok) if ok.ndim == 0 else ok
 

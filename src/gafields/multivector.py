@@ -15,7 +15,12 @@ Every operation takes a `Multivector` or a stack of coefficient arrays of
 shape (..., 2^n), blade axis last, and applies one array kernel to all
 rows at once.  A `Multivector` is the one-element wrapper: its operations
 run the same kernels on `u.coeffs`, and return a `Multivector` when every
-operand is one, else an array.
+operand is one, else an array.  Tables stack too: the structure tensor
+of a stack of S forms has shape (S, 2^n, 2^n, 2^n), and a product or an
+exponential on it takes operands whose first leading axis (after
+broadcasting) runs over the S tables, so the rows at index s meet table
+s.  Each row goes through the same array operations as it would on its
+own table, so a stacked result equals the per-table one bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import blades
-from .metric import ArgumentError, GafieldsError, Metric
+from .metric import ArgumentError, GafieldsError, Metric, MetricStack
 
 MAX_TABLE_DIM = 8  # a dense structure tensor takes 128 MB at n = 8
 EXP_RTOL = 1e-16  # exp_mv stops at a term this small against the sum or 1
@@ -143,7 +148,8 @@ def structure_tensor(g) -> np.ndarray:
     so ``[a]`` is the matrix of x -> e_a x and ``[:, :, b].T`` that of
     x -> x e_b.  A metric's g_upper gives its Clifford product, and the
     zero form its exterior product, ``[a, a | b, b]`` the sign of
-    e_a ^ e_b for disjoint masks a, b.
+    e_a ^ e_b for disjoint masks a, b.  A stack of forms (S, n, n) gives
+    the stack (S, 2^n, 2^n, 2^n) of their tensors.
 
     A generator slice is filled over all masks b at once: e^i e_b =
     e^i ^ e_b + e^i _| e_b, the wedge signed by the generators of b
@@ -156,28 +162,37 @@ def structure_tensor(g) -> np.ndarray:
     Dense: 2 MB at n = 6, 128 MB at n = 8, so n is at most
     `MAX_TABLE_DIM`.
     """
-    n = len(g)
+    g = np.asarray(g)
+    n = g.shape[-1]
     if n > MAX_TABLE_DIM:
         raise ArgumentError(f"product tables cover dimensions up to "
                             f"{MAX_TABLE_DIM}, got {n}")
     size = 1 << n
     masks = np.arange(size)
     grade = blades.grade_array(n)
-    left = np.zeros((size, size, size))
+    stack = g.shape[:-2]
+    # blade a leads while building, so left[a] holds slice a of every form
+    left = np.zeros((size,) + stack + (size, size))
     left[0] = np.eye(size)
+    # g^{ij} scales a slice: a scalar, or one (1, 1) block per form
+    coef = np.moveaxis(g, (-2, -1), (0, 1))[..., None, None] if stack else g
+    # no entry where every form has g^{ij} == 0, not even a signed zero
+    unused = np.all(g == 0, axis=tuple(range(len(stack))))
     for i in range(n):
         gen = left[1 << i]
         # e^i ^ e_b passes e^i over the generators of b below i
         free = masks[(masks >> i) & 1 == 0]
         below = grade[free & ((1 << i) - 1)]
-        gen[free | (1 << i), free] = 1 - 2 * (below % 2)
+        gen[..., free | (1 << i), free] = 1 - 2 * (below % 2)
         for j in range(n):
-            if g[i, j] == 0:  # no entry, not even a signed zero
+            if unused[i, j]:
                 continue
             held = masks[(masks >> j) & 1 == 1]
-            # +g^{ij} where j sits at an odd position of b
+            # +g^{ij} where j sits at an odd position of b; + 0.0 turns a
+            # -0.0 of one form of a stack into the +0.0 its own tensor has
             pos = grade[held & ((2 << j) - 1)]
-            gen[held ^ (1 << j), held] = g[i, j] * (2 * (pos % 2) - 1)
+            gen[..., held ^ (1 << j), held] = \
+                g[..., i, j, None] * (2 * (pos % 2) - 1) + 0.0
     for a in range(1, size):
         rest = a & (a - 1)
         if not rest:
@@ -187,8 +202,8 @@ def structure_tensor(g) -> np.ndarray:
         left[a] = left[low] @ left[rest]
         for pos, j in enumerate(blades.blade_indices(rest)):
             sign = 1.0 if pos % 2 == 0 else -1.0
-            left[a] -= sign * g[i, j - 1] * left[rest ^ (1 << (j - 1))]
-    return left
+            left[a] -= sign * coef[i, j - 1] * left[rest ^ (1 << (j - 1))]
+    return np.ascontiguousarray(np.moveaxis(left, 0, len(stack)))
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +217,10 @@ def _wedge_tensor(n: int) -> np.ndarray:
 class ProductTable:
     """The Clifford product of one metric: ``left``, its structure tensor
     (see `structure_tensor`), built eagerly; the basis changes and the
-    volume form are built on first use."""
+    volume form are built on first use.  The table of a `MetricStack`
+    holds the stack of its tensors, and serves `mul` and `exp_mv`."""
 
-    def __init__(self, metric: Metric):
+    def __init__(self, metric: Metric | MetricStack):
         self.metric = metric
         self.dim = metric.dim
         self.left = structure_tensor(metric.g_upper)
@@ -253,7 +269,7 @@ class ProductTable:
                                  np.sqrt(self.metric.abs_det))
 
 
-def build_product_table(m: Metric) -> ProductTable:
+def build_product_table(m: Metric | MetricStack) -> ProductTable:
     if m._table is None:
         m._table = ProductTable(m)
     return m._table
@@ -284,12 +300,31 @@ def _like(dim: int, out: np.ndarray, *operands):
 
 def _contract(tensor: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_{i,j} a[..., i] tensor[i, k, j] b[..., j] for a real tensor,
-    over the broadcast leading axes of a and b."""
-    size = tensor.shape[0]
-    flat = tensor.reshape(size, size * size)
-    # real and imaginary parts apart: the tensor is never made complex
-    la = a.real @ flat + 1j * (a.imag @ flat)
-    return (la.reshape(a.shape[:-1] + (size, size)) @ b[..., None])[..., 0]
+    over the broadcast leading axes of a and b.  A stack of tensors
+    (S, size, size, size) meets the first of those axes: row s of it goes
+    with tensor s.  Each tensor multiplies a's rows in the matrix shape
+    they have on their own, so a stacked row takes the BLAS call, and
+    gives the bits, of its one-table product."""
+    size = tensor.shape[-1]
+    flat = tensor.reshape(tensor.shape[:-3] + (size, size * size))
+    if tensor.ndim == 4:
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        if not lead:
+            raise DimensionMismatch("a stack of tables takes operands with "
+                                    "a leading axis over the tables")
+        if len(lead) == 1:
+            # one row per tensor: a stack of one row on each
+            return _contract(tensor, a[..., None, :], b[..., None, :])[:, 0]
+        a = a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)
+        flat = flat.reshape(flat.shape[:1] + (1,) * (a.ndim - 3)
+                            + flat.shape[1:])
+    # la[..., c, j] = sum_i a[..., i] tensor[i, c, j], its real and
+    # imaginary parts apart: the tensor is never made complex
+    la = np.empty(np.broadcast_shapes(a.shape[:-2], flat.shape[:-2])
+                  + a.shape[-2:-1] + (size, size), dtype=complex)
+    la.real = (a.real @ flat).reshape(la.shape)
+    la.imag = (a.imag @ flat).reshape(la.shape)
+    return (la @ b[..., None])[..., 0]
 
 
 def row_norm(c) -> np.ndarray:
@@ -421,35 +456,33 @@ def commutator_2forms(u, v, table: ProductTable):
 
 def exp_mv(u, table: ProductTable):
     """Clifford exponential as a truncated power series.  Each row of a
-    stack stops at its own term: a converged row is frozen, so it equals
-    its one-row result."""
+    stack stops at its own term: a converged row is frozen by a mask (its
+    sum is kept, and what the series computes for it later is dropped),
+    so it equals its one-row result and the stack keeps its shape, table
+    axis included."""
     c = coeffs_of(u)
     if _dim_of(c) != table.dim:
         raise DimensionMismatch("multivector dimension does not match table")
-    rows = c.reshape(-1, c.shape[-1])
-    out = np.empty(rows.shape, dtype=complex)
-    # the rows still summing: their indices, powers and partial sums
-    live = np.arange(len(rows))
-    term = np.zeros(rows.shape, dtype=complex)
-    term[:, 0] = 1.0
-    acc = term.copy()
+    out = np.empty(c.shape, dtype=complex)
+    term = np.zeros(c.shape, dtype=complex)
+    term[..., 0] = 1.0
+    acc = term
+    live = np.ones(c.shape[:-1], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, EXP_MAX_TERMS + 1):
-            term = table.mul(term, rows) * (1.0 / k)
+            term = table.mul(term, c) * (1.0 / k)
             acc = acc + term
             size = row_norm(term)
-            if not np.isfinite(size).all():
+            if not np.isfinite(size[live]).all():
                 break
-            done = size < EXP_RTOL * np.maximum(row_norm(acc), 1.0)
-            if done.any():
-                out[live[done]] = acc[done]
-                live, term, acc, rows = (x[~done] for x in (live, term, acc,
-                                                             rows))
-                if not live.size:
-                    return _like(table.dim, out.reshape(c.shape), u)
+            done = live & (size < EXP_RTOL * np.maximum(row_norm(acc), 1.0))
+            out[done] = acc[done]
+            live &= ~done
+            if not live.any():
+                return _like(table.dim, out, u)
     raise NumericError(f"exponential series did not converge in "
                        f"{EXP_MAX_TERMS} terms (last term norm "
-                       f"{row_norm(term).max():.3e})")
+                       f"{row_norm(term)[live].max():.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ A spin element is an even real form F with F F* = e.  Conjugation
 U -> F* U F preserves grade 1 and acts there as an isometry of the
 metric; factor_isometry inverts that map up to the overall sign.  Like
 the multivector operations, the adjoint action, `isometry_of` and
-`factor_isometry` take one element or a stack of them.
+`factor_isometry` take one element or a stack of them, and
+`spin_sample` gives a stack.  Each also runs on a `MetricStack`, with
+one stacked table, for operands whose first axis runs over its metrics;
+a row gets the bits it gets on its own metric.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .metric import ArgumentError, GafieldsError, Metric, is_isometry
+from .metric import (ArgumentError, GafieldsError, Metric, MetricStack,
+                     is_isometry)
 from . import blades
 from .multivector import (
     Multivector,
@@ -55,13 +59,13 @@ def is_spin_member(f: Multivector, m: Metric, tol: float = SPIN_TOL) -> bool:
     return True
 
 
-def adjoint_action(f, u, m: Metric):
+def adjoint_action(f, u, m: Metric | MetricStack):
     """The twisted conjugation U -> F* U F."""
     table = build_product_table(m)
     return table.mul(table.mul(conjugate_star(f), u), f)
 
 
-def isometry_of(f, m: Metric) -> np.ndarray:
+def isometry_of(f, m: Metric | MetricStack) -> np.ndarray:
     """Matrix P with F* e^i F = P[i][j] e^j, rows indexed by i; a stack
     of elements (..., 2^n) gives a stack of matrices (..., n, n)."""
     n = m.dim
@@ -76,7 +80,7 @@ def isometry_of(f, m: Metric) -> np.ndarray:
     return img[..., [1 << j for j in range(n)]].real
 
 
-def factor_isometry(p: np.ndarray, m: Metric):
+def factor_isometry(p: np.ndarray, m: Metric | MetricStack):
     """Find a spin element F with F* e^i F = p[i][j] e^j.
 
     Solves the equivalent linear condition e^i F = F (p[i][j] e^j) on the
@@ -85,50 +89,63 @@ def factor_isometry(p: np.ndarray, m: Metric):
     NotSpinIsometry when no solution exists (including improper isometries,
     where only F F* = -e solutions occur).  A stack of matrices
     (..., n, n) is solved with one stacked SVD and gives a stack of
-    elements (..., 2^n); it raises if any matrix does.
+    elements (..., 2^n); it raises if any matrix does.  On a
+    `MetricStack` of S metrics, p has shape (S, ..., n, n).
     """
     n = m.dim
     p = np.asarray(p, dtype=float)
-    if p.ndim < 2 or p.shape[-2:] != (n, n):
-        raise ArgumentError(f"expected a {n}x{n} matrix")
+    table = build_product_table(m)
+    lead = table.left.shape[:-3]  # (S,) on a stack, else ()
+    if p.ndim < 2 + len(lead) or p.shape[-2:] != (n, n) \
+            or p.shape[:len(lead)] != lead:
+        raise ArgumentError(f"expected a {n}x{n} matrix" + (
+            f", for each of {lead[0]} metrics on the first axis"
+            if lead else ""))
     if not np.all(is_isometry(m, p)):
         raise ArgumentError("matrix is not an isometry of the metric")
-    table = build_product_table(m)
     parity = blades.grade_array(n) % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
     full = len(even)
     gens = [1 << j for j in range(n)]
-    mats = p.reshape((-1, n, n))
+    mats = p.reshape(lead + (-1, n, n))
     # the odd-grade output components of e^i F - F (p[i][j] e^j) on an
-    # even input: left[e^i][c, a] less sum_j left[a, c, e^j] p[i][j]
-    right = table.left[np.ix_(even, odd, gens)] @ mats[:, :, None, :, None]
-    diff = table.left[np.ix_(gens, odd, even)] - np.swapaxes(right[..., 0],
-                                                             -1, -2)
-    _, s, vt = np.linalg.svd(diff.reshape(len(mats), n * len(odd), full))
+    # even input: left[e^i][c, a] less sum_j left[a, c, e^j] p[i][j],
+    # with table s of a stack for the matrices at index s
+    by_gen = table.left[(...,) + np.ix_(gens, odd, even)]
+    on_gen = table.left[(...,) + np.ix_(even, odd, gens)]
+    right = on_gen[..., None, None, :, :, :] @ mats[..., None, :, None]
+    diff = by_gen[..., None, :, :, :] - np.swapaxes(right[..., 0], -1, -2)
+    _, s, vt = np.linalg.svd(diff.reshape(-1, n * len(odd), full))
+    count = len(vt)
     cutoff = FACTOR_TOL * np.maximum(s[:, 0], 1.0)
     null_dim = full - np.count_nonzero(s > cutoff[:, None], axis=1)
     if np.any(null_dim < 1):
         raise NotSpinIsometry("no even form intertwines this isometry")
 
-    # each row takes the first null vector with F F* a positive scalar
-    out = np.zeros((len(mats), 1 << n), dtype=complex)
-    found = np.zeros(len(mats), dtype=bool)
+    # each row takes the first null vector with F F* a positive scalar;
+    # every row makes the j-th try on its own table (a row with fewer
+    # null vectors on a stand-in), and it is kept where the row has a
+    # j-th null vector and no F yet
+    out = np.zeros((count, 1 << n), dtype=complex)
+    found = np.zeros(count, dtype=bool)
     for j in range(null_dim.max()):
-        rows = np.flatnonzero(~found & (null_dim > j))
-        f = np.zeros((len(rows), 1 << n), dtype=complex)
-        f[:, even] = vt[rows, full - null_dim[rows] + j]
-        ff = table.mul(f, conjugate_star(f))
+        f = np.zeros((count, 1 << n), dtype=complex)
+        f[:, even] = vt[np.arange(count),
+                        np.minimum(full - null_dim + j, full - 1)]
+        stacked = f.reshape(lead + (-1, 1 << n))
+        ff = table.mul(stacked, conjugate_star(stacked)).reshape(f.shape)
         scale = ff[:, 0]
-        good = ~(row_norm(ff - grade_project(ff, 0))
-                 > FACTOR_TOL * np.maximum(np.abs(scale), 1.0)) \
+        good = ~found & (null_dim > j) \
+            & ~(row_norm(ff - grade_project(ff, 0))
+                > FACTOR_TOL * np.maximum(np.abs(scale), 1.0)) \
             & ~(np.abs(scale.imag) > FACTOR_TOL) & (scale.real > FACTOR_TOL)
-        out[rows[good]] = f[good] * (1.0 / np.sqrt(scale.real[good]))[:, None]
-        found[rows[good]] = True
+        out[good] = f[good] * (1.0 / np.sqrt(scale.real[good]))[:, None]
+        found |= good
     if not found.all():
         raise NotSpinIsometry("isometry lifts only to F F* = -e, "
                               "not in the spin group")
     # normalize the overall sign: largest coefficient positive
-    top = out[np.arange(len(out)), np.argmax(np.abs(out), axis=1)]
+    top = out[np.arange(count), np.argmax(np.abs(out), axis=1)]
     flip = top.real < 0
     out[flip] = -out[flip]
     if p.ndim == 2:
@@ -136,7 +153,8 @@ def factor_isometry(p: np.ndarray, m: Metric):
     return out.reshape(p.shape[:-2] + (1 << n,))
 
 
-def spin_sample(m: Metric, z: np.ndarray, scale: float) -> np.ndarray:
+def spin_sample(m: Metric | MetricStack, z: np.ndarray,
+                scale: float) -> np.ndarray:
     """Exponentials of real bivectors, spin elements by construction: row
     by row, the bivector's grade-2 coefficients are `scale` times the
     normals in z, in mask order."""

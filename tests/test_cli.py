@@ -535,9 +535,44 @@ def test_field_check_malformed_json(tmp_path, capsys):
     assert "bad config" in err
 
 
-def test_no_command_is_usage_error(capsys):
-    code, _, _ = run_cli([], capsys)
+# the usage lines of `gafields --help` and of each command's --help, at
+# 80 columns
+USAGE = {
+    (): "usage: gafields [-h] {mul-table,verify,field-check} ...",
+    ("mul-table",):
+        "usage: gafields mul-table [-h] --metric METRIC "
+        "[--basis {grassmann,clifford}]\n"
+        "                          [--out OUT] [--format {json,csv}]",
+    ("verify",):
+        "usage: gafields verify [-h] --suite SUITE [--seed SEED] "
+        "[--count COUNT]\n"
+        "                       [--out OUT] [--format {json,csv}]",
+    ("field-check",):
+        "usage: gafields field-check [-h] --config CONFIG [--seed SEED] "
+        "[--count COUNT]\n"
+        "                            [--tolerance TOLERANCE] [--out OUT]\n"
+        "                            [--format {json,csv}]",
+}
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_no_command_is_usage_error(capsys, columns_80):
+    code, _, err = run_cli([], capsys)
     assert code == 2
+    assert err == USAGE[()] + "\n"
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_help_usage_lines(command, capsys, columns_80):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out, _ = capsys.readouterr()
+    assert out.split("\n\n")[0] == USAGE[command]
 
 
 def test_entry_point_runs():

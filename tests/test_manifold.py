@@ -10,7 +10,7 @@ from gafields.checks import (curvature_commutator_defect,
                              flat_minkowski_chart, form_calculus_defects,
                              polar_chart, random_form_field, random_point,
                              sphere_chart)
-from gafields.expr import CExpr, ZERO, evaluate_many, parse
+from gafields.expr import CExpr, ZERO, evaluate_many, parse, to_str
 from gafields.manifold import (
     Chart,
     ChartError,
@@ -84,6 +84,21 @@ def test_eval_fields_matches_each_field_alone(rng):
 
 # ---------------------------------------------------------------------------
 # Christoffel symbols and curvature
+
+def test_random_form_field_shares_one_tree_per_source():
+    # the draws are those of one parse per part, real part first, and
+    # the parts that draw one source share its tree
+    chart = sphere_chart(SPHERE_BOX)
+    u = random_form_field(chart, np.random.default_rng(4), POOL)
+    loop = np.random.default_rng(4)
+    trees = {}
+    for mask in range(4):
+        for part in (u.coeffs[mask].re, u.coeffs[mask].im):
+            src = POOL[int(loop.integers(len(POOL)))]
+            assert trees.setdefault(src, part) is part
+            assert to_str(part) == to_str(parse(src, 2))
+    assert len(trees) < 8  # 8 parts drawn from 6 sources
+
 
 def test_polar_christoffels_oracle(rng):
     # hand values: Gamma^1_{22} = -r, Gamma^2_{12} = Gamma^2_{21} = 1/r
@@ -327,6 +342,27 @@ def test_upsilon_leibniz(rng):
                + clifford_mul_fields(u, upsilon_k(v, k)))
         for q in p:
             assert (lhs.eval_at(q) - rhs.eval_at(q)).norm() < 1e-9
+
+
+def test_delta_builds_each_upsilon_once(rng, monkeypatch):
+    # d and Upsilon both take Y_k U; the field keeps each Y_k U, so delta
+    # differentiates every coefficient of U once per direction
+    chart = sphere_chart(SPHERE_BOX)
+    u = random_form_field(chart, rng, POOL)
+    diffs = []
+    kernel = CExpr.diff
+
+    def counted(c, var):
+        diffs.append((id(c), var))
+        return kernel(c, var)
+
+    monkeypatch.setattr(CExpr, "diff", counted)
+    delta_op(u)
+    want = [(id(c), k) for k in (1, 2) for c in u.coeffs.values()]
+    assert sorted(diffs) == sorted(want)
+    for k in (1, 2):
+        assert upsilon_k(u, k) is upsilon_k(u, k)
+    assert len(diffs) == len(want)
 
 
 def test_upsilon_kills_metric_volume(rng):

@@ -12,14 +12,16 @@ from hypothesis import given, settings, strategies as st
 from gafields.checks import (draw_samples, kform_sample, mv_sample,
                              random_kform, random_metric)
 from gafields.dirac import gamma_matrices, multivector_from_matrix, rep_map
-from gafields.metric import ArgumentError, new_metric
-from gafields.multivector import (CLIFFORD, GRASSMANN, Multivector,
-                                  NumericError, basis_convert,
+from gafields.metric import (ArgumentError, MetricStack, is_isometry,
+                             new_metric)
+from gafields.multivector import (CLIFFORD, GRASSMANN, DimensionMismatch,
+                                  Multivector, NumericError, basis_convert,
                                   build_product_table, clifford_via_star,
                                   conjugate_star, exp_mv, grade_masks,
                                   grade_project, hodge_star,
                                   hodge_star_components, reversion,
-                                  scalar_product, star_inverse, wedge)
+                                  scalar_product, star_inverse,
+                                  structure_tensor, wedge)
 from gafields.spin import (adjoint_action, factor_isometry, isometry_of,
                            random_spin_element, spin_sample)
 from helpers import random_mv
@@ -140,6 +142,80 @@ def test_dirac_kernels_match_rows(seed):
         np.testing.assert_allclose(mats[idx], one, atol=1e-12)
         np.testing.assert_allclose(
             back[idx], multivector_from_matrix(one, rep).coeffs, atol=1e-12)
+
+
+def signature_stack(n):
+    """The 2^n diagonal signatures, as `suite_spin` stacks them."""
+    return [new_metric(np.diag(sig))
+            for sig in itertools.product((1.0, -1.0), repeat=n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_structure_tensor_of_a_stack_is_the_stack_of_tensors(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(3, n, n))
+    forms = np.concatenate([a + np.swapaxes(a, -1, -2),
+                            [m.g_upper for m in signature_stack(n)],
+                            np.zeros((1, n, n))])
+    # a zero entry in one form only, of either sign
+    forms[0, 0, 1] = forms[0, 1, 0] = 0.0
+    forms[1, 0, 1] = forms[1, 1, 0] = -0.0
+    stacked = structure_tensor(forms)
+    assert stacked.shape == (len(forms),) + (1 << n,) * 3
+    for form, tensor in zip(forms, stacked):
+        one = structure_tensor(form)
+        assert one.tobytes() == tensor.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_spin_kernels_on_a_table_stack_match_each_signature(n, rows):
+    # every row gets the bits it gets on its own signature's table
+    metrics = signature_stack(n)
+    stack = MetricStack(metrics)
+    rng = np.random.default_rng(10 * n + rows)
+    z = rng.normal(size=(len(metrics), rows, len(grade_masks(n, 2))))
+    (u,) = draw(n, (len(metrics), rows), n)
+    f = spin_sample(stack, z, 0.6)
+    img = adjoint_action(f, u, stack)
+    p = isometry_of(f, stack)
+    g = factor_isometry(p, stack)
+    assert f.shape == img.shape == g.shape == (len(metrics), rows, 1 << n)
+    assert p.shape == (len(metrics), rows, n, n)
+    for s, m in enumerate(metrics):
+        for got, want in [(f[s], spin_sample(m, z[s], 0.6)),
+                          (img[s], adjoint_action(f[s], u[s], m)),
+                          (p[s], isometry_of(f[s], m)),
+                          (g[s], factor_isometry(p[s], m))]:
+            assert got.tobytes() == want.tobytes()
+    assert np.array_equal(is_isometry(stack, p),
+                          [is_isometry(m, p[s]) for s, m in enumerate(metrics)])
+
+
+def test_a_stack_product_pairs_each_table_with_its_rows():
+    metrics = signature_stack(2)
+    stack = build_product_table(MetricStack(metrics))
+    # one row per table, a row for every table, and rows on more axes
+    (u, v) = draw(2, (4,), 7, 2)
+    (w,) = draw(2, (4, 2, 3), 8)
+    for a, b in [(u, v), (u[0], v), (u, v[0]), (u[:, None, None], w),
+                 (w, v[0])]:
+        got = stack.mul(a, b)
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        assert got.shape == lead + (4,)
+        for s, m in enumerate(metrics):
+            # table s meets index s of the first broadcast leading axis
+            at = [x.reshape((1,) * (len(lead) + 1 - x.ndim) + x.shape)
+                  for x in (a, b)]
+            want = build_product_table(m).mul(
+                *(x[s if len(x) > 1 else 0] for x in at))
+            assert got[s].tobytes() == want.tobytes()
+    with pytest.raises(DimensionMismatch):
+        stack.mul(u[0], v[0])  # no axis to meet the tables
+    with pytest.raises(ArgumentError):
+        MetricStack([new_metric(np.eye(2)), new_metric(np.eye(3))])
+    with pytest.raises(ArgumentError):
+        factor_isometry(np.eye(2), MetricStack(metrics))
 
 
 def test_one_bad_row_raises_the_row_error():
