@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gafields import blades
 from gafields.checks import (curvature_commutator_defect,
@@ -264,19 +265,25 @@ def dense_constant_chart():
 
 @pytest.mark.parametrize("chart", [
     *(skew_chart(n, sign) for n in (2, 3, 4) for sign in (1, -1)),
+    skew_chart(5, -1),
     flat_minkowski_chart(), curved_link_chart(), dense_constant_chart()],
     ids=["skew2+", "skew2-", "skew3+", "skew3-", "skew4+", "skew4-",
-         "minkowski", "diagonal4", "dense3"])
+         "skew5-", "minkowski", "diagonal4", "dense3"])
 def test_clifford_mul_fields_matches_chain_kernel(chart, rng):
     # the blade-chain product of whole coefficient dicts is the reference;
     # a product kept to some blades is the full one on exactly those,
-    # bitwise, since each kept blade gets the same terms in the same order
+    # bitwise, since each kept blade gets the same terms in the same order.
+    # Last, the full blade times every blade: its recurrence contracts at
+    # every position of its rest, up to position n - 2 (3 at n = 5)
     n = chart.dim
     two = set(grade_masks(n, 2))
     keeps = ({0}, two, {0} | two, set())
-    for _ in range(3):
-        u = sparse_field(chart, rng, POOL, min(6, 1 << n))
-        v = sparse_field(chart, rng, POOL, min(6, 1 << n))
+    full = FormField(chart, {(1 << n) - 1: CExpr.of(1.0)})
+    pairs = [(sparse_field(chart, rng, POOL, min(6, 1 << n)),
+              sparse_field(chart, rng, POOL, min(6, 1 << n)))
+             for _ in range(3)]
+    pairs.append((full, sparse_field(chart, rng, POOL, 1 << n)))
+    for u, v in pairs:
         got = clifford_mul_fields(u, v)
         want = FormField(chart, clifford_mul_dicts(
             u.coeffs, v.coeffs,
@@ -342,6 +349,52 @@ def test_upsilon_leibniz(rng):
                + clifford_mul_fields(u, upsilon_k(v, k)))
         for q in p:
             assert (lhs.eval_at(q) - rhs.eval_at(q)).norm() < 1e-9
+
+
+# entries of the random dense charts on [0.1, 0.9]^n, as formats over the
+# row index i and a second index j: every entry is nonzero on the box, an
+# off-diagonal one at most 0.25 in size and a diagonal one at least 2, so
+# the metric is strictly diagonally dominant, hence nondegenerate there
+DIAGONAL_POOL = ("3 + x{i}^2", "2 + sin(x{j})", "2.5", "4 - x{i}*x{j}")
+OFF_DIAGONAL_POOL = ("0.2*sin(x{i} + x{j})", "0.1*x{i}*x{j}",
+                     "0.25*cos(x{j})", "-0.2*x{i}^2", "0.15")
+# coefficient expressions of the random fields on the dense charts
+DENSE_POOL = ("x1*x2", "sin(x3)", "cos(x2)*x1", "x3^2 - x1", "exp(0.3*x2)",
+              "1 + x3")
+
+
+@st.composite
+def dense_charts(draw):
+    """A 3- or 4-chart with every g_ij nonzero, drawn from the pools, each
+    diagonal entry with a sign of its own."""
+    n = draw(st.sampled_from((3, 4)))
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        src = draw(st.sampled_from(DIAGONAL_POOL))
+        sign = draw(st.sampled_from(("", "-")))
+        g[i][i] = parse(f"{sign}({src.format(i=i + 1, j=(i + 1) % n + 1)})",
+                        n)
+        for j in range(i + 1, n):
+            src = draw(st.sampled_from(OFF_DIAGONAL_POOL))
+            g[i][j] = g[j][i] = parse(src.format(i=i + 1, j=j + 1), n)
+    return Chart(g, [(0.1, 0.9)] * n)
+
+
+@given(dense_charts(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_upsilon_is_a_derivation_on_dense_charts(chart, seed):
+    # Y_k (U V) = (Y_k U) V + U (Y_k V) for both products: the metric
+    # compatibility of the Levi-Civita connection, which on a dense chart
+    # reads every Christoffel symbol and every sign of Y_k's index swap
+    rng = np.random.default_rng(seed)
+    u, v = (random_form_field(chart, rng, DENSE_POOL) for _ in range(2))
+    points = random_points(chart, rng, 4)
+    for product in (clifford_mul_fields, wedge_fields):
+        for k in range(1, chart.dim + 1):
+            lhs = upsilon_k(product(u, v), k)
+            rhs = product(upsilon_k(u, k), v) + product(u, upsilon_k(v, k))
+            a, b = eval_fields((lhs, rhs), points)
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
 def test_delta_builds_each_upsilon_once(rng, monkeypatch):
