@@ -11,17 +11,17 @@ generator times a multivector, the wedge plus the metric contraction.
 A Grassmann blade a = e^i ^ B with lowest index i follows from
 Chevalley's identity e^i ^ B = e^i B - e^i _| B, so the product of two
 blades is a recurrence over `gen_mul` steps.  The symbolic layer builds
-a chart's blade-product table by that recurrence (`Chart.blade_product`)
-and takes `wedge_dicts` from here directly; the numeric layer runs the
-same recurrence over whole arrays (`multivector.structure_tensor`), for
-the Clifford product of a metric and, with g = 0, the exterior product.
+a chart's blade-product tables by that recurrence (`Chart.blade_product`,
+and `Chart.wedge_product` at g = 0); the numeric layer runs the same
+recurrence over whole arrays (`multivector.structure_tensor`), for the
+Clifford product of a metric and, with g = 0, the exterior product.
 
-This module is also the one place that knows blade grades and signs:
-`grade_array(n)` and `reversion_array(n)` are read-only arrays built
-once per dimension, and `reversion_sign(k)` and
-`star_inverse_sign(k, n, sgn g)` are the sign rules themselves; the
-numeric layer reads its grade projections, parities and involutions off
-these arrays.
+This module is also the one place that knows blade grades and signs.
+Every sign of a product, in both layers, is the one rule
+`pass_sign(j, b)` = (-1)^(number of generators of b below e^j).
+`grade_array(n)`, `pass_sign_array(n)` and `reversion_array(n)` are
+read-only arrays built once per dimension, and `reversion_sign(k)` and
+`star_inverse_sign(k, n, sgn g)` are the sign rules of whole grades.
 """
 
 from __future__ import annotations
@@ -61,6 +61,21 @@ def grade_array(n: int) -> np.ndarray:
     return _frozen(np.array([m.bit_count() for m in range(1 << n)]))
 
 
+def pass_sign(j: int, b: int) -> int:
+    """(-1)^(number of generators of b below e^j), the sign e^j takes in
+    passing them: the sign of e^j ^ e_b for j not in b, and, for j in b,
+    of bringing e^j to the front of e_b to contract it out."""
+    return 1 - 2 * (popcount(b & ((1 << (j - 1)) - 1)) & 1)
+
+
+@lru_cache(maxsize=None)
+def pass_sign_array(n: int) -> np.ndarray:
+    """`pass_sign(j, b)` at [j - 1, b], for j = 1 .. n and every blade
+    mask b 0 .. 2^n - 1."""
+    return _frozen(np.array([[pass_sign(j, b) for b in range(1 << n)]
+                             for j in range(1, n + 1)]))
+
+
 @lru_cache(maxsize=None)
 def reversion_array(n: int) -> np.ndarray:
     """Reversion sign of every blade mask 0 .. 2^n - 1."""
@@ -90,17 +105,12 @@ def mask_of(indices) -> int:
 
 
 def wedge_sign(a: int, b: int) -> int:
-    """Sign of merging two disjoint ascending blades a, b into a | b."""
-    swaps = 0
-    rest = a
-    bb = b
-    i = 0
-    while bb:
-        if bb & 1:
-            swaps += popcount(rest >> (i + 1))
-        bb >>= 1
-        i += 1
-    return -1 if swaps & 1 else 1
+    """Sign of merging two disjoint ascending blades a, b into a | b: each
+    generator of a passes the generators of b below it."""
+    sign = 1
+    for j in blade_indices(a):
+        sign *= pass_sign(j, b)
+    return sign
 
 
 def is_zero(s) -> bool:
@@ -114,49 +124,24 @@ def add_term(d: dict, mask: int, value) -> None:
     d[mask] = value if cur is None else cur + value
 
 
-def wedge_dicts(u: dict, v: dict) -> dict:
-    out: dict = {}
-    for a, ca in u.items():
-        if is_zero(ca):
-            continue
-        for b, cb in v.items():
-            if a & b or is_zero(cb):
-                continue
-            s = wedge_sign(a, b)
-            term = ca * cb
-            add_term(out, a | b, term if s > 0 else -term)
-    return out
-
-
 def gen_mul(i: int, w: dict, g) -> dict:
     """Clifford product e^i * W for a multivector W in the Grassmann basis.
 
     Splits into the exterior part e^i ^ W and the metric contraction of
     e^i into each blade; g(i, j) supplies the scalar g^{ij}.
     """
-    bit = 1 << (i - 1)
     out: dict = {}
     for mask, c in w.items():
         if is_zero(c):
             continue
-        if not mask & bit:
-            below = popcount(mask & (bit - 1))
-            add_term(out, mask | bit, c if below % 2 == 0 else -c)
-        else:
-            # e^i ^ (blade containing i) = 0; only the contraction of the
-            # repeated index survives, handled by the loop below.
-            pass
-        pos = 0
-        mm = mask
-        j = 1
-        while mm:
-            if mm & 1:
-                pos += 1
-                gij = g(i, j)
-                if not is_zero(gij):
-                    term = gij * c
-                    add_term(out, mask ^ (1 << (j - 1)),
-                             term if pos % 2 == 1 else -term)
-            mm >>= 1
-            j += 1
+        # e^i ^ (blade containing i) = 0: only its contractions survive
+        if not (mask >> (i - 1)) & 1:
+            add_term(out, mask | (1 << (i - 1)),
+                     c if pass_sign(i, mask) > 0 else -c)
+        for j in blade_indices(mask):
+            gij = g(i, j)
+            if not is_zero(gij):
+                term = gij * c
+                add_term(out, mask ^ (1 << (j - 1)),
+                         term if pass_sign(j, mask) > 0 else -term)
     return out

@@ -104,7 +104,8 @@ class Chart:
         self.sqrt_abs_det = call("sqrt", Const(float(self.sign)) * self.det_expr)
         self._gamma = None
         self._riemann = None
-        self._blade_products = {}
+        self.blade_product = _BladeProducts(self.g_upper_exprs)
+        self.wedge_product = _BladeProducts([[ZERO] * n] * n)
 
     def midpoint(self):
         return tuple((lo + hi) / 2 for lo, hi in self.domain)
@@ -135,38 +136,6 @@ class Chart:
             self._metric = new_metric(g, convention="lower")
             self._metric_key = key
         return self._metric
-
-    def blade_product(self, a: int, b: int):
-        r"""The Clifford product of the Grassmann blades a and b, e_a e_b =
-        sum_c C^c_ab e_c, as (c, C) pairs: C is +1 or -1 where the term is
-        a signed blade, else a real expression in the g^ij.  Built on
-        first use by the recurrence of `ProductTable`, and kept along with
-        every entry it reads: for a = e^i ^ B with lowest index i,
-
-            e_a e_b = e^i (e_B e_b)
-                      - sum_{j in B} (-1)^(pos_j - 1) g^{ij} e_{B \ j} e_b."""
-        key = (a, b)
-        terms = self._blade_products.get(key)
-        if terms is None:
-            prod = {b: 1}
-            if a:
-                rest = a & (a - 1)
-                i = (a ^ rest).bit_length()
-                gu = self.g_upper_exprs
-                prod = blades.gen_mul(i, dict(self.blade_product(rest, b)),
-                                      lambda p, q: gu[p - 1][q - 1])
-                for pos, j in enumerate(blades.blade_indices(rest)):
-                    gij = gu[i - 1][j - 1]
-                    if gij.is_zero():
-                        continue
-                    for c, k in self.blade_product(rest ^ (1 << (j - 1)), b):
-                        term = gij * k
-                        blades.add_term(prod, c, -term if pos % 2 == 0
-                                        else term)
-            terms = self._blade_products[key] = tuple(
-                (c, _structure_constant(x)) for c, x in prod.items()
-                if not blades.is_zero(x))
-        return terms
 
     def gamma_exprs(self):
         """Christoffel symbols Gamma^k_{ij} as expressions, [k][i][j]."""
@@ -222,6 +191,46 @@ class Chart:
         upper = np.zeros(lead + (n,) * 4)
         upper[..., i, j, :, :] = np.moveaxis(values, (0, 1, 2), (-3, -2, -1))
         return upper - upper.swapaxes(-4, -3)
+
+
+class _BladeProducts(dict):
+    r"""The blade-product table of a contravariant form gu (a chart's
+    g^ij for `Chart.blade_product`, zero for `Chart.wedge_product`):
+    called with (a, b), it returns e_a e_b = sum_c C^c_ab e_c as (c, C)
+    pairs, C +1 or -1 where the term is a signed blade, else a real
+    expression in the g^ij.  An entry is built on first use by the
+    recurrence of `ProductTable`, and kept along with every entry it
+    reads: for a = e^i ^ B with lowest index i,
+
+        e_a e_b = e^i (e_B e_b)
+                  - sum_{j in B} pass_sign(j, B) g^{ij} e_{B \ j} e_b."""
+
+    def __init__(self, gu):
+        super().__init__()
+        self.gu = gu
+
+    def __call__(self, a: int, b: int):
+        terms = self.get((a, b))
+        if terms is None:
+            prod = {b: 1}
+            if a:
+                rest = a & (a - 1)
+                i = (a ^ rest).bit_length()
+                gu = self.gu
+                prod = blades.gen_mul(i, dict(self(rest, b)),
+                                      lambda p, q: gu[p - 1][q - 1])
+                for j in blades.blade_indices(rest):
+                    gij = gu[i - 1][j - 1]
+                    if gij.is_zero():
+                        continue
+                    plus = blades.pass_sign(j, rest) > 0
+                    for c, k in self(rest ^ (1 << (j - 1)), b):
+                        term = gij * k
+                        blades.add_term(prod, c, -term if plus else term)
+            terms = self[a, b] = tuple(
+                (c, _structure_constant(x)) for c, x in prod.items()
+                if not blades.is_zero(x))
+        return terms
 
 
 def curvature_forms(chart: Chart):
@@ -341,8 +350,9 @@ def volume_field(chart: Chart) -> FormField:
 # Pointwise algebra of fields.
 
 def wedge_fields(u: FormField, v: FormField) -> FormField:
-    u._check(v)
-    return FormField(u.chart, blades.wedge_dicts(u.coeffs, v.coeffs))
+    """U ^ V from the chart's exterior blade products, as
+    `clifford_mul_fields` takes U V from its Clifford ones."""
+    return _product_fields(u, v, u.chart.wedge_product)
 
 
 def clifford_mul_fields(u: FormField, v: FormField, *,
@@ -354,16 +364,21 @@ def clifford_mul_fields(u: FormField, v: FormField, *,
     (a, b) whose e_a e_b has no kept blade is skipped before u_a v_b is
     formed.  Each kept blade gets the same terms, in the same order, as
     in the full product."""
+    return _product_fields(u, v, u.chart.blade_product, keep)
+
+
+def _product_fields(u: FormField, v: FormField, product,
+                    keep=None) -> FormField:
+    """The product of two fields whose blades multiply by `product`."""
     u._check(v)
-    product = u.chart.blade_product
     out: dict = {}
     for a, ca in u.coeffs.items():
         for b, cb in v.coeffs.items():
             terms = product(a, b)
             if keep is not None:
                 terms = [(c, k) for c, k in terms if c in keep]
-                if not terms:
-                    continue
+            if not terms:
+                continue
             p = ca * cb
             for c, k in terms:
                 if isinstance(k, Expr):
@@ -430,8 +445,7 @@ def _upsilon_build(u: FormField, k: int) -> FormField:
     out: dict = {}
     for mask, c in u.coeffs.items():
         blades.add_term(out, mask, c.diff(k))
-        idx = blades.blade_indices(mask)
-        for m_idx in idx:
+        for m_idx in blades.blade_indices(mask):
             rest = mask ^ (1 << (m_idx - 1))
             for i in range(1, chart.dim + 1):
                 if i != m_idx and rest & (1 << (i - 1)):
@@ -439,12 +453,10 @@ def _upsilon_build(u: FormField, k: int) -> FormField:
                 gamma = gm[m_idx - 1][k - 1][i - 1]
                 if gamma.is_zero():
                     continue
-                # parity of moving the substituted index back into order
-                lo, hi = min(i, m_idx), max(i, m_idx)
-                between = blades.popcount(rest & (((1 << (hi - 1)) - 1)
-                                                  >> lo) << lo)
+                # the sign of moving the substituted index i back into
+                # order, where m_idx stood
                 term = gamma * c
-                if between % 2 == 1:
+                if blades.pass_sign(i, rest) != blades.pass_sign(m_idx, rest):
                     term = -term
                 blades.add_term(out, rest | (1 << (i - 1)), -term)
     return FormField(chart, out)

@@ -7,9 +7,10 @@ slices or contractions of one kind of real array, the structure tensor
 that `structure_tensor(g)` builds for a contravariant form g: a metric's
 g_upper gives ``ProductTable.left`` and its Clifford product, and the
 zero form gives the exterior product of `wedge`.  Blade
-grades and reversion signs come from ``blades.grade_array`` and
-``blades.reversion_array``; grade projection, parity and the involutions
-are array expressions over them.
+grades and signs come from ``blades.grade_array``,
+``blades.pass_sign_array`` and ``blades.reversion_array``; the tensors,
+grade projection, parity and the involutions are array expressions over
+them.
 
 Every operation takes a `Multivector` or a stack of coefficient arrays of
 shape (..., 2^n), blade axis last, and applies one array kernel to all
@@ -151,13 +152,14 @@ def structure_tensor(g) -> np.ndarray:
     e_a ^ e_b for disjoint masks a, b.  A stack of forms (S, n, n) gives
     the stack (S, 2^n, 2^n, 2^n) of their tensors.
 
-    A generator slice is filled over all masks b at once: e^i e_b =
-    e^i ^ e_b + e^i _| e_b, the wedge signed by the generators of b
-    below i, and the contraction sum_{j in b} (-1)^(pos_j - 1) g^{ij}
-    e_{b \ j}, pos_j being the position of j in b.  A blade a = e^i ^ B
-    with lowest index i follows from e^i ^ B = e^i B - e^i _| B:
+    Every sign is `blades.pass_sign(j, b)`, (-1)^(number of generators
+    of b below e^j).  A generator slice is filled over all masks b at
+    once: e^i e_b = e^i ^ e_b + e^i _| e_b, the wedge signed by
+    pass_sign(i, b), and the contraction sum_{j in b} pass_sign(j, b)
+    g^{ij} e_{b \ j}.  A blade a = e^i ^ B with lowest index i follows
+    from e^i ^ B = e^i B - e^i _| B:
 
-        [a] = [e^i] @ [B] - sum_{j in B} (-1)^(pos_j - 1) g^{ij} [B \ j]
+        [a] = [e^i] @ [B] - sum_{j in B} pass_sign(j, B) g^{ij} [B \ j]
 
     Dense: 2 MB at n = 6, 128 MB at n = 8, so n is at most
     `MAX_TABLE_DIM`.
@@ -169,7 +171,7 @@ def structure_tensor(g) -> np.ndarray:
                             f"{MAX_TABLE_DIM}, got {n}")
     size = 1 << n
     masks = np.arange(size)
-    grade = blades.grade_array(n)
+    sign = blades.pass_sign_array(n)
     stack = g.shape[:-2]
     # blade a leads while building, so left[a] holds slice a of every form
     left = np.zeros((size,) + stack + (size, size))
@@ -180,19 +182,16 @@ def structure_tensor(g) -> np.ndarray:
     unused = np.all(g == 0, axis=tuple(range(len(stack))))
     for i in range(n):
         gen = left[1 << i]
-        # e^i ^ e_b passes e^i over the generators of b below i
         free = masks[(masks >> i) & 1 == 0]
-        below = grade[free & ((1 << i) - 1)]
-        gen[..., free | (1 << i), free] = 1 - 2 * (below % 2)
+        gen[..., free | (1 << i), free] = sign[i, free]
         for j in range(n):
             if unused[i, j]:
                 continue
             held = masks[(masks >> j) & 1 == 1]
-            # +g^{ij} where j sits at an odd position of b; + 0.0 turns a
-            # -0.0 of one form of a stack into the +0.0 its own tensor has
-            pos = grade[held & ((2 << j) - 1)]
+            # + 0.0 turns a -0.0 of one form of a stack into the +0.0 its
+            # own tensor has
             gen[..., held ^ (1 << j), held] = \
-                g[..., i, j, None] * (2 * (pos % 2) - 1) + 0.0
+                g[..., i, j, None] * sign[j, held] + 0.0
     for a in range(1, size):
         rest = a & (a - 1)
         if not rest:
@@ -200,9 +199,9 @@ def structure_tensor(g) -> np.ndarray:
         low = a ^ rest
         i = low.bit_length() - 1
         left[a] = left[low] @ left[rest]
-        for pos, j in enumerate(blades.blade_indices(rest)):
-            sign = 1.0 if pos % 2 == 0 else -1.0
-            left[a] -= sign * coef[i, j - 1] * left[rest ^ (1 << (j - 1))]
+        for j in blades.blade_indices(rest):
+            left[a] -= (blades.pass_sign(j, rest) * coef[i, j - 1]
+                        * left[rest ^ (1 << (j - 1))])
     return np.ascontiguousarray(np.moveaxis(left, 0, len(stack)))
 
 

@@ -1,16 +1,18 @@
 """Shared fixtures: random multivectors, charts, plane waves and
-curvature-linked configs; the blade-chain Clifford kernel that the
-numeric structure tensor and the charts' blade products are checked
-against; the ordered-pair Maxwell and Yang-Mills left sides that the
-gauge family is checked against; and a node count of expression DAGs."""
+curvature-linked configs; the blade-chain Clifford kernel, with signs of
+its own, that the numeric structure tensor and the charts' blade
+products are checked against; the ordered-pair Maxwell and Yang-Mills
+left sides that the gauge family is checked against; and a node count
+of expression DAGs."""
 
 import itertools
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from gafields.blades import (add_term, blade_indices, gen_mul, is_zero,
-                             mask_of, popcount)
+from gafields.blades import (add_term, blade_indices, is_zero, mask_of,
+                             popcount)
 
 from gafields.checks import flat_minkowski_chart, mv_sample, random_form_field
 from gafields.expr import CExpr, CZERO, ZERO, Const, parse
@@ -165,6 +167,47 @@ def curvature_linked_config():
 # The blade-chain Clifford kernel: an algorithm of its own (chain expansion
 # with 1/r! factors, then one generator at a time), so it is an independent
 # reference for the Chevalley recurrence the library builds products with.
+# Its signs are parities of index lists, not the library's sign rule.
+
+def order_sign(indices) -> int:
+    """(-1)^(number of inversions of the index list): the sign of sorting
+    a product of distinct generators into ascending order."""
+    inversions = sum(1 for p, q in itertools.combinations(indices, 2)
+                     if p > q)
+    return -1 if inversions % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def _step_terms(i: int, b: int) -> tuple:
+    """The terms of e^i e_b as (blade, j, sign): j = 0 for e^i ^ e_b,
+    which sorts the list [i] + b, else the index of b that e^i contracts
+    with, which first comes to the front of b, the list [j] + (b \\ j)."""
+    idx = blade_indices(b)
+    terms = [] if i in idx else [(mask_of([i] + idx), 0,
+                                  order_sign([i] + idx))]
+    for j in idx:
+        rest = [x for x in idx if x != j]
+        terms.append((mask_of(rest), j, order_sign([j] + rest)))
+    return tuple(terms)
+
+
+def generator_step(i: int, w: dict, g) -> dict:
+    """e^i W for W in the Grassmann basis, g(i, j) supplying g^{ij}."""
+    out: dict = {}
+    for b, c in w.items():
+        if is_zero(c):
+            continue
+        for mask, j, sign in _step_terms(i, b):
+            if j:
+                gij = g(i, j)
+                if is_zero(gij):
+                    continue
+                term = gij * c
+            else:
+                term = c
+            add_term(out, mask, term if sign > 0 else -term)
+    return out
+
 
 def grassmann_to_chains(mask: int, g) -> dict:
     """Expand a Grassmann blade over Clifford generator chains.
@@ -210,7 +253,7 @@ def blade_clifford_mul(mask: int, v: dict, g) -> dict:
     for chain_mask, coeff in grassmann_to_chains(mask, g).items():
         w = v
         for i in reversed(blade_indices(chain_mask)):
-            w = gen_mul(i, w, g)
+            w = generator_step(i, w, g)
         for b, c in w.items():
             if not is_zero(c):
                 add_term(out, b, coeff * c)

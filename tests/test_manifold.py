@@ -313,7 +313,7 @@ def test_blade_products_are_built_once_per_chart(rng, monkeypatch):
         return kernel(i, w, g)
 
     def built(before=()):
-        new = set(chart._blade_products) - set(before)
+        new = set(chart.blade_product) - set(before)
         assert len(steps) == sum(1 for a, _ in new if a)
         del steps[:]
         return new
@@ -321,17 +321,17 @@ def test_blade_products_are_built_once_per_chart(rng, monkeypatch):
     monkeypatch.setattr(blades, "gen_mul", counted)
     u, v = (sparse_field(chart, rng, POOL, 5) for _ in range(2))
     clifford_mul_fields(u, v)
-    first = dict(chart._blade_products)
+    first = dict(chart.blade_product)
     assert {(a, b) for a in u.coeffs for b in v.coeffs} <= built()
     clifford_mul_fields(u, v)
-    assert not built(first) and chart._blade_products == first
+    assert not built(first) and chart.blade_product == first
     w = sparse_field(chart, rng, POOL, 5)
     clifford_mul_fields(u, w)
     new = built(first)
     assert {(a, b) for a in u.coeffs for b in w.coeffs} - set(first) <= new
     assert all(b in w.coeffs and any(r & ~a == 0 for a in u.coeffs)
                for r, b in new)
-    assert all(chart._blade_products[key] is terms
+    assert all(chart.blade_product[key] is terms
                for key, terms in first.items())
 
 

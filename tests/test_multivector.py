@@ -30,7 +30,8 @@ from gafields.checks import (constant_field, flat_minkowski_chart,
                              random_kform, random_metric)
 from gafields.manifold import conjugate_field, reversion_field
 from conftest import random_metric_signed
-from helpers import clifford_mul_dicts, grassmann_to_chains, random_mv
+from helpers import (clifford_mul_dicts, generator_step, grassmann_to_chains,
+                     order_sign, random_mv)
 
 
 def blade(n, idx):
@@ -57,6 +58,29 @@ def test_wedge_permutation_sign():
     assert (w + blade(n, [1, 2, 3])).norm() == 0.0
 
 
+def test_sign_rule_is_an_inversion_parity(rng):
+    # every sign of a product is `blades.pass_sign`; against the parity of
+    # index lists, for every generator and blade up to n = 6: the rule,
+    # its array, `wedge_sign`, and the one Clifford step `gen_mul` against
+    # the test's own generator step, on a dense metric
+    for n in range(1, 7):
+        size = 1 << n
+        array = blades.pass_sign_array(n)
+        gu = random_metric(n, rng).g_upper
+        g = lambda i, j: gu[i - 1, j - 1]
+        for b in range(size):
+            idx = blades.blade_indices(b)
+            for j in range(1, n + 1):
+                want = order_sign([j] + [x for x in idx if x != j])
+                assert blades.pass_sign(j, b) == array[j - 1, b] == want
+                assert blades.gen_mul(j, {b: 1.0}, g) == \
+                    generator_step(j, {b: 1.0}, g)
+            for a in range(size):
+                if not a & b:
+                    assert blades.wedge_sign(a, b) == \
+                        order_sign(blades.blade_indices(a) + idx)
+
+
 def test_zero_form_tensor_is_wedge_sign():
     # the structure tensor of g = 0 holds the sign of e_a ^ e_b at
     # [a, a | b, b] for disjoint a, b, and nothing else
@@ -66,7 +90,8 @@ def test_zero_form_tensor_is_wedge_sign():
         for a in range(size):
             for b in range(size):
                 if not a & b:
-                    want[a, a | b, b] = blades.wedge_sign(a, b)
+                    want[a, a | b, b] = order_sign(blades.blade_indices(a)
+                                                   + blades.blade_indices(b))
         assert np.array_equal(structure_tensor(np.zeros((n, n))), want)
 
 
@@ -139,11 +164,12 @@ def test_structure_tensor_matches_chain_kernel(rng):
         for m in reference_metrics(n, rng):
             left = build_product_table(m).left
             g = lambda i, j: float(m.g_upper[i - 1, j - 1])
-            # the generator slices are the `gen_mul` steps, bit for bit
+            # the generator slices are the test's own generator steps, bit
+            # for bit
             for i in range(1, n + 1):
                 want = np.zeros((1 << n, 1 << n))
                 for b in range(1 << n):
-                    for c, val in blades.gen_mul(i, {b: 1.0}, g).items():
+                    for c, val in generator_step(i, {b: 1.0}, g).items():
                         want[c, b] = val
                 assert np.array_equal(left[1 << (i - 1)], want)
             for a in range(1 << n):
